@@ -4,14 +4,14 @@
 //!
 //! Two passes over the same (protocol × benchmark) grid:
 //!
-//! 1. **baseline** — fast-forward off, one job at a time (the engine as
-//!    it was before the idle-cycle skipper existed);
+//! 1. **baseline** — the every-cycle due policy (fast-forward off: every
+//!    component runs every cycle), one job at a time;
 //! 2. **optimized** — fast-forward on, grid spread over the job pool
 //!    (`--jobs N`; defaults to one worker per core here, unlike the
 //!    figure binaries, because the point is to measure the speedup).
 //!
 //! Both passes must agree on every simulated metric — the engine
-//! invariant is that fast-forwarding never changes results, only
+//! invariant is that the due policy never changes results, only
 //! wall-clock — so the binary exits non-zero on any divergence.
 //!
 //! Both passes run with the simulator self-profiler attached (same
@@ -127,9 +127,8 @@ fn main() -> std::process::ExitCode {
     }
 
     // Calendar-queue telemetry, merged over every run of the optimized
-    // pass: how much event traffic the scheduler carried, how deep the
-    // queue got, and how far the exact wakes sat from the conservative
-    // min-scan hints.
+    // pass: how much event traffic the scheduler carried and how deep the
+    // queue got.
     let posted: u64 = optimized.iter().map(|(m, _)| m.sched.events_posted).sum();
     let cancelled: u64 = optimized
         .iter()
@@ -146,22 +145,16 @@ fn main() -> std::process::ExitCode {
         .map(|(m, _)| m.sched.queue_depth_max)
         .max()
         .unwrap_or(0);
-    let slack_mean = optimized
-        .iter()
-        .map(|(m, _)| m.sched.wake_slack_mean)
-        .sum::<f64>()
-        / nruns;
     let scheduler = SchedSummary {
         events_posted: posted,
         events_cancelled: cancelled,
         cancel_ratio: cancelled as f64 / posted.max(1) as f64,
         queue_depth_p50_mean: p50_mean,
         queue_depth_max: depth_max,
-        wake_slack_mean: slack_mean,
     };
     println!(
         "\nscheduler: {posted} events posted, {cancelled} cancelled ({:.1}%), \
-         queue depth p50 {p50_mean:.1} / max {depth_max}, wake slack {slack_mean:.2} cyc",
+         queue depth p50 {p50_mean:.1} / max {depth_max}",
         100.0 * scheduler.cancel_ratio
     );
 

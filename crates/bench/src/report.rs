@@ -117,9 +117,6 @@ pub struct SchedSummary {
     pub queue_depth_p50_mean: f64,
     /// Peak queue depth over every run.
     pub queue_depth_max: u64,
-    /// Mean over runs of each run's mean |exact wake − min-scan hint|
-    /// in cycles (0 when every component's hint is exact).
-    pub wake_slack_mean: f64,
 }
 
 /// `BENCH_sim.json`: the perf-smoke report (engine wall-clock, per-
@@ -177,13 +174,12 @@ impl SimReport {
             out,
             "  \"scheduler\": {{\"events_posted\": {}, \"events_cancelled\": {}, \
              \"cancel_ratio\": {:.4}, \"queue_depth_p50_mean\": {:.2}, \
-             \"queue_depth_max\": {}, \"wake_slack_mean\": {:.3}}},",
+             \"queue_depth_max\": {}}},",
             s.events_posted,
             s.events_cancelled,
             s.cancel_ratio,
             s.queue_depth_p50_mean,
-            s.queue_depth_max,
-            s.wake_slack_mean
+            s.queue_depth_max
         );
         out.push_str("  \"self_profile\": ");
         push_profile(&mut out, &self.self_profile, "  ");
@@ -423,7 +419,6 @@ mod tests {
                 cancel_ratio: 0.0059,
                 queue_depth_p50_mean: 38.5,
                 queue_depth_max: 71,
-                wake_slack_mean: 1.25,
             },
             self_profile: p,
         }

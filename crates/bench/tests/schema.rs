@@ -98,7 +98,6 @@ fn schemas_reject_malformed_documents() {
             cancel_ratio: 0.05,
             queue_depth_p50_mean: 12.0,
             queue_depth_max: 40,
-            wake_slack_mean: 0.5,
         },
         self_profile: SimProfile::new(),
     };

@@ -92,6 +92,57 @@ impl ProtocolKind {
     }
 }
 
+/// Evaluates `body` with `p` bound to the concrete protocol for a
+/// [`ProtocolKind`], built from a `&GpuConfig` — the one place a kind
+/// becomes a [`Protocol`](crate::protocol::Protocol) type. A macro, not a
+/// function: `body` is instantiated once per protocol type, which a
+/// closure cannot be.
+///
+/// ```
+/// use rcc_core::{protocol::Protocol, with_protocol, ProtocolKind};
+///
+/// let cfg = rcc_common::GpuConfig::small();
+/// for kind in ProtocolKind::ALL {
+///     assert_eq!(with_protocol!(kind, &cfg, |p| p.kind()), kind);
+/// }
+/// ```
+#[macro_export]
+macro_rules! with_protocol {
+    ($kind:expr, $cfg:expr, |$p:ident| $body:expr) => {{
+        let cfg = $cfg;
+        match $kind {
+            $crate::ProtocolKind::Mesi => {
+                let $p = $crate::mesi::MesiProtocol::new(cfg);
+                $body
+            }
+            $crate::ProtocolKind::MesiWb => {
+                let $p = $crate::mesi::MesiWbProtocol::new(cfg);
+                $body
+            }
+            $crate::ProtocolKind::TcStrong => {
+                let $p = $crate::tc::TcProtocol::strong(cfg);
+                $body
+            }
+            $crate::ProtocolKind::TcWeak => {
+                let $p = $crate::tc::TcProtocol::weak(cfg);
+                $body
+            }
+            $crate::ProtocolKind::RccSc => {
+                let $p = $crate::rcc::RccProtocol::sequential(cfg);
+                $body
+            }
+            $crate::ProtocolKind::RccWo => {
+                let $p = $crate::rcc::RccProtocol::weakly_ordered(cfg);
+                $body
+            }
+            $crate::ProtocolKind::IdealSc => {
+                let $p = $crate::ideal::IdealProtocol::new(cfg);
+                $body
+            }
+        }
+    }};
+}
+
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())

@@ -106,15 +106,20 @@ impl<S> TagArray<S> {
     }
 
     /// Looks up a line and marks it most-recently-used.
+    ///
+    /// A miss leaves the array untouched — the LRU clock advances only
+    /// on a hit. Controllers probe the tags on accesses they then
+    /// reject, and a rejected access must change nothing but counters
+    /// (the engine sleeps through repeated rejects and replays only
+    /// their stat deltas).
     pub fn access(&mut self, addr: LineAddr) -> Option<&mut Line<S>> {
-        self.tick += 1;
-        let tick = self.tick;
         let range = self.set_range(addr);
         let line = self.slots[range]
             .iter_mut()
             .flatten()
             .find(|l| l.addr == addr)?;
-        line.last_use = tick;
+        self.tick += 1;
+        line.last_use = self.tick;
         Some(line)
     }
 
@@ -285,6 +290,19 @@ mod tests {
         a.access(LineAddr(0)); // 0 becomes MRU, so 2 is the victim
         let ev = fill_ok(&mut a, 4, 3).unwrap();
         assert_eq!(ev.line.addr, LineAddr(2));
+    }
+
+    #[test]
+    fn access_miss_changes_nothing() {
+        let mut a = arr();
+        fill_ok(&mut a, 0, 1);
+        let before = format!("{a:?}");
+        assert!(a.access(LineAddr(2)).is_none());
+        assert_eq!(
+            format!("{a:?}"),
+            before,
+            "a miss must not advance the LRU clock"
+        );
     }
 
     #[test]

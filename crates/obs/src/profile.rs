@@ -1,7 +1,7 @@
 //! Self-profiling: wall-clock attribution of the simulator's own phases.
 //!
-//! When profiling is armed, `System::step` timestamps each phase of the
-//! cycle loop and charges the elapsed wall-clock to a [`SimPhase`]
+//! When profiling is armed, the engine's cycle body timestamps each phase
+//! of the cycle and charges the elapsed wall-clock to a [`SimPhase`]
 //! bucket. The result answers "where does sim time go" — cores vs caches
 //! vs NoC vs DRAM vs engine bookkeeping — so a perf PR can see what it
 //! actually moved. Entirely off the simulated-results path: wall-clock

@@ -9,12 +9,11 @@ use rcc_gpu::CoreStats;
 use rcc_noc::EnergyBreakdown;
 use rcc_obs::{DigestWriter, ObsReport, SimProfile};
 
-/// Telemetry of the event-driven engine's calendar queue: how many wake
-/// events were posted and superseded, how deep the queue ran, and how
-/// far its exact wakes sat from the conservative min-scan hint. Pure
-/// engine measurement — two runs with identical simulated results may
-/// differ here (e.g. scheduled vs. stepped).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Telemetry of the engine's calendar queue: how many wake events were
+/// posted and superseded, and how deep the queue ran. Pure engine
+/// measurement — two runs with identical simulated results may differ
+/// here (e.g. fast-forward on vs. off).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Wake events posted into the calendar queue.
     pub events_posted: u64,
@@ -24,10 +23,6 @@ pub struct SchedStats {
     pub queue_depth_p50: u64,
     /// Peak queue depth.
     pub queue_depth_max: u64,
-    /// Mean |exact wake − min-scan hint| over sampled jumps (0 when the
-    /// queue and the conservative scan agree, as they do when every
-    /// component's hint is exact).
-    pub wake_slack_mean: f64,
 }
 
 /// Aggregated measurements of one simulation run.
@@ -377,7 +372,6 @@ mod tests {
             events_cancelled: 4,
             queue_depth_p50: 3,
             queue_depth_max: 9,
-            wake_slack_mean: 0.5,
         };
         b.profile = Some(rcc_obs::SimProfile::new());
         assert_eq!(a.digest(1), b.digest(1));

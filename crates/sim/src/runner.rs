@@ -5,12 +5,8 @@ use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::system::System;
 use rcc_common::config::GpuConfig;
-use rcc_core::ideal::IdealProtocol;
-use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
 use rcc_core::protocol::Protocol;
-use rcc_core::rcc::RccProtocol;
-use rcc_core::tc::TcProtocol;
-use rcc_core::ProtocolKind;
+use rcc_core::{with_protocol, ProtocolKind};
 use rcc_workloads::Workload;
 
 /// Options for a simulation run.
@@ -29,9 +25,10 @@ pub struct SimOptions {
     /// Abort with [`SimError::CyclesExceeded`] if the run exceeds this
     /// many cycles.
     pub max_cycles: u64,
-    /// Fast-forward over provably idle cycles (on by default; results
-    /// are bit-identical either way — see DESIGN.md, "Simulation
-    /// performance").
+    /// The engine's due policy: on (the default), each component runs
+    /// only at its exact wake events and provably idle cycles are
+    /// skipped; off, every component runs every cycle. Same results,
+    /// slower — see DESIGN.md, "Simulation performance".
     pub fast_forward: bool,
     /// Deterministic perturbation injection (see `rcc-chaos` and
     /// DESIGN.md, "Perturbation testing"). `None` — the default — arms
@@ -125,23 +122,16 @@ impl Default for SimOptions {
     }
 }
 
-/// Replay target for a resumed run: the checkpointed cycle and the state
-/// digest the replayed machine must match bit-for-bit.
-#[derive(Debug, Clone, Copy)]
-struct ReplayTo {
-    cycle: u64,
-    state_digest: u64,
-}
-
-fn run_system<P: Protocol>(
+/// Builds the system one run of `opts` executes on, with every
+/// simulated and observational option armed (trace recording excepted:
+/// only whole runs record, see [`run_system`]).
+fn build_system<P: Protocol>(
     protocol: &P,
     cfg: &GpuConfig,
     workload: &Workload,
     opts: &SimOptions,
-    replay: Option<ReplayTo>,
-) -> Result<RunMetrics, SimError> {
-    let kind = protocol.kind();
-    let check = opts.check_sc && kind.supports_sc();
+) -> System<P> {
+    let check = opts.check_sc && protocol.kind().supports_sc();
     let mut system = System::new(protocol, cfg, workload, check);
     system.set_fast_forward(opts.fast_forward);
     if let Some(spec) = &opts.chaos {
@@ -158,27 +148,48 @@ fn run_system<P: Protocol>(
         });
     }
     system.set_profiling(opts.profile);
+    system
+}
+
+/// Resume: replays to the checkpointed cycle, then proves the rebuilt
+/// machine is the checkpointed machine before the run goes on. A mismatch
+/// means the binary, config, or workload no longer reproduces the
+/// original history — continuing would silently diverge, so it is a typed
+/// error instead. A fresh run (`replay == None`) is left untouched.
+fn replay_to<P: Protocol>(
+    system: &mut System<P>,
+    replay: Option<&Checkpoint>,
+) -> Result<(), SimError> {
+    let Some(ck) = replay else {
+        return Ok(());
+    };
+    system.run_until(ck.cycle)?;
+    let digest = system.state_digest();
+    if digest != ck.state_digest {
+        return Err(SimError::Checkpoint(format!(
+            "state digest mismatch after replay to cycle {}: \
+             checkpoint has {:016x}, replay produced {digest:016x}",
+            ck.cycle, ck.state_digest
+        )));
+    }
+    Ok(())
+}
+
+fn run_system<P: Protocol>(
+    protocol: &P,
+    cfg: &GpuConfig,
+    workload: &Workload,
+    opts: &SimOptions,
+    replay: Option<&Checkpoint>,
+) -> Result<RunMetrics, SimError> {
+    let kind = protocol.kind();
+    let mut system = build_system(protocol, cfg, workload, opts);
     if opts.record_trace.is_some() && replay.is_none() {
         system.set_trace_recorder(rcc_trace::TraceRecorder::new(workload));
     }
 
     let outcome = (|| {
-        if let Some(target) = replay {
-            // Resume: replay to the checkpointed cycle, then prove the
-            // rebuilt machine is the checkpointed machine before running
-            // on. A mismatch means the binary, config, or workload no
-            // longer reproduces the original history — continuing would
-            // silently diverge, so it is a typed error instead.
-            system.run_until(target.cycle)?;
-            let digest = system.state_digest();
-            if digest != target.state_digest {
-                return Err(SimError::Checkpoint(format!(
-                    "state digest mismatch after replay to cycle {}: \
-                     checkpoint has {:016x}, replay produced {digest:016x}",
-                    target.cycle, target.state_digest
-                )));
-            }
-        }
+        replay_to(&mut system, replay)?;
         if opts.checkpoint_every > 0 {
             if let Some(path) = &opts.checkpoint {
                 let mut boundary = opts.checkpoint_every.max(system.cycle().raw() + 1);
@@ -286,45 +297,19 @@ fn run_slice<P: Protocol>(
     cfg: &GpuConfig,
     workload: &Workload,
     opts: &SimOptions,
-    replay: Option<ReplayTo>,
+    replay: Option<&Checkpoint>,
 ) -> Result<SliceOutcome, SimError> {
-    let kind = protocol.kind();
-    let check = opts.check_sc && kind.supports_sc();
-    let mut system = System::new(protocol, cfg, workload, check);
-    system.set_fast_forward(opts.fast_forward);
-    if let Some(spec) = &opts.chaos {
-        system.set_chaos(spec);
-    }
-    if opts.sanitize {
-        system.enable_sanitizer();
-    }
-    if opts.sample_every > 0 || opts.trace {
-        system.set_observer(rcc_obs::ObsConfig {
-            sample_every: opts.sample_every,
-            trace: opts.trace,
-            max_trace_events: 1_000_000,
-        });
-    }
     // Slice mode arms no trace recorder and writes no periodic disk
     // snapshots: the checkpoint it yields lives in memory, owned by the
     // caller (e.g. the rcc-serve job table). Trace-recording jobs run
     // through `try_simulate` in a single slice instead.
-    if let Some(target) = replay {
-        system.run_until(target.cycle)?;
-        let digest = system.state_digest();
-        if digest != target.state_digest {
-            return Err(SimError::Checkpoint(format!(
-                "state digest mismatch after replay to cycle {}: \
-                 checkpoint has {:016x}, replay produced {digest:016x}",
-                target.cycle, target.state_digest
-            )));
-        }
-    }
+    let mut system = build_system(protocol, cfg, workload, opts);
+    replay_to(&mut system, replay)?;
     let boundary = system.cycle().raw().saturating_add(opts.quantum);
     if opts.quantum > 0 && boundary < opts.max_cycles {
         system.run_until(boundary)?;
         if !system.done() {
-            let ck = checkpoint_now(&system, kind, cfg, workload, opts);
+            let ck = checkpoint_now(&system, protocol.kind(), cfg, workload, opts);
             let partial = system.metrics();
             return Ok(SliceOutcome::Preempted {
                 ck: Box::new(ck),
@@ -342,30 +327,34 @@ fn run_slice<P: Protocol>(
     Ok(SliceOutcome::Finished(Box::new(metrics)))
 }
 
-fn dispatch_slice(
+/// One whole run (fresh, or resumed from `replay`), with the requested
+/// verdict checks applied to its metrics.
+fn simulate_from(
     kind: ProtocolKind,
     cfg: &GpuConfig,
     workload: &Workload,
     opts: &SimOptions,
-    replay: Option<ReplayTo>,
+    replay: Option<&Checkpoint>,
+) -> Result<RunMetrics, SimError> {
+    let metrics = with_protocol!(kind, cfg, |p| run_system(&p, cfg, workload, opts, replay))?;
+    verify_metrics(kind, workload.name, opts, &metrics)?;
+    Ok(metrics)
+}
+
+/// One slice (fresh, or resumed from `replay`); the verdict checks apply
+/// only when the run finishes inside it.
+fn slice_from(
+    kind: ProtocolKind,
+    cfg: &GpuConfig,
+    workload: &Workload,
+    opts: &SimOptions,
+    replay: Option<&Checkpoint>,
 ) -> Result<SliceOutcome, SimError> {
-    match kind {
-        ProtocolKind::Mesi => run_slice(&MesiProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::MesiWb => run_slice(&MesiWbProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcStrong => run_slice(&TcProtocol::strong(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcWeak => run_slice(&TcProtocol::weak(cfg), cfg, workload, opts, replay),
-        ProtocolKind::RccSc => {
-            run_slice(&RccProtocol::sequential(cfg), cfg, workload, opts, replay)
-        }
-        ProtocolKind::RccWo => run_slice(
-            &RccProtocol::weakly_ordered(cfg),
-            cfg,
-            workload,
-            opts,
-            replay,
-        ),
-        ProtocolKind::IdealSc => run_slice(&IdealProtocol::new(cfg), cfg, workload, opts, replay),
+    let out = with_protocol!(kind, cfg, |p| run_slice(&p, cfg, workload, opts, replay))?;
+    if let SliceOutcome::Finished(metrics) = &out {
+        verify_metrics(kind, workload.name, opts, metrics)?;
     }
+    Ok(out)
 }
 
 /// Runs at most one quantum ([`SimOptions::quantum`]) of `workload` under
@@ -389,11 +378,7 @@ pub fn try_simulate_slice(
     workload: &Workload,
     opts: &SimOptions,
 ) -> Result<SliceOutcome, SimError> {
-    let out = dispatch_slice(kind, cfg, workload, opts, None)?;
-    if let SliceOutcome::Finished(metrics) = &out {
-        verify_metrics(kind, workload.name, opts, metrics)?;
-    }
-    Ok(out)
+    slice_from(kind, cfg, workload, opts, None)
 }
 
 /// Continues a run preempted by [`try_simulate_slice`]: replays to the
@@ -406,41 +391,7 @@ pub fn try_simulate_slice(
 /// the checkpointed one (a corrupted or inapplicable snapshot), plus
 /// everything [`try_simulate_slice`] can return.
 pub fn resume_slice(ck: &Checkpoint) -> Result<SliceOutcome, SimError> {
-    let replay = ReplayTo {
-        cycle: ck.cycle,
-        state_digest: ck.state_digest,
-    };
-    let out = dispatch_slice(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(replay))?;
-    if let SliceOutcome::Finished(metrics) = &out {
-        verify_metrics(ck.kind, ck.workload.name, &ck.opts, metrics)?;
-    }
-    Ok(out)
-}
-
-fn dispatch(
-    kind: ProtocolKind,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<ReplayTo>,
-) -> Result<RunMetrics, SimError> {
-    match kind {
-        ProtocolKind::Mesi => run_system(&MesiProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::MesiWb => run_system(&MesiWbProtocol::new(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcStrong => run_system(&TcProtocol::strong(cfg), cfg, workload, opts, replay),
-        ProtocolKind::TcWeak => run_system(&TcProtocol::weak(cfg), cfg, workload, opts, replay),
-        ProtocolKind::RccSc => {
-            run_system(&RccProtocol::sequential(cfg), cfg, workload, opts, replay)
-        }
-        ProtocolKind::RccWo => run_system(
-            &RccProtocol::weakly_ordered(cfg),
-            cfg,
-            workload,
-            opts,
-            replay,
-        ),
-        ProtocolKind::IdealSc => run_system(&IdealProtocol::new(cfg), cfg, workload, opts, replay),
-    }
+    slice_from(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(ck))
 }
 
 fn verify_metrics(
@@ -486,9 +437,7 @@ pub fn try_simulate(
     workload: &Workload,
     opts: &SimOptions,
 ) -> Result<RunMetrics, SimError> {
-    let metrics = dispatch(kind, cfg, workload, opts, None)?;
-    verify_metrics(kind, workload.name, opts, &metrics)?;
-    Ok(metrics)
+    simulate_from(kind, cfg, workload, opts, None)
 }
 
 /// Runs `workload` on the machine `cfg` under `kind`, returning the run's
@@ -533,11 +482,5 @@ pub fn resume(path: &str) -> Result<RunMetrics, SimError> {
 ///
 /// See [`resume`].
 pub fn resume_checkpoint(ck: &Checkpoint) -> Result<RunMetrics, SimError> {
-    let replay = ReplayTo {
-        cycle: ck.cycle,
-        state_digest: ck.state_digest,
-    };
-    let metrics = dispatch(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(replay))?;
-    verify_metrics(ck.kind, ck.workload.name, &ck.opts, &metrics)?;
-    Ok(metrics)
+    simulate_from(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(ck))
 }

@@ -1,22 +1,28 @@
-//! The calendar queue at the heart of the event-driven engine.
+//! The calendar queue that decides which components are due.
 //!
 //! Every timed component of the [`System`](crate::System) — cores, L1
 //! controllers, the two NoC directions, L2 banks, bank inboxes, L2 delay
-//! pipes, DRAM channels — owns one slot in this queue holding the exact
-//! next cycle at which that component must run. The engine pops the
-//! earliest armed cycle, jumps straight to it, and executes only the
-//! components that are due; everything else costs nothing, even in the
-//! middle of a busy phase.
+//! pipes, DRAM channels, the rollover coordinator — owns one slot in
+//! this queue holding the next cycle at which that component must run.
+//! The engine's single phase body executes only the components that are
+//! due at the current cycle. Which cycles run is the *due policy*:
+//!
+//! - **event-driven** (fast-forward on): the run loop pops the earliest
+//!   armed cycle and jumps straight to it; everything not due costs
+//!   nothing, even in the middle of a busy phase;
+//! - **every cycle** (fast-forward off): the run loop advances one cycle
+//!   and [`EventQueue::due_all`] makes every component due — the
+//!   reference semantics.
 //!
 //! # Determinism
 //!
 //! The queue decides *when* the next cycle is, never *in what order*
-//! components run within it: the engine always executes a scheduled
-//! cycle in the same fixed phase order (and fixed component order within
-//! a phase) as the legacy stepped loop. Two runs that arm the same
-//! wakes therefore execute bit-identically, and a scheduled run is
-//! bit-identical to a stepped one because every skipped cycle is proven
-//! action-free by the components' own exact `next_event` contracts.
+//! components run within it: the body always executes a cycle in the
+//! same fixed phase order (and fixed component order within a phase).
+//! Two runs that arm the same wakes therefore execute bit-identically,
+//! and the event-driven policy is bit-identical to the every-cycle one
+//! because every skipped cycle is proven action-free by the components'
+//! own exact `next_event` contracts.
 //!
 //! # Lazy invalidation
 //!
@@ -73,6 +79,14 @@ impl EventQueue {
     /// Used when the engine re-derives all wakes from component state.
     pub fn reset(&mut self) {
         self.armed.fill(DISARMED);
+        self.heap.clear();
+    }
+
+    /// Makes every component due at `cycle` and clears the heap: the
+    /// every-cycle due policy (fast-forward off), under which the
+    /// engine runs all components each cycle and never pops a wake.
+    pub fn due_all(&mut self, cycle: u64) {
+        self.armed.fill(cycle);
         self.heap.clear();
     }
 
@@ -225,6 +239,16 @@ mod tests {
         assert_eq!(q.next_wake(), None);
         // The stale entry was discarded while scanning.
         assert_eq!(q.cancelled(), 1);
+    }
+
+    #[test]
+    fn due_all_makes_every_slot_due_and_drops_the_heap() {
+        let mut q = EventQueue::new(3);
+        q.arm_at(0, 50);
+        q.due_all(7);
+        assert!((0..3).all(|c| q.is_due(c, 7)));
+        assert!(!q.is_due(1, 6));
+        assert_eq!(q.heap_len(), 0);
     }
 
     #[test]

@@ -221,8 +221,9 @@ pub struct System<P: Protocol> {
     /// updated with before/after deltas at every controller call site so
     /// the per-cycle drain checks are O(1).
     mem_pending: usize,
-    /// Whether `run` uses the event-driven engine (calendar queue with
-    /// exact wake events) instead of stepping every cycle.
+    /// The due policy: `true` runs each component only at its exact
+    /// wake events (calendar queue, idle cycles skipped); `false` makes
+    /// every component due every cycle (the reference semantics).
     ff_enabled: bool,
     /// Cycles skipped by the event-driven engine (simulated results are
     /// unaffected; this only measures how much stepping was avoided).
@@ -232,10 +233,6 @@ pub struct System<P: Protocol> {
     /// Calendar queue of exact per-component wake cycles (the
     /// event-driven engine's core; see [`crate::sched`]).
     sched: EventQueue,
-    /// True while `run_until` is driving the event-driven engine. Gates
-    /// queue arming and lazy core replay inside helpers shared with the
-    /// legacy stepped engine.
-    scheduled_mode: bool,
     /// Per-core cycle through which per-cycle stall bookkeeping has been
     /// accounted (by a real tick or a `Core::fast_forward` replay). The
     /// event-driven engine leaves un-woken cores untouched and replays
@@ -254,10 +251,6 @@ pub struct System<P: Protocol> {
     /// line). Only meaningful while the matching `spin_state` is not
     /// `Idle`.
     spin_delta: Vec<L1Stats>,
-    /// Wake-slack telemetry: accumulated |queue wake − conservative
-    /// min-scan bound| and sample count (sampled every 64th jump).
-    wake_slack_sum: u64,
-    wake_slack_samples: u64,
     /// Reusable outbox buffers (capacity persists across cycles).
     scratch_l1: L1Outbox,
     scratch_l2: L2Outbox,
@@ -354,12 +347,9 @@ impl<P: Protocol> System<P> {
             // cores | l1s | req net | resp net | banks | inboxes |
             // pipes | drams | rollover coordinator.
             sched: EventQueue::new(2 * cfg.num_cores + 2 + 4 * nparts + 1),
-            scheduled_mode: false,
             synced_to: vec![0; cfg.num_cores],
             spin_state: vec![SpinState::Idle; cfg.num_cores],
             spin_delta: vec![L1Stats::default(); cfg.num_cores],
-            wake_slack_sum: 0,
-            wake_slack_samples: 0,
             scratch_l1: L1Outbox::new(),
             scratch_l2: L2Outbox::new(),
             chaos_pipe: None,
@@ -446,7 +436,7 @@ impl<P: Protocol> System<P> {
     fn take_sample(&mut self) {
         // Samples read counters that reject-spin gaps replay lazily
         // (L1 `expired_loads`, core stall totals): settle them so the
-        // boundary row matches a stepped run bit-exactly.
+        // boundary row matches an every-cycle run bit-exactly.
         self.sync_cores_to_now();
         let Some(mut obs) = self.obs.take() else {
             return;
@@ -516,10 +506,11 @@ impl<P: Protocol> System<P> {
         }
     }
 
-    /// Enables or disables idle-cycle fast-forwarding (on by default).
-    /// Results are bit-identical either way; disabling forces the run to
-    /// step through every cycle (the reference behaviour the determinism
-    /// tests compare against).
+    /// Selects the due policy (fast-forward on by default). On, each
+    /// component runs only at its exact wake events and idle cycles are
+    /// skipped; off, every component is due every cycle — the reference
+    /// semantics the lockstep tests compare against. Same phase body
+    /// either way, and bit-identical results; off is only slower.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.ff_enabled = enabled;
     }
@@ -623,13 +614,10 @@ impl<P: Protocol> System<P> {
             let flits = Self::bill_req(&mut self.traffic, &self.cfg, &req);
             self.req_net.inject(self.cycle, core, part, 0, flits, req);
         }
-        if injected && self.scheduled_mode {
+        if injected {
             self.arm_req_from_state();
         }
-        if self.scheduled_mode
-            && !out.completions.is_empty()
-            && self.rollover == RolloverState::Idle
-        {
+        if !out.completions.is_empty() && self.rollover == RolloverState::Idle {
             // A completion is an *input* to the core: replay the idle gap
             // before delivering it, and make sure the core wakes for it
             // (its own wake hint could not have foreseen this input).
@@ -708,8 +696,8 @@ impl<P: Protocol> System<P> {
                 Some(chaos) => {
                     // Clamp to the partition's last queued readiness: the
                     // pipe must stay sorted so its front remains the
-                    // earliest entry (both the drain loop in `step` and
-                    // the fast-forward hint rely on that).
+                    // earliest entry (both the drain loop in
+                    // `execute_cycle` and the pipe's wake rely on that).
                     let floor = self.l2_delay[part].back().map_or(0, |(r, _)| *r);
                     (ready + chaos.jitter(Site::L2Pipe)).max(floor)
                 }
@@ -760,26 +748,22 @@ impl<P: Protocol> System<P> {
             self.l1s[core.index()].magic(self.cycle, line, action);
             self.mem_pending += self.l1s[core.index()].pending();
             self.mem_pending -= before;
-            if self.scheduled_mode {
+            self.sched
+                .arm_min(self.comp_l1(core.index()), self.cycle.raw());
+            if self.spin_state[core.index()] == SpinState::Active {
+                // The magic action mutated L1 state: the reject fixed
+                // point may no longer hold.
                 self.sched
-                    .arm_min(self.comp_l1(core.index()), self.cycle.raw());
-                if self.spin_state[core.index()] == SpinState::Active {
-                    // The magic action mutated L1 state: the reject
-                    // fixed point may no longer hold.
-                    self.sched
-                        .arm_min(self.comp_core(core.index()), self.cycle.raw());
-                }
+                    .arm_min(self.comp_core(core.index()), self.cycle.raw());
             }
         }
-        if self.scheduled_mode {
-            self.arm_pipe_from_state(part, wake_floor);
-            self.arm_dram_from_state(part, wake_floor);
-        }
+        self.arm_pipe_from_state(part, wake_floor);
+        self.arm_dram_from_state(part, wake_floor);
     }
 
     /// Total outstanding work anywhere in the memory system — the
-    /// incrementally maintained counter ([`System::step`] cross-checks
-    /// it against the full scan in debug builds).
+    /// incrementally maintained counter (each executed cycle
+    /// cross-checks it against the full scan in debug builds).
     fn memory_system_pending(&self) -> usize {
         self.mem_pending
     }
@@ -802,9 +786,8 @@ impl<P: Protocol> System<P> {
     // Fixed id layout (also the tie-break order inside the queue):
     // cores | L1s | req net | resp net | L2 banks | bank inboxes |
     // L2 delay pipes | DRAM channels | rollover coordinator. Execution
-    // order within a scheduled cycle is the fixed phase order of
-    // `step_scheduled`, so the layout only has to be *stable*, not
-    // meaningful.
+    // order within a cycle is the fixed phase order of `execute_cycle`,
+    // so the layout only has to be *stable*, not meaningful.
     // ------------------------------------------------------------------
 
     #[inline]
@@ -982,9 +965,6 @@ impl<P: Protocol> System<P> {
     /// `run_until` exit (metrics / state digests / checkpoints read
     /// `&self`) and before building a hang dump or typed error.
     fn sync_cores_to_now(&mut self) {
-        if !self.scheduled_mode {
-            return;
-        }
         let now = self.cycle.raw();
         if self.rollover == RolloverState::Idle {
             for i in 0..self.cores.len() {
@@ -1000,11 +980,10 @@ impl<P: Protocol> System<P> {
     }
 
     /// Derives every queue slot from component state, discarding any
-    /// previous arms. Called when the event-driven engine (re)gains
-    /// control of the system, making the queue exact regardless of what
-    /// ran before (construction, legacy stepping, checkpoint restore).
+    /// previous arms. Called at the start of every `run_until`, making
+    /// the queue exact regardless of what ran before (construction, an
+    /// earlier run under the other due policy, checkpoint restore).
     fn prime_sched(&mut self) {
-        self.scheduled_mode = true;
         let now = self.cycle.raw();
         let floor = now + 1;
         self.sched.reset();
@@ -1027,225 +1006,6 @@ impl<P: Protocol> System<P> {
             self.arm_dram_from_state(p, floor);
         }
         self.arm_rollover_from_state(floor);
-    }
-
-    /// Advances the system by one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] (with a full forensic
-    /// [`HangDump`]) when the watchdog detects no forward progress, and
-    /// [`SimError::ProtocolInvariant`] when completion bookkeeping broke
-    /// an engine invariant this cycle. The system is left intact either
-    /// way, so callers can still read metrics or dump state.
-    pub fn step(&mut self) -> Result<(), SimError> {
-        // Manual stepping invalidates the event queue (it does not keep
-        // arms current); the next scheduled run re-primes from state.
-        self.scheduled_mode = false;
-        self.cycle += 1;
-        let cycle = self.cycle;
-        let mut mark = None;
-        if let Some(p) = &mut self.profile {
-            p.steps += 1;
-            if p.steps.is_multiple_of(PROFILE_STRIDE) {
-                // rcc-lint: allow(wall-clock, self-profiling phase mark; never feeds simulated state)
-                mark = Some(std::time::Instant::now());
-            }
-        }
-
-        // 1. Response network → L1s.
-        let delivered = self.resp_net.deliver(cycle);
-        self.mem_pending -= delivered.len();
-        for (dst, resp) in delivered {
-            let mut out = std::mem::take(&mut self.scratch_l1);
-            let before = self.l1s[dst].pending();
-            self.l1s[dst].handle_resp(cycle, resp, &mut out);
-            self.mem_pending += self.l1s[dst].pending();
-            self.mem_pending -= before;
-            self.process_l1_out(dst, &mut out, cycle.raw());
-            self.scratch_l1 = out;
-        }
-        self.charge(&mut mark, SimPhase::L1);
-
-        // 2. Request network → bank inboxes (flush acks are intercepted
-        //    by the rollover coordinator).
-        let delivered = self.req_net.deliver(cycle);
-        self.mem_pending -= delivered.len();
-        for (dst, req) in delivered {
-            if matches!(req.payload, ReqPayload::FlushAck) {
-                if let RolloverState::Flushing { acks_outstanding } = &mut self.rollover {
-                    *acks_outstanding -= 1;
-                }
-                continue;
-            }
-            self.l2_inbox[dst].push_back(req);
-            self.mem_pending += 1;
-        }
-        self.charge(&mut mark, SimPhase::Noc);
-
-        // 3. L2 banks: tick, then serve one request per cycle.
-        for p in 0..self.l2s.len() {
-            let mut out = std::mem::take(&mut self.scratch_l2);
-            let before = self.l2s[p].pending();
-            self.l2s[p].tick(cycle, &mut out);
-            self.mem_pending += self.l2s[p].pending();
-            self.mem_pending -= before;
-            if !out.is_empty() {
-                self.process_l2_out(p, &mut out, cycle.raw());
-            }
-            if let Some(req) = self.l2_inbox[p].pop_front() {
-                self.mem_pending -= 1;
-                let before = self.l2s[p].pending();
-                match self.l2s[p].handle_req(cycle, req, &mut out) {
-                    Ok(()) => {
-                        self.mem_pending += self.l2s[p].pending();
-                        self.mem_pending -= before;
-                        self.process_l2_out(p, &mut out, cycle.raw());
-                    }
-                    Err(req) => {
-                        self.mem_pending += self.l2s[p].pending();
-                        self.mem_pending -= before;
-                        out.clear(); // discard any partial output
-                        self.l2_inbox[p].push_front(req);
-                        self.mem_pending += 1;
-                    }
-                }
-            }
-            self.scratch_l2 = out;
-        }
-        self.charge(&mut mark, SimPhase::L2);
-
-        // 4. L2 delay pipes → response network (one message leaves the
-        //    pipe, one enters the network: pending is unchanged).
-        for p in 0..self.l2_delay.len() {
-            while let Some((ready, _)) = self.l2_delay[p].front() {
-                if *ready > cycle.raw() {
-                    break;
-                }
-                let Some((_, resp)) = self.l2_delay[p].pop_front() else {
-                    break;
-                };
-                let dst = resp.dst.index();
-                let flits = Self::bill_resp(&mut self.traffic, &self.cfg, &resp);
-                self.resp_net.inject(cycle, p, dst, 1, flits, resp);
-            }
-        }
-        self.charge(&mut mark, SimPhase::Noc);
-
-        // 5. DRAM.
-        for p in 0..self.drams.len() {
-            let before = self.drams[p].pending();
-            let lines = self.drams[p].tick(cycle);
-            self.mem_pending += self.drams[p].pending();
-            self.mem_pending -= before;
-            for line in lines {
-                let data = self.memory.get(&line).cloned().unwrap_or_default();
-                let mut out = std::mem::take(&mut self.scratch_l2);
-                let before = self.l2s[p].pending();
-                self.l2s[p].handle_dram(cycle, line, data, &mut out);
-                self.mem_pending += self.l2s[p].pending();
-                self.mem_pending -= before;
-                self.process_l2_out(p, &mut out, cycle.raw() + 1);
-                self.scratch_l2 = out;
-            }
-        }
-        self.charge(&mut mark, SimPhase::Dram);
-
-        // 6. Rollover coordination.
-        self.advance_rollover();
-        self.charge(&mut mark, SimPhase::Rollover);
-
-        // 7. Cores + L1 ticks (paused while a rollover is in progress).
-        let issuing = self.rollover == RolloverState::Idle;
-        for i in 0..self.cores.len() {
-            let mut out = std::mem::take(&mut self.scratch_l1);
-            let before = self.l1s[i].pending();
-            self.l1s[i].tick(cycle, &mut out);
-            if issuing && !self.cores[i].done() {
-                let l1 = &mut self.l1s[i];
-                let recorder = &mut self.recorder;
-                let chaos = &mut self.chaos_access;
-                let mut issued_any = false;
-                let core_out = self.cores[i].tick(cycle, |access| {
-                    if let Some(c) = chaos.as_mut() {
-                        if c.fires(Site::L1Access) {
-                            // Bounce before the access reaches the L1 (or
-                            // the recorder): the warp retries next cycle,
-                            // modelling a variable L1 service latency.
-                            return AccessOutcome::Reject(RejectReason::ChaosStall);
-                        }
-                    }
-                    recorder.note_issue(i, access);
-                    let outcome = l1.access(cycle, access, &mut out);
-                    match &outcome {
-                        AccessOutcome::Done(c) => {
-                            recorder.note_completion(i, c);
-                            issued_any = true;
-                        }
-                        AccessOutcome::Pending => issued_any = true,
-                        AccessOutcome::Reject(_) => {
-                            // The access never started; forget what the
-                            // recorder registered for it.
-                            recorder.note_reject(i, access);
-                        }
-                    }
-                    outcome
-                });
-                if issued_any {
-                    self.last_progress = cycle.raw();
-                }
-                // Trace capture: one branch when unarmed, and the tap
-                // reads only the tick's ephemeral output, so recording
-                // cannot perturb the simulated machine.
-                if let Some(tr) = &mut self.trace_rec {
-                    if let Some((w, pc)) = core_out.issued_op {
-                        tr.note_issue(i, w, pc, cycle.raw());
-                    }
-                }
-                for _warp in core_out.fences_retired {
-                    // RCC-WO: joining the views is a core-level action.
-                    self.l1s[i].fence();
-                    self.last_progress = cycle.raw();
-                }
-            }
-            self.mem_pending += self.l1s[i].pending();
-            self.mem_pending -= before;
-            self.process_l1_out(i, &mut out, cycle.raw() + 1);
-            self.scratch_l1 = out;
-        }
-        self.charge(&mut mark, SimPhase::Core);
-
-        // 8. Observation (one branch when no observer is armed; sample
-        //    boundaries are always stepped because fast-forward caps its
-        //    jumps at the next boundary).
-        if let Some(obs) = &self.obs {
-            if obs.sample_due(cycle.raw()) {
-                self.take_sample();
-            }
-            self.charge(&mut mark, SimPhase::Sample);
-        }
-
-        debug_assert_eq!(
-            self.mem_pending,
-            self.memory_system_pending_scan(),
-            "incremental pending counter diverged at {cycle}"
-        );
-
-        if let Some(detail) = self.recorder.invariant_failure.take() {
-            return Err(SimError::ProtocolInvariant {
-                kind: self.kind,
-                workload: self.workload_name.clone(),
-                cycle: cycle.raw(),
-                detail,
-            });
-        }
-
-        // Watchdog: no forward progress for a full threshold window is a
-        // deadlock. Emit the forensic dump instead of aborting.
-        if cycle.raw() - self.last_progress > self.cfg.watchdog_cycles {
-            return Err(SimError::Deadlock(Box::new(self.hang_dump())));
-        }
-        Ok(())
     }
 
     /// Assembles the forensic dump of the (presumed hung) machine: every
@@ -1411,17 +1171,14 @@ impl<P: Protocol> System<P> {
             RolloverState::Idle => {
                 if self.l2s.iter().any(|l2| l2.needs_rollover()) {
                     self.rollover = RolloverState::Draining;
-                    if self.scheduled_mode {
-                        // Cores pause from this cycle on: settle their
-                        // lazy bookkeeping (through the last cycle they
-                        // ran) and park their wake slots until the
-                        // rollover completes.
-                        let now = self.cycle.raw();
-                        for i in 0..self.cores.len() {
-                            self.sync_core_through(i, now.saturating_sub(1));
-                            self.synced_to[i] = now;
-                            self.sched.disarm(self.comp_core(i));
-                        }
+                    // Cores pause from this cycle on: settle their lazy
+                    // bookkeeping (through the last cycle they ran) and
+                    // park their wake slots until the rollover completes.
+                    let now = self.cycle.raw();
+                    for i in 0..self.cores.len() {
+                        self.sync_core_through(i, now.saturating_sub(1));
+                        self.synced_to[i] = now;
+                        self.sched.disarm(self.comp_core(i));
                     }
                     if let Some(obs) = &mut self.obs {
                         if obs.tracing() {
@@ -1466,9 +1223,7 @@ impl<P: Protocol> System<P> {
                         acks_outstanding: self.cores.len(),
                     };
                     self.last_progress = self.cycle.raw();
-                    if self.scheduled_mode {
-                        self.arm_resp_from_state();
-                    }
+                    self.arm_resp_from_state();
                 }
             }
             RolloverState::Flushing { acks_outstanding } => {
@@ -1477,16 +1232,14 @@ impl<P: Protocol> System<P> {
                     self.recorder.epoch_base = self.recorder.max_ts_seen + 1;
                     self.rollover = RolloverState::Idle;
                     self.last_progress = self.cycle.raw();
-                    if self.scheduled_mode {
-                        // Cores resume *this* cycle (the core phase runs
-                        // after this one): their first tick covers the
-                        // current cycle's bookkeeping itself.
-                        let now = self.cycle.raw();
-                        for i in 0..self.cores.len() {
-                            self.synced_to[i] = now.saturating_sub(1);
-                            if !self.cores[i].done() {
-                                self.sched.arm_min(self.comp_core(i), now);
-                            }
+                    // Cores resume *this* cycle (the core phase runs
+                    // after this one): their first tick covers the
+                    // current cycle's bookkeeping itself.
+                    let now = self.cycle.raw();
+                    for i in 0..self.cores.len() {
+                        self.synced_to[i] = now.saturating_sub(1);
+                        if !self.cores[i].done() {
+                            self.sched.arm_min(self.comp_core(i), now);
                         }
                     }
                     if let Some(obs) = &mut self.obs {
@@ -1499,114 +1252,26 @@ impl<P: Protocol> System<P> {
         }
     }
 
-    /// The earliest cycle strictly after `self.cycle` at which *any*
-    /// component acts, assuming nothing new happens first. `None` means
-    /// the machine is fully quiescent (only the watchdog would fire).
-    ///
-    /// The skip invariant: a fast-forward may never cross a cycle where
-    /// any component would act. Each component's hint is therefore an
-    /// upper bound on how far we may jump, and the minimum over all of
-    /// them is the next cycle that must actually be stepped.
-    fn next_event_cycle(&self) -> Option<u64> {
-        let now = self.cycle;
-        let floor = now.raw() + 1;
-        // `floor` is the earliest answer possible, so the scan bails the
-        // moment any component reports it — the common case in busy
-        // phases, where this runs every cycle and must cost ~nothing.
-        // Checks are ordered cheapest-first.
-        if self.l2_inbox.iter().any(|inbox| !inbox.is_empty()) {
-            return Some(floor);
-        }
-        let mut best: u64 = u64::MAX;
-        for delay in &self.l2_delay {
-            // The pipe is FIFO with a fixed latency, so the front is the
-            // earliest entry.
-            if let Some((ready, _)) = delay.front() {
-                best = best.min((*ready).max(floor));
-            }
-        }
-        if best == floor {
-            return Some(floor);
-        }
-        let nets = [self.req_net.next_event(), self.resp_net.next_event()];
-        for c in nets.into_iter().flatten() {
-            best = best.min(c.raw().max(floor));
-            if best == floor {
-                return Some(floor);
-            }
-        }
-        for dram in &self.drams {
-            if let Some(c) = dram.next_event() {
-                best = best.min(c.raw().max(floor));
-                if best == floor {
-                    return Some(floor);
-                }
-            }
-        }
-        for l2 in &self.l2s {
-            if let Some(c) = l2.next_event(now) {
-                best = best.min(c.raw().max(floor));
-                if best == floor {
-                    return Some(floor);
-                }
-            }
-        }
-        // L1 ticks run every cycle even while a rollover pauses issue.
-        for l1 in &self.l1s {
-            if let Some(c) = l1.next_event(now) {
-                best = best.min(c.raw().max(floor));
-                if best == floor {
-                    return Some(floor);
-                }
-            }
-        }
-        match self.rollover {
-            RolloverState::Idle => {
-                if self.l2s.iter().any(L2Bank::needs_rollover) {
-                    return Some(floor);
-                }
-                for core in &self.cores {
-                    if let Some(c) = core.next_event(now) {
-                        best = best.min(c.raw().max(floor));
-                        if best == floor {
-                            return Some(floor);
-                        }
-                    }
-                }
-            }
-            RolloverState::Draining => {
-                // Cores are paused; the coordinator acts the cycle the
-                // drain completes, and both terms only fall when
-                // messages move (which are events of their own).
-                let outstanding: usize = self.cores.iter().map(Core::outstanding).sum();
-                if outstanding == 0 && self.memory_system_pending() == 0 {
-                    return Some(floor);
-                }
-            }
-            RolloverState::Flushing { acks_outstanding } => {
-                if acks_outstanding == 0 {
-                    return Some(floor);
-                }
-            }
-        }
-        (best != u64::MAX).then_some(best)
-    }
-
-    /// One scheduled cycle of the event-driven engine. `self.cycle` has
-    /// already been set to the popped wake cycle; this executes the
-    /// *due* components in exactly the legacy phase order (and fixed
-    /// component order within each phase), consuming each due wake and
-    /// re-arming from fresh component state. A due wake is always
-    /// consumed even when its action is skipped (e.g. a core wake while
-    /// a rollover pauses issue) so the queue never reports a wake at or
-    /// before the current cycle.
+    /// The one phase body: executes cycle `self.cycle` (already set by
+    /// the run loop). Only *due* components run, in a fixed phase order
+    /// (and fixed component order within each phase); each consumes its
+    /// due wake and re-arms from fresh component state. A due wake is
+    /// always consumed even when its action is skipped (e.g. a core wake
+    /// while a rollover pauses issue) so the queue never reports a wake
+    /// at or before the current cycle. Under the every-cycle due policy
+    /// (fast-forward off) every component is due, so this runs the whole
+    /// machine — the reference semantics the lockstep tests compare the
+    /// event-driven policy against.
     ///
     /// # Errors
     ///
-    /// Same contract as [`System::step`].
-    fn step_scheduled(&mut self) -> Result<(), SimError> {
+    /// The deadlock and invariant errors of [`System::run`].
+    fn execute_cycle(&mut self) -> Result<(), SimError> {
         let cycle = self.cycle;
         let n = cycle.raw();
+        if !self.ff_enabled {
+            self.sched.due_all(n);
+        }
         let mut mark = None;
         if let Some(p) = &mut self.profile {
             p.steps += 1;
@@ -1858,9 +1523,9 @@ impl<P: Protocol> System<P> {
                     if issued_any {
                         self.last_progress = n;
                     }
-                    // Trace capture (see the stepped engine's tap): the
-                    // same ephemeral per-tick output feeds the recorder,
-                    // so both engines record identical traces.
+                    // Trace capture: one branch when unarmed, and the
+                    // tap reads only the tick's ephemeral output, so
+                    // recording cannot perturb the simulated machine.
                     if let Some(tr) = &mut self.trace_rec {
                         if let Some((w, pc)) = core_out.issued_op {
                             tr.note_issue(i, w, pc, n);
@@ -1934,20 +1599,31 @@ impl<P: Protocol> System<P> {
         Ok(())
     }
 
-    /// The event-driven engine loop: pop the earliest armed wake, jump
-    /// straight to it, execute the due components, repeat. Gap cycles
-    /// are proven action-free by the components' exact wake events, so
-    /// results are bit-identical to the stepped loop; per-core stall
-    /// bookkeeping over gaps is replayed lazily ([`Core::fast_forward`])
-    /// the next time each core runs.
-    fn run_scheduled(&mut self, target: u64) -> Result<(), SimError> {
+    /// Advances the system until it finishes or reaches cycle `target`
+    /// (whichever comes first).
+    ///
+    /// The run loop picks the next cycle by the due policy: with
+    /// fast-forward on it pops the earliest armed wake and jumps straight
+    /// to it (gap cycles are proven action-free by the components' exact
+    /// wake events, and per-core stall bookkeeping over gaps is replayed
+    /// lazily by [`Core::fast_forward`]); with it off it advances one
+    /// cycle and makes every component due. Jumps are capped at `target`,
+    /// the watchdog deadline, and the next sample boundary, so those
+    /// cycles are executed exactly — the checkpoint writer relies on that
+    /// to snapshot bit-reproducible states.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`SimError`] from the executed cycles (see
+    /// [`System::run`]).
+    pub fn run_until(&mut self, target: u64) -> Result<(), SimError> {
         // Derive every wake from component state: cheap, and makes the
-        // engine correct regardless of what ran before (construction,
-        // manual `step` calls, checkpoint restore).
+        // engine correct regardless of what ran before (construction, a
+        // run under the other due policy, checkpoint restore).
         self.prime_sched();
         while !self.done() && self.cycle.raw() < target {
             // This mark covers the queue pop + jump that precede the
-            // step; it samples the same steps as `step_scheduled` (which
+            // cycle; it samples the same steps as `execute_cycle` (which
             // increments the counter this predicate anticipates).
             let mut mark = None;
             if let Some(p) = &self.profile {
@@ -1957,57 +1633,32 @@ impl<P: Protocol> System<P> {
                 }
             }
             let now = self.cycle.raw();
-            // The watchdog must observe the threshold crossing exactly
-            // where a stepped run would report it.
-            let deadline = self.last_progress + self.cfg.watchdog_cycles + 1;
-            let wake = self.sched.next_wake();
-            #[cfg(debug_assertions)]
-            if !self.spin_state.contains(&SpinState::Active) {
-                if let Some(scan) = self.next_event_cycle() {
-                    // Oracle: the legacy conservative min-scan may never
-                    // see an event the queue missed. (The queue may be
-                    // earlier: touch arms are consumed even when the
-                    // action is skipped. During a reject-spin the queue
-                    // is legitimately *later* — the scan treats the
-                    // spinning core's retry as an event — so the oracle
-                    // only runs with no spin active.)
-                    let w = wake.unwrap_or(u64::MAX);
-                    debug_assert!(
-                        w <= scan,
-                        "event queue missed a wake at {now}: queue={w} scan={scan}"
-                    );
-                }
-            }
-            let mut next = wake.unwrap_or(deadline).min(deadline).min(target);
-            if let Some(obs) = &self.obs {
-                // Never jump over a sample boundary: the boundary cycle
-                // must be executed so the sampler reads state exactly
-                // there.
-                if let Some(boundary) = obs.next_sample_cycle() {
+            let next = if self.ff_enabled {
+                // The watchdog must observe the threshold crossing at
+                // the exact cycle it happens.
+                let deadline = self.last_progress + self.cfg.watchdog_cycles + 1;
+                let mut next = self.sched.next_wake().map_or(deadline, |w| w.min(deadline));
+                next = next.min(target);
+                if let Some(boundary) = self.obs.as_ref().and_then(Observer::next_sample_cycle) {
+                    // Never jump over a sample boundary: the sampler must
+                    // read state exactly there.
                     if boundary > now {
                         next = next.min(boundary);
                     }
                 }
-            }
-            debug_assert!(next > now, "scheduled cycle must advance past {now}");
-            let next = next.max(now + 1);
+                debug_assert!(next > now, "scheduled cycle must advance past {now}");
+                next.max(now + 1)
+            } else {
+                now + 1
+            };
             let skipped = next - now - 1;
             if skipped > 0 {
                 self.skipped_cycles += skipped;
                 self.ff_jumps += 1;
-                if self.ff_jumps % 64 == 1 {
-                    // Exact-vs-hint slack telemetry: how far the queue's
-                    // wake sits from the conservative min-scan. Sampled
-                    // so the O(components) scan stays off the hot path.
-                    if let (Some(w), Some(scan)) = (wake, self.next_event_cycle()) {
-                        self.wake_slack_sum += w.abs_diff(scan);
-                        self.wake_slack_samples += 1;
-                    }
-                }
             }
             self.cycle = Cycle(next);
             self.charge(&mut mark, SimPhase::FastForward);
-            self.step_scheduled()?;
+            self.execute_cycle()?;
         }
         // Core state escapes here (metrics, digests, checkpoints): settle
         // the lazy bookkeeping.
@@ -2015,34 +1666,17 @@ impl<P: Protocol> System<P> {
         Ok(())
     }
 
-    /// Advances the system until it finishes or reaches cycle `target`
-    /// (whichever comes first). The event-driven engine caps its jumps
-    /// at `target`, so the boundary cycle is executed exactly — the
-    /// checkpoint writer relies on that to snapshot bit-reproducible
-    /// states.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from [`System::step`] /
-    /// [`System::step_scheduled`].
-    pub fn run_until(&mut self, target: u64) -> Result<(), SimError> {
-        if self.ff_enabled {
-            return self.run_scheduled(target);
-        }
-        self.scheduled_mode = false;
-        while !self.done() && self.cycle.raw() < target {
-            self.step()?;
-        }
-        Ok(())
-    }
-
     /// Runs to completion (or `max_cycles`) and returns the metrics.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Deadlock`] / [`SimError::ProtocolInvariant`]
-    /// from [`System::step`], or [`SimError::CyclesExceeded`] when the
-    /// budget runs out before every warp retires.
+    /// Returns [`SimError::Deadlock`] (with a forensic [`HangDump`]) when
+    /// the watchdog detects no forward progress,
+    /// [`SimError::ProtocolInvariant`] when completion bookkeeping broke
+    /// an engine invariant, or [`SimError::CyclesExceeded`] when the
+    /// budget runs out before every warp retires. The system is left
+    /// intact either way, so callers can still read metrics or dump
+    /// state.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunMetrics, SimError> {
         self.run_until(max_cycles)?;
         if !self.done() {
@@ -2147,11 +1781,6 @@ impl<P: Protocol> System<P> {
                 events_cancelled: self.sched.cancelled(),
                 queue_depth_p50: self.sched.depth_p50(),
                 queue_depth_max: self.sched.depth_max(),
-                wake_slack_mean: if self.wake_slack_samples == 0 {
-                    0.0
-                } else {
-                    self.wake_slack_sum as f64 / self.wake_slack_samples as f64
-                },
             },
             profile: self.profile.clone(),
             obs: None,

@@ -162,7 +162,7 @@ fn corrupted_completion_bookkeeping_is_a_typed_invariant_error() {
         // Wipe the recorder's pending-value table every cycle, so the
         // store's eventual completion finds no matching entry.
         sys.corrupt_pending_values_for_test();
-        outcome = sys.step();
+        outcome = sys.run_until(sys.cycle().raw() + 1);
         if outcome.is_err() {
             break;
         }

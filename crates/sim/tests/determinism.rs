@@ -1,6 +1,7 @@
-//! Fast-forward determinism guard (DESIGN.md, "Simulation performance").
+//! Due-policy determinism guard (DESIGN.md, "Simulation performance").
 //!
-//! The engine invariant: skipping provably idle cycles may change
+//! The engine invariant: skipping provably idle cycles (the event-driven
+//! due policy) instead of running every component every cycle may change
 //! wall-clock only. Every simulated metric — cycle counts, cache and
 //! core statistics, traffic, energy, DRAM activity, SC verdicts — must
 //! be bit-identical with the fast-forwarder on and off, for every
@@ -36,20 +37,20 @@ fn fast_forward_is_invisible_in_metrics() {
     for kind in KINDS {
         for bench in Benchmark::ALL {
             let wl = bench.generate(&cfg, &Scale::quick(), 7);
-            let stepped = simulate(kind, &cfg, &wl, &opts(false));
+            let every = simulate(kind, &cfg, &wl, &opts(false));
             let skipped = simulate(kind, &cfg, &wl, &opts(true));
             assert_eq!(
-                stepped.skipped_cycles,
+                every.skipped_cycles,
                 0,
                 "{kind}/{}: FF off must not skip",
                 bench.name()
             );
             assert!(
-                stepped.same_simulated_results(&skipped),
+                every.same_simulated_results(&skipped),
                 "{kind}/{}: fast-forward changed simulated results \
-                 (stepped {} cycles, skipped {} cycles)",
+                 (every-cycle {} cycles, skipped {} cycles)",
                 bench.name(),
-                stepped.cycles,
+                every.cycles,
                 skipped.cycles,
             );
         }
@@ -107,24 +108,24 @@ fn chaos_is_deterministic_under_fast_forward() {
         ] {
             let wl = Benchmark::Dlb.generate(&cfg, &Scale::quick(), 7);
             let chaos = rcc_chaos::ChaosSpec::new(11, profile.clone());
-            let mut stepped_opts = opts(false);
-            stepped_opts.chaos = Some(chaos.clone());
+            let mut every_opts = opts(false);
+            every_opts.chaos = Some(chaos.clone());
             let mut ff_opts = opts(true);
             ff_opts.chaos = Some(chaos);
-            let stepped = simulate(kind, &cfg, &wl, &stepped_opts);
+            let every = simulate(kind, &cfg, &wl, &every_opts);
             let skipped = simulate(kind, &cfg, &wl, &ff_opts);
             assert!(
-                stepped.chaos_events > 0,
+                every.chaos_events > 0,
                 "{kind}/{}: chaos never fired — test is vacuous",
                 profile.name
             );
             assert!(
-                stepped.same_simulated_results(&skipped),
+                every.same_simulated_results(&skipped),
                 "{kind}/{}: fast-forward changed a chaos run \
-                 (stepped {} cycles / {} events, skipped {} cycles / {} events)",
+                 (every-cycle {} cycles / {} events, skipped {} cycles / {} events)",
                 profile.name,
-                stepped.cycles,
-                stepped.chaos_events,
+                every.cycles,
+                every.chaos_events,
                 skipped.cycles,
                 skipped.chaos_events,
             );
@@ -187,87 +188,62 @@ fn observation_is_invisible_on_every_litmus_test() {
     }
 }
 
-// The event-driven engine must not merely reproduce the *metrics* of
-// the legacy stepped engine — the machine state itself must match at
-// every checkpoint boundary, or a checkpoint taken under one engine
-// would not resume bit-identically under the other. Lockstep the two
-// engines with `run_until` and compare full state digests at each
+// The event-driven due policy must not merely reproduce the *metrics*
+// of the every-cycle policy (fast-forward off: every component runs
+// every cycle, the reference semantics) — the machine state itself must
+// match at every checkpoint boundary, or a checkpoint taken under one
+// policy would not resume bit-identically under the other. Lockstep the
+// two policies with `run_until` and compare full state digests at each
 // boundary, then the final metrics.
-fn lockstep_digests<P: rcc_core::protocol::Protocol>(
-    proto: &P,
-    cfg: &GpuConfig,
-    wl: &rcc_workloads::Workload,
-    stride: u64,
-    label: &str,
-) {
-    let mut stepped = rcc_sim::System::new(proto, cfg, wl, false);
-    stepped.set_fast_forward(false);
-    let mut sched = rcc_sim::System::new(proto, cfg, wl, false);
-    sched.set_fast_forward(true);
-    let mut boundary = 0;
-    let mut boundaries = 0u32;
-    while !(stepped.done() && sched.done()) {
-        boundary += stride;
-        assert!(boundary < 50_000_000, "{label}: lockstep run never retired");
-        stepped.run_until(boundary).unwrap();
-        sched.run_until(boundary).unwrap();
-        boundaries += 1;
-        assert_eq!(
-            stepped.state_digest(),
-            sched.state_digest(),
-            "{label}: engines diverged at checkpoint boundary {boundary}"
-        );
-    }
-    assert!(boundaries > 0, "{label}: no boundary ever compared");
-    assert!(
-        stepped.metrics().same_simulated_results(&sched.metrics()),
-        "{label}: final metrics diverged though every digest matched"
-    );
-}
-
-fn lockstep_kind(
+fn lockstep_digests(
     kind: ProtocolKind,
     cfg: &GpuConfig,
     wl: &rcc_workloads::Workload,
     stride: u64,
     label: &str,
 ) {
-    use rcc_core::ideal::IdealProtocol;
-    use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
-    use rcc_core::rcc::RccProtocol;
-    use rcc_core::tc::TcProtocol;
-    match kind {
-        ProtocolKind::Mesi => lockstep_digests(&MesiProtocol::new(cfg), cfg, wl, stride, label),
-        ProtocolKind::MesiWb => lockstep_digests(&MesiWbProtocol::new(cfg), cfg, wl, stride, label),
-        ProtocolKind::TcStrong => {
-            lockstep_digests(&TcProtocol::strong(cfg), cfg, wl, stride, label)
+    rcc_core::with_protocol!(kind, cfg, |p| {
+        let mut every = rcc_sim::System::new(&p, cfg, wl, false);
+        every.set_fast_forward(false);
+        let mut sched = rcc_sim::System::new(&p, cfg, wl, false);
+        sched.set_fast_forward(true);
+        let mut boundary = 0;
+        let mut boundaries = 0u32;
+        while !(every.done() && sched.done()) {
+            boundary += stride;
+            assert!(boundary < 50_000_000, "{label}: lockstep run never retired");
+            every.run_until(boundary).unwrap();
+            sched.run_until(boundary).unwrap();
+            boundaries += 1;
+            assert_eq!(
+                every.state_digest(),
+                sched.state_digest(),
+                "{label}: due policies diverged at checkpoint boundary {boundary}"
+            );
         }
-        ProtocolKind::TcWeak => lockstep_digests(&TcProtocol::weak(cfg), cfg, wl, stride, label),
-        ProtocolKind::RccSc => {
-            lockstep_digests(&RccProtocol::sequential(cfg), cfg, wl, stride, label)
-        }
-        ProtocolKind::RccWo => {
-            lockstep_digests(&RccProtocol::weakly_ordered(cfg), cfg, wl, stride, label)
-        }
-        ProtocolKind::IdealSc => lockstep_digests(&IdealProtocol::new(cfg), cfg, wl, stride, label),
-    }
+        assert!(boundaries > 0, "{label}: no boundary ever compared");
+        assert!(
+            every.metrics().same_simulated_results(&sched.metrics()),
+            "{label}: final metrics diverged though every digest matched"
+        );
+    })
 }
 
 #[test]
-fn scheduled_engine_matches_stepped_state_on_litmus() {
+fn event_driven_matches_every_cycle_policy_state_on_litmus() {
     // Short racy runs with a fine stride: where a wake posted one cycle
     // late would move an ordering race first.
     let cfg = GpuConfig::small();
     for kind in KINDS {
         for lit in rcc_workloads::litmus::all(cfg.num_cores, 11) {
             let wl = rcc_sim::litmus::litmus_workload(&lit);
-            lockstep_kind(kind, &cfg, &wl, 64, &format!("{kind}/{}", lit.name));
+            lockstep_digests(kind, &cfg, &wl, 64, &format!("{kind}/{}", lit.name));
         }
     }
 }
 
 #[test]
-fn scheduled_engine_matches_stepped_state_on_benchmarks() {
+fn event_driven_matches_every_cycle_policy_state_on_benchmarks() {
     // Long runs with realistic checkpoint spacing: dlb (load balancing,
     // bursty), bh (barrier phases, idle-heavy), hsp (streaming,
     // contention-heavy).
@@ -275,8 +251,20 @@ fn scheduled_engine_matches_stepped_state_on_benchmarks() {
     for kind in KINDS {
         for bench in [Benchmark::Dlb, Benchmark::Bh, Benchmark::Hsp] {
             let wl = bench.generate(&cfg, &Scale::quick(), 7);
-            lockstep_kind(kind, &cfg, &wl, 2500, &format!("{kind}/{}", bench.name()));
+            lockstep_digests(kind, &cfg, &wl, 2500, &format!("{kind}/{}", bench.name()));
         }
+    }
+    // 8 cores at standard scale: the contention that drives MESI-WB's L1
+    // into reject-spins on a poisoned or full MSHR, which the small/quick
+    // inputs above never reach. A rejected access may change nothing but
+    // L1 counters, or the state would depend on where the spin slept.
+    let cfg = GpuConfig {
+        num_cores: 8,
+        ..GpuConfig::small()
+    };
+    let wl = Benchmark::Bh.generate(&cfg, &Scale::standard(), 7);
+    for kind in KINDS {
+        lockstep_digests(kind, &cfg, &wl, 2000, &format!("{kind}/bh-8core-standard"));
     }
 }
 

@@ -56,29 +56,11 @@ fn cleanup(path: &str) {
 /// Runs to completion on a live system and returns the metrics plus the
 /// full architectural state digest (the checkpoint-grade fingerprint).
 fn final_state(kind: ProtocolKind, cfg: &GpuConfig, wl: &Workload) -> (RunMetrics, u64) {
-    fn go<P: rcc_core::protocol::Protocol>(
-        proto: &P,
-        cfg: &GpuConfig,
-        wl: &Workload,
-    ) -> (RunMetrics, u64) {
-        let mut system = System::new(proto, cfg, wl, false);
+    rcc_core::with_protocol!(kind, cfg, |p| {
+        let mut system = System::new(&p, cfg, wl, false);
         let metrics = system.run(50_000_000).unwrap();
-        let digest = system.state_digest();
-        (metrics, digest)
-    }
-    use rcc_core::ideal::IdealProtocol;
-    use rcc_core::mesi::{MesiProtocol, MesiWbProtocol};
-    use rcc_core::rcc::RccProtocol;
-    use rcc_core::tc::TcProtocol;
-    match kind {
-        ProtocolKind::Mesi => go(&MesiProtocol::new(cfg), cfg, wl),
-        ProtocolKind::MesiWb => go(&MesiWbProtocol::new(cfg), cfg, wl),
-        ProtocolKind::TcStrong => go(&TcProtocol::strong(cfg), cfg, wl),
-        ProtocolKind::TcWeak => go(&TcProtocol::weak(cfg), cfg, wl),
-        ProtocolKind::RccSc => go(&RccProtocol::sequential(cfg), cfg, wl),
-        ProtocolKind::RccWo => go(&RccProtocol::weakly_ordered(cfg), cfg, wl),
-        ProtocolKind::IdealSc => go(&IdealProtocol::new(cfg), cfg, wl),
-    }
+        (metrics, system.state_digest())
+    })
 }
 
 #[test]

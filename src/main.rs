@@ -12,7 +12,8 @@
 //!   --trace-file PATH   run a custom trace (see workloads::custom)
 //!   --mesh      use a 2D-mesh NoC instead of the crossbars
 //!   --check     verify the run with the SC scoreboard
-//!   --no-ff     disable idle-cycle fast-forwarding (same results, slower)
+//!   --no-ff     every-cycle due policy: run every component every cycle
+//!               instead of only at wake events (same results, slower)
 //!   --csv       print one CSV row instead of the report
 //!   --all       run every protocol on the chosen benchmark
 //!   --jobs N    run --all protocols on N worker threads (0 = one per
