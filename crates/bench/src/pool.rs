@@ -105,115 +105,6 @@ where
     out
 }
 
-/// The outcome of one cooperative slice of a yieldable job: either the
-/// job finished with a result, or it yields a continuation that must be
-/// re-enqueued (see [`run_yielding`]).
-#[derive(Debug)]
-pub enum Slice<J, T> {
-    /// The job is finished.
-    Done(T),
-    /// The job ran one slice and hands back its continuation (e.g. a
-    /// simulation checkpoint); the pool re-enqueues it at the back so
-    /// other jobs are not starved behind it.
-    Yield(J),
-}
-
-/// Runs cooperative (preemptible) jobs: `f` executes one *slice* of a
-/// job; a [`Slice::Yield`] continuation goes to the back of the shared
-/// queue, so a long job never starves the short jobs queued behind it —
-/// each gets a slice before the long job's next one. Results land in
-/// submission order, like [`run_indexed`].
-///
-/// Determinism contract: re-enqueuing moves only *wall-clock*
-/// interleaving; the continuation values themselves (and therefore every
-/// result) must not depend on when their slices run. Simulation
-/// checkpoints satisfy this by construction.
-///
-/// # Panics
-///
-/// Re-raises the first panicking job *by submission order*, after every
-/// job has run to completion or panicked — same contract as
-/// [`run_indexed`]. A job that panics mid-slice is finished (its
-/// continuation is gone).
-pub fn run_yielding<J, T, F>(jobs: Vec<J>, threads: usize, f: F) -> Vec<T>
-where
-    J: Send,
-    T: Send,
-    F: Fn(J) -> Slice<J, T> + Sync,
-{
-    use std::collections::VecDeque;
-    use std::sync::Condvar;
-
-    let n = jobs.len();
-    let workers = threads.min(n).max(1);
-    type Attempt<T> = Result<T, Box<dyn std::any::Any + Send>>;
-    let slots: Vec<Mutex<Option<Attempt<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    struct Shared<J> {
-        queue: VecDeque<(usize, J)>,
-        in_flight: usize,
-    }
-    let shared = Mutex::new(Shared {
-        queue: jobs.into_iter().enumerate().collect(),
-        in_flight: 0,
-    });
-    let cv = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let mut st = shared.lock().expect("yield queue poisoned");
-                // A yielding job can refill the queue, so an empty queue
-                // only ends the pool once nothing is in flight either.
-                while st.queue.is_empty() && st.in_flight > 0 {
-                    st = cv.wait(st).expect("yield queue poisoned");
-                }
-                let Some((idx, job)) = st.queue.pop_front() else {
-                    break;
-                };
-                st.in_flight += 1;
-                drop(st);
-
-                let result = catch_unwind(AssertUnwindSafe(|| f(job)));
-                let mut st = shared.lock().expect("yield queue poisoned");
-                st.in_flight -= 1;
-                match result {
-                    Ok(Slice::Done(v)) => {
-                        *slots[idx].lock().expect("result slot poisoned") = Some(Ok(v));
-                    }
-                    Ok(Slice::Yield(next)) => st.queue.push_back((idx, next)),
-                    Err(payload) => {
-                        *slots[idx].lock().expect("result slot poisoned") = Some(Err(payload));
-                    }
-                }
-                drop(st);
-                cv.notify_all();
-            });
-        }
-    });
-
-    let mut out = Vec::with_capacity(n);
-    let mut first_panic = None;
-    for slot in slots {
-        match slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("every job stores its result")
-        {
-            Ok(v) => out.push(v),
-            Err(payload) => {
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-    out
-}
-
 /// Failure policy for [`run_guarded`].
 #[derive(Debug, Clone, Copy)]
 pub struct GuardPolicy {
@@ -417,68 +308,6 @@ mod tests {
         let payload = result.expect_err("panic propagates");
         assert_eq!(panic_reason(payload.as_ref()), "job 1 exploded");
         assert_eq!(ran.load(Ordering::SeqCst), 15);
-    }
-
-    #[test]
-    fn yielding_jobs_complete_in_submission_order() {
-        // Each job counts down through yields; results are in order and
-        // every slice ran.
-        let out = run_yielding(vec![3u64, 0, 5, 1], 2, |remaining| {
-            if remaining == 0 {
-                Slice::Done("done")
-            } else {
-                Slice::Yield(remaining - 1)
-            }
-        });
-        assert_eq!(out, vec!["done"; 4]);
-    }
-
-    #[test]
-    fn yielding_interleaves_long_and_short_jobs() {
-        // One long job (many slices) and many short ones on a single
-        // worker: the requeue-at-the-back rule means every short job
-        // finishes before the long job's last slice.
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o2 = Arc::clone(&order);
-        let jobs: Vec<(usize, u64)> = vec![(0, 8), (1, 0), (2, 0), (3, 0)];
-        run_yielding(jobs, 1, move |(id, remaining)| {
-            if remaining == 0 {
-                o2.lock().unwrap().push(id);
-                Slice::Done(id)
-            } else {
-                Slice::Yield((id, remaining - 1))
-            }
-        });
-        let order = order.lock().unwrap().clone();
-        assert_eq!(
-            order,
-            vec![1, 2, 3, 0],
-            "short jobs finish before the long job's final slice"
-        );
-    }
-
-    #[test]
-    fn yielding_panic_is_isolated_and_deterministic() {
-        let finished = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&finished);
-        let result = catch_unwind(AssertUnwindSafe(move || {
-            run_yielding((0..8u64).collect(), 3, move |j| {
-                if j == 2 {
-                    panic!("slice {j} exploded");
-                }
-                f2.fetch_add(1, Ordering::SeqCst);
-                Slice::Done(j)
-            })
-        }));
-        let payload = result.expect_err("panic propagates");
-        assert_eq!(panic_reason(payload.as_ref()), "slice 2 exploded");
-        assert_eq!(finished.load(Ordering::SeqCst), 7);
-    }
-
-    #[test]
-    fn yielding_handles_empty() {
-        let out = run_yielding(Vec::<u64>::new(), 4, Slice::<u64, u64>::Done);
-        assert_eq!(out, Vec::<u64>::new());
     }
 
     #[test]

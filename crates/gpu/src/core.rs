@@ -8,6 +8,7 @@ use rcc_common::ids::{CoreId, WarpId};
 use rcc_common::time::Cycle;
 use rcc_core::msg::{Access, AccessKind, AccessOutcome, AtomicOp, Completion, CompletionKind};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How FENCE instructions retire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +140,7 @@ enum Micro {
 
 #[derive(Debug)]
 struct Warp {
-    program: Vec<MemOp>,
+    program: Arc<Vec<MemOp>>,
     pc: usize,
     wg_index: usize,
     micro: Micro,

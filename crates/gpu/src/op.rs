@@ -21,6 +21,7 @@ use rcc_common::addr::WordAddr;
 use rcc_common::ids::WorkgroupId;
 use rcc_common::snap::{SnapError, SnapReader, SnapWriter};
 use rcc_core::msg::AtomicOp;
+use std::sync::Arc;
 
 /// One warp-level operation. Memory operations are line-granular in
 /// traffic and word-granular in value tracking (see `rcc-core::msg`).
@@ -181,8 +182,10 @@ impl MemOp {
 /// The program of one warp, plus its workgroup assignment.
 #[derive(Debug, Clone, Default)]
 pub struct WarpProgram {
-    /// Operations in program order.
-    pub ops: Vec<MemOp>,
+    /// Operations in program order. Shared, not copied, when the
+    /// program is cloned: a workload, the checkpoints that carry it, and
+    /// the simulated cores running it all read one allocation.
+    pub ops: Arc<Vec<MemOp>>,
     /// Workgroup (threadblock) this warp belongs to. Intra-workgroup
     /// sharing stays within a core; inter-workgroup sharing is what
     /// drives coherence traffic (Table IV's taxonomy).
@@ -192,7 +195,10 @@ pub struct WarpProgram {
 impl WarpProgram {
     /// Creates a program for a warp of `workgroup`.
     pub fn new(workgroup: WorkgroupId, ops: Vec<MemOp>) -> Self {
-        WarpProgram { ops, workgroup }
+        WarpProgram {
+            ops: Arc::new(ops),
+            workgroup,
+        }
     }
 
     /// Number of operations.

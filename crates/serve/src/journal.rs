@@ -791,6 +791,38 @@ mod tests {
     }
 
     #[test]
+    fn multi_line_hang_dumps_replay_and_go_out_on_one_line() {
+        // Journals written before dumps were folded hold them
+        // pretty-printed: they replay unchanged, and the wire form of
+        // the error is one line that still parses.
+        let dump = "{\n  \"cycle\": 7,\n  \"components\": [\n    {\"name\": \"l1\"}\n  ]\n}";
+        let rec = Record::Failed {
+            id: 0,
+            slices: 1,
+            preemptions: 0,
+            error: JobError {
+                kind: "deadlock",
+                detail: "no progress".into(),
+                hang_dump: Some(dump.into()),
+            },
+        };
+        let replay = replay_bytes(&journal_bytes(std::slice::from_ref(&rec))).expect("replays");
+        let Record::Failed { error, .. } = &replay.records[0] else {
+            panic!("{:?}", replay.records);
+        };
+        assert_eq!(error.hang_dump.as_deref(), Some(dump));
+        let wire = error.to_json();
+        assert!(!wire.contains('\n'), "{wire}");
+        let v = rcc_obs::json::parse(&wire).expect("wire form parses");
+        assert_eq!(
+            v.get("hang_dump")
+                .and_then(|d| d.get("cycle"))
+                .and_then(|c| c.as_u64()),
+            Some(7)
+        );
+    }
+
+    #[test]
     fn unknown_error_kind_interns_to_internal() {
         let mut w = SnapWriter::new();
         w.u8(6);

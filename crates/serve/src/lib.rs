@@ -5,14 +5,15 @@
 //! The service accepts simulation job requests (protocol × machine ×
 //! workload × options), runs them on a bounded worker pool, and
 //! persists schema-validated result artifacts. Long jobs are
-//! preemptible: a worker runs one checkpoint quantum at a time via
-//! [`rcc_sim::try_simulate_slice`] / [`rcc_sim::resume_slice`], parks
-//! the in-memory [`rcc_sim::Checkpoint`] and requeues the job, so a
-//! flood of short jobs cannot starve behind a long one — and, because a
-//! resumed slice replays to its snapshot cycle and digest-verifies the
-//! rebuilt state, a preempted job's results are bit-identical to an
-//! uninterrupted run of the same spec (the stress suite asserts this
-//! byte-for-byte).
+//! preemptible: a worker runs one quantum at a time on a
+//! [`rcc_sim::SliceRun`], parks the live machine on the job together
+//! with the [`rcc_sim::Checkpoint`] that describes it, and requeues the
+//! job, so a flood of short jobs cannot starve behind a long one. The
+//! next slice goes on with the parked machine once its state digest
+//! matches the checkpoint's; only recovery (a crash retry or a restart)
+//! rebuilds a run by replaying the checkpoint. Either way a preempted
+//! job's results are bit-identical to an uninterrupted run of the same
+//! spec (the stress and preemption suites assert this byte for byte).
 //!
 //! Layers, bottom to top:
 //!
@@ -36,11 +37,9 @@
 //!   [`wire::WireError`] rejections; malformed input can never kill the
 //!   accept loop or a worker).
 //!
-//! The worker pool generalizes `rcc_bench::pool::run_yielding` — the
-//! same cooperative `Slice { Done, Yield }` step shape — to dynamic
-//! arrivals with priorities; a fixed batch of specs can equivalently be
-//! driven through the bench pool, which is exactly how the stress suite
-//! cross-checks the service against direct simulation.
+//! The stress suite cross-checks the service against direct simulation:
+//! every finished job's summary must equal a direct `try_simulate` of
+//! the same resolved spec, byte for byte.
 
 pub mod journal;
 pub mod queue;

@@ -2,14 +2,25 @@
 //!
 //! A [`Server`] owns a bounded pool of worker threads draining the
 //! priority-aged [`crate::queue::Sched`]. A worker never runs a job to
-//! completion blindly: it executes **one checkpoint quantum** via
-//! [`rcc_sim::try_simulate_slice`] (or [`rcc_sim::resume_slice`] for a
-//! parked job), and a job that yields is re-admitted behind its class
-//! peers with its in-memory [`Checkpoint`] stored on the record. Resume
-//! replays to the snapshot cycle and digest-verifies the rebuilt state,
-//! so preemption is invisible in the results — and a corrupted snapshot
-//! surfaces as a typed `checkpoint` failure on that job, never a wedged
-//! worker.
+//! completion blindly: it executes **one quantum** on the job's
+//! [`SliceRun`], and a job that yields is re-admitted behind its class
+//! peers with the live run parked on its record, next to the in-memory
+//! [`Checkpoint`] that describes it. A preemption is therefore a yield:
+//! the next slice goes on with the parked machine after checking that
+//! its `(cycle, state_digest)` equals the checkpoint's, which proves
+//! every journaled checkpoint describes the machine that actually ran.
+//! Replay from cycle 0 ([`SliceRun::resume`]) is the recovery path
+//! only: a crash retry, a wedged worker, or a restart that rebuilt the
+//! job from the journal. Either way preemption is invisible in the
+//! results, and a corrupted snapshot surfaces as a typed `checkpoint`
+//! failure on that job, never a wedged worker.
+//!
+//! A parked run costs one live `System` per preempted job, about 0.5 MB
+//! on the 8-core small machine at standard scale (0.4–0.8 MB measured
+//! across protocols and benchmarks), so parked memory is bounded by the
+//! jobs admitted at once ([`ServerConfig::max_queue`] caps the queue).
+//! The workload's warp programs are shared by the job's checkpoints and
+//! the simulated cores, not copied.
 //!
 //! ## Durability
 //!
@@ -54,7 +65,7 @@ use crate::spec::JobSpec;
 use crate::store::{JobError, JobRecord, JobState, ResultSummary, Store};
 use crate::wire::{self, Request, WireError};
 use rcc_chaos::service::{ServiceFaultSpec, ServiceInjector, WorkerFault};
-use rcc_sim::{Checkpoint, SimOptions, SliceOutcome};
+use rcc_sim::{Checkpoint, SimError, SimOptions, SliceOutcome, SliceRun};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -223,8 +234,13 @@ impl ProgressEvent {
 struct Job {
     record: JobRecord,
     spec: JobSpec,
-    /// Parked mid-run state between quanta.
+    /// The journaled description of the parked run: where the next
+    /// slice goes on from, and what a replay rebuilds when `run` is gone.
     ck: Option<Box<Checkpoint>>,
+    /// The live machine parked between quanta. The next slice continues
+    /// it after checking it against `ck`; `None` after a crash, a wedge
+    /// or a restart, when the next slice replays `ck` instead.
+    run: Option<SliceRun>,
     /// Fault injection: corrupt the next snapshot this job parks on.
     corrupt_next: bool,
     events: Vec<ProgressEvent>,
@@ -302,6 +318,7 @@ struct Task {
     id: usize,
     spec: JobSpec,
     ck: Option<Box<Checkpoint>>,
+    run: Option<SliceRun>,
     attempt: u32,
     epoch: u64,
     abandon: Arc<AtomicBool>,
@@ -311,7 +328,8 @@ enum QuantumOutcome {
     Finished(Box<rcc_sim::RunMetrics>),
     Preempted {
         ck: Box<Checkpoint>,
-        progress: Box<rcc_sim::SliceProgress>,
+        progress: rcc_sim::SliceProgress,
+        run: Box<SliceRun>,
     },
     Failed(JobError),
 }
@@ -369,8 +387,9 @@ fn promote_deferred(st: &mut State) -> Option<Instant> {
 
 /// A crashed attempt (panic or wedge): consume a retry, defer behind a
 /// deterministic exponential backoff, or quarantine once the budget is
-/// spent. `ck_back` restores the parked checkpoint the attempt was
-/// resuming, so a retry replays the exact same slice.
+/// spent. The crashed attempt's live run is gone; `ck_back` restores the
+/// checkpoint it was resuming from, so a retry rebuilds the machine by
+/// replay and runs the exact same slice.
 fn handle_crash(
     st: &mut State,
     inner: &Inner,
@@ -412,7 +431,7 @@ fn handle_crash(
     }
 }
 
-fn run_quantum(inner: &Inner, task: &Task) -> QuantumOutcome {
+fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
     if let Some(inj) = &inner.injector {
         if matches!(
             inj.worker_fault(task.id as u64, task.attempt),
@@ -430,7 +449,8 @@ fn run_quantum(inner: &Inner, task: &Task) -> QuantumOutcome {
             ));
         }
     }
-    let res = catch_unwind(AssertUnwindSafe(|| {
+    let parked = task.run.take();
+    let res = catch_unwind(AssertUnwindSafe(|| -> Result<QuantumOutcome, SimError> {
         if let Some(inj) = &inner.injector {
             if matches!(
                 inj.worker_fault(task.id as u64, task.attempt),
@@ -442,19 +462,37 @@ fn run_quantum(inner: &Inner, task: &Task) -> QuantumOutcome {
                 );
             }
         }
-        if let Some(ck) = &task.ck {
-            return rcc_sim::resume_slice(ck);
-        }
-        let (kind, cfg, wl, mut opts) = task.spec.inputs();
-        if task.spec.record_trace {
-            // A resumed run does not re-record, so trace jobs run as one
-            // uninterrupted quantum through the plain driver path.
-            opts.record_trace = inner.store.trace_path(task.id as u64);
-            return rcc_sim::try_simulate(kind, &cfg, &wl, &opts)
-                .map(|m| SliceOutcome::Finished(Box::new(m)));
-        }
-        opts.quantum = inner.quantum;
-        rcc_sim::try_simulate_slice(kind, &cfg, &wl, &opts)
+        let mut run = match (&task.ck, parked) {
+            // The usual case: go on with the machine that ran the last
+            // slice, once it is proven to be the journaled one.
+            (Some(ck), Some(run)) => {
+                run.verify(ck)?;
+                run
+            }
+            // Recovery (crash retry or restart): rebuild by replay.
+            (Some(ck), None) => SliceRun::resume(ck)?,
+            (None, _) => {
+                let (kind, cfg, wl, mut opts) = task.spec.inputs();
+                if task.spec.record_trace {
+                    // A resumed run does not re-record, so trace jobs run
+                    // as one uninterrupted quantum through the plain
+                    // driver path.
+                    opts.record_trace = inner.store.trace_path(task.id as u64);
+                    let m = rcc_sim::try_simulate(kind, &cfg, &wl, &opts)?;
+                    return Ok(QuantumOutcome::Finished(Box::new(m)));
+                }
+                opts.quantum = inner.quantum;
+                SliceRun::start(kind, &cfg, wl, &opts)
+            }
+        };
+        Ok(match run.next_slice()? {
+            SliceOutcome::Finished(m) => QuantumOutcome::Finished(m),
+            SliceOutcome::Preempted { ck, progress } => QuantumOutcome::Preempted {
+                ck,
+                progress,
+                run: Box::new(run),
+            },
+        })
     }));
     match res {
         Err(payload) => {
@@ -466,10 +504,7 @@ fn run_quantum(inner: &Inner, task: &Task) -> QuantumOutcome {
             QuantumOutcome::Failed(JobError::internal("panic", msg))
         }
         Ok(Err(e)) => QuantumOutcome::Failed(JobError::from_sim(&e)),
-        Ok(Ok(SliceOutcome::Finished(m))) => QuantumOutcome::Finished(m),
-        Ok(Ok(SliceOutcome::Preempted { ck, progress })) => {
-            QuantumOutcome::Preempted { ck, progress }
-        }
+        Ok(Ok(outcome)) => outcome,
     }
 }
 
@@ -487,7 +522,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                         .token_to_job
                         .remove(&token)
                         .expect("scheduler token maps to a job");
-                    let (spec, ck, attempt, epoch, need_start) = {
+                    let (spec, ck, run, attempt, epoch, need_start) = {
                         let job = &mut st.jobs[id];
                         job.record.state = JobState::Running;
                         let need = !job.attempt_started;
@@ -495,6 +530,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                         (
                             job.spec.clone(),
                             job.ck.take(),
+                            job.run.take(),
                             job.record.attempts,
                             job.epoch,
                             need,
@@ -520,6 +556,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                         id,
                         spec,
                         ck,
+                        run,
                         attempt,
                         epoch,
                         abandon,
@@ -540,7 +577,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                 };
             }
         };
-        let outcome = run_quantum(inner, &task);
+        let outcome = run_quantum(inner, &mut task);
         let mut st = inner.state.lock().expect("server state poisoned");
         if st.workers[slot].gen != my_gen {
             // The watchdog abandoned this thread mid-quantum: a
@@ -599,7 +636,11 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                 persist_record(&mut st, inner, task.id);
                 st.active -= 1;
             }
-            QuantumOutcome::Preempted { mut ck, progress } => {
+            QuantumOutcome::Preempted {
+                mut ck,
+                progress,
+                run,
+            } => {
                 let (ck_bytes, slices, preemptions) = {
                     let job = &mut st.jobs[task.id];
                     if std::mem::take(&mut job.corrupt_next) {
@@ -607,18 +648,13 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                     }
                     job.record.slices += 1;
                     job.record.preemptions += 1;
-                    let samples = progress
-                        .obs
-                        .as_ref()
-                        .map(|o| o.series.rows() as u64)
-                        .unwrap_or(0);
                     job.events.push(ProgressEvent {
                         job: task.id as u64,
                         slice: job.record.slices,
                         cycle: progress.cycle,
                         issued: progress.issued,
                         mem_ops: progress.mem_ops,
-                        samples,
+                        samples: progress.samples,
                     });
                     (ck.encode(), job.record.slices, job.record.preemptions)
                 };
@@ -635,6 +671,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                 );
                 let job = &mut st.jobs[task.id];
                 job.ck = Some(ck);
+                job.run = Some(*run);
                 job.record.state = JobState::Queued;
                 let token = st.sched.requeue(priority);
                 st.token_to_job.insert(token, task.id);
@@ -687,8 +724,9 @@ fn supervisor_loop(inner: &Arc<Inner>, timeout: Duration) {
                     "{{\"kind\": \"wedge\", \"worker\": {slot}, \"waited_ms\": {waited}, \
                      \"attempt\": {attempt}}}"
                 ));
-                // The abandoned thread owns the checkpoint it was
-                // resuming; a retry restarts the job from scratch.
+                // The abandoned thread owns the live run and the
+                // checkpoint it was resuming; a retry restarts the job
+                // from scratch.
                 handle_crash(&mut st, inner, id, err, None);
             }
             let inner2 = Arc::clone(inner);
@@ -750,6 +788,7 @@ fn rebuild_from_journal(st: &mut State, records: &[Record], quantum: u64) -> Res
                     },
                     spec,
                     ck: None,
+                    run: None,
                     corrupt_next: false,
                     events: Vec::new(),
                     epoch: 0,
@@ -1071,6 +1110,7 @@ impl Server {
             },
             spec,
             ck: None,
+            run: None,
             corrupt_next: false,
             events: Vec::new(),
             epoch: 0,

@@ -123,7 +123,7 @@ pub struct JobError {
     pub kind: &'static str,
     /// The error's display form.
     pub detail: String,
-    /// `HangDump::to_json()` for deadlocks.
+    /// `HangDump::to_json()` for deadlocks, folded onto one line.
     pub hang_dump: Option<String>,
 }
 
@@ -141,7 +141,7 @@ impl JobError {
             SimError::Trace(_) => "trace",
         };
         let hang_dump = match e {
-            SimError::Deadlock(dump) => Some(dump.to_json()),
+            SimError::Deadlock(dump) => Some(one_line(&dump.to_json())),
             _ => None,
         };
         JobError {
@@ -168,11 +168,25 @@ impl JobError {
             esc(&self.detail)
         );
         if let Some(dump) = &self.hang_dump {
-            let _ = write!(s, ", \"hang_dump\": {dump}");
+            // Journals written before dumps were stored on one line
+            // still hold pretty-printed ones.
+            let _ = write!(s, ", \"hang_dump\": {}", one_line(dump));
         }
         s.push('}');
         s
     }
+}
+
+/// Folds a pretty-printed JSON document onto one line, so it can ride
+/// in a reply of the line-delimited wire protocol. The document's
+/// strings hold no raw newlines (JSON forbids them), so only the
+/// indentation between tokens changes.
+fn one_line(json: &str) -> String {
+    json.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Everything the service knows about one job.

@@ -150,6 +150,61 @@ fn submit_watch_status_over_tcp() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// A deadlocked job's replies carry its hang dump, yet each reply is
+/// still exactly one line: on a connection reused for `watch`, then
+/// `status`, then `list`, every line parses on its own and the `list`
+/// answer is the very next line after the status.
+#[test]
+fn hang_job_replies_are_one_line_each() {
+    let (server, addr) = start_server();
+    let submit = r#"{"cmd": "submit", "spec": {"version": 1, "protocol": "mesi", "workload": {"kind": "hang"}}}"#;
+    let v = rcc_obs::json::parse(&roundtrip(addr, submit)).expect("json response");
+    let id = v.get("job").and_then(JsonValue::as_u64).expect("job id");
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut next_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply line");
+        let v = rcc_obs::json::parse(line.trim_end())
+            .unwrap_or_else(|e| panic!("reply line does not parse ({e}): {line:?}"));
+        (line, v)
+    };
+    stream
+        .write_all(format!("{{\"cmd\": \"watch\", \"job\": {id}}}\n").as_bytes())
+        .expect("send");
+    let watched = loop {
+        let (_, v) = next_line();
+        if v.get("state").is_some() {
+            break v;
+        }
+    };
+    for request in [
+        format!("{{\"cmd\": \"status\", \"job\": {id}}}"),
+        "{\"cmd\": \"list\"}".into(),
+    ] {
+        stream
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
+    }
+    let (_, status) = next_line();
+    let (_, list) = next_line();
+    for v in [&watched, &status] {
+        assert_eq!(v.get("state").and_then(JsonValue::as_str), Some("failed"));
+        let err = v.get("error").expect("failed job carries its error");
+        assert_eq!(
+            err.get("kind").and_then(JsonValue::as_str),
+            Some("deadlock")
+        );
+        assert!(err.get("hang_dump").and_then(|d| d.get("cycle")).is_some());
+    }
+    assert!(
+        list.get("jobs").is_some(),
+        "list answers right after status"
+    );
+    server.shutdown().expect("clean shutdown");
+}
+
 /// Random garbage never kills the connection: every frame gets exactly
 /// one response line and the connection then still answers `list`.
 fn arb_garbage() -> impl Strategy<Value = Vec<u8>> {

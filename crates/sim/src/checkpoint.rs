@@ -6,13 +6,21 @@
 //! fast-forward and chaos on or off). A checkpoint therefore snapshots
 //! the *deterministic input closure* plus the target cycle and a
 //! cross-component [state digest](crate::System::state_digest) of the
-//! machine at that cycle. Restore rebuilds the system from the inputs,
-//! replays to the target cycle (fast-forwarding over idle stretches, so
-//! replay costs far less than the original wall-clock), verifies the
-//! digest matches bit-for-bit, and continues. This makes resumed runs
-//! bit-identical to uninterrupted ones *by construction* — the digest
-//! check turns any violation of that argument into a typed
-//! [`SimError::Checkpoint`] instead of silent divergence.
+//! machine at that cycle.
+//!
+//! A checkpoint *describes* a machine; it is not how a run proceeds.
+//! Within one process a time-sliced run keeps its live machine parked
+//! in a [`crate::runner::SliceRun`] between quanta, and each quantum
+//! boundary's checkpoint is checked against that machine before it goes
+//! on. Restore is the recovery path, for when no live machine exists (a
+//! crashed attempt, a restarted process, a file resumed elsewhere): it
+//! rebuilds the system from the inputs, replays to the target cycle
+//! (fast-forwarding over idle stretches), verifies the digest matches
+//! bit-for-bit, and continues. This makes resumed runs bit-identical to
+//! uninterrupted ones *by construction* — the digest check turns any
+//! violation of that argument into a typed [`SimError::Checkpoint`]
+//! instead of silent divergence. The workload is held behind an
+//! [`Arc`], so every checkpoint of one run shares its warp programs.
 //!
 //! The on-disk format is the versioned binary codec of
 //! [`rcc_common::snap`] with a JSON manifest sidecar
@@ -31,6 +39,7 @@ use rcc_common::snap::{SnapError, SnapReader, SnapWriter};
 use rcc_core::ProtocolKind;
 use rcc_gpu::{MemOp, WarpProgram};
 use rcc_workloads::{Sharing, Workload};
+use std::sync::Arc;
 
 /// Magic prefix of the binary checkpoint format.
 pub const MAGIC: &[u8; 4] = b"RCCK";
@@ -47,7 +56,9 @@ pub struct Checkpoint {
     /// Full machine configuration.
     pub cfg: GpuConfig,
     /// The complete workload (every warp program, fully serialized).
-    pub workload: Workload,
+    /// Shared, not copied: every checkpoint of one run, and the live
+    /// [`crate::runner::SliceRun`] it came from, hold the same programs.
+    pub workload: Arc<Workload>,
     /// Run options (chaos spec included; checkpoint plumbing excluded).
     pub opts: SimOptions,
     /// Cycle the checkpoint was taken at.
@@ -239,7 +250,7 @@ fn write_workload(w: &mut SnapWriter, wl: &Workload) {
         for prog in core {
             w.u64(prog.workgroup.0 as u64);
             w.u32(prog.ops.len() as u32);
-            for op in &prog.ops {
+            for op in prog.ops.iter() {
                 write_op(w, op);
             }
         }
@@ -389,7 +400,7 @@ impl Checkpoint {
         Ok(Checkpoint {
             kind,
             cfg,
-            workload,
+            workload: Arc::new(workload),
             opts,
             cycle,
             state_digest,
@@ -463,7 +474,7 @@ mod tests {
         Checkpoint {
             kind: ProtocolKind::RccSc,
             cfg,
-            workload,
+            workload: Arc::new(workload),
             opts: SimOptions {
                 sanitize: true,
                 chaos: Some(ChaosSpec {

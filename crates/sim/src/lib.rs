@@ -41,7 +41,7 @@ pub use metrics::{RunMetrics, SchedStats};
 pub use observe::Observer;
 pub use runner::{
     resume, resume_slice, simulate, try_simulate, try_simulate_slice, SimOptions, SliceOutcome,
-    SliceProgress,
+    SliceProgress, SliceRun,
 };
 pub use sched::EventQueue;
 pub use system::System;

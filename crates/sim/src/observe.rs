@@ -134,6 +134,11 @@ impl Observer {
         self.series.cycles().last() == Some(&cycle)
     }
 
+    /// Rows sampled so far.
+    pub fn rows(&self) -> usize {
+        self.series.rows()
+    }
+
     /// Consumes the observer into its report.
     pub fn into_report(self) -> ObsReport {
         ObsReport {

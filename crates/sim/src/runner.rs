@@ -1,4 +1,5 @@
-//! Protocol dispatch, run options, and checkpoint/resume orchestration.
+//! Protocol dispatch, run options, time-sliced runs, and checkpoint/resume
+//! orchestration.
 
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
@@ -8,6 +9,7 @@ use rcc_common::config::GpuConfig;
 use rcc_core::protocol::Protocol;
 use rcc_core::{with_protocol, ProtocolKind};
 use rcc_workloads::Workload;
+use std::sync::Arc;
 
 /// Options for a simulation run.
 #[derive(Debug, Clone)]
@@ -67,13 +69,14 @@ pub struct SimOptions {
     /// does not re-record).
     pub record_trace: Option<String>,
     /// Cooperative-preemption quantum in cycles for the slice entry
-    /// points ([`try_simulate_slice`] / [`resume_slice`]): a slice runs
-    /// at most this many cycles past its starting point, then yields an
-    /// in-memory [`Checkpoint`] instead of finishing. `0` — the default —
-    /// runs to completion. Like `checkpoint_every`, this is host-side
-    /// scheduling state: it cannot affect simulated results (the resumed
-    /// run is digest-verified bit-identical by construction) and is not
-    /// serialized into on-disk checkpoints.
+    /// points ([`SliceRun::next_slice`], [`try_simulate_slice`],
+    /// [`resume_slice`]): a slice runs at most this many cycles past its
+    /// starting point, then yields an in-memory [`Checkpoint`] instead of
+    /// finishing. `0` — the default — runs to completion. Like
+    /// `checkpoint_every`, this is host-side scheduling state: it cannot
+    /// affect simulated results (pausing a run is transparent, and a
+    /// replayed resume is digest-verified) and is not serialized into
+    /// on-disk checkpoints.
     pub quantum: u64,
 }
 
@@ -151,28 +154,76 @@ fn build_system<P: Protocol>(
     system
 }
 
+/// The engine surface a [`SliceRun`] drives: object safe, so one handle
+/// holds a `System<P>` of whichever protocol the run was started with.
+trait Machine {
+    fn run_until(&mut self, target: u64) -> Result<(), SimError>;
+    fn run(&mut self, max_cycles: u64) -> Result<RunMetrics, SimError>;
+    fn done(&self) -> bool;
+    fn cycle(&self) -> u64;
+    fn state_digest(&self) -> u64;
+    fn metrics(&self) -> RunMetrics;
+    fn samples_taken(&self) -> u64;
+    fn take_observation(&mut self) -> Option<rcc_obs::ObsReport>;
+}
+
+impl<P: Protocol> Machine for System<P> {
+    fn run_until(&mut self, target: u64) -> Result<(), SimError> {
+        System::run_until(self, target)
+    }
+    fn run(&mut self, max_cycles: u64) -> Result<RunMetrics, SimError> {
+        System::run(self, max_cycles)
+    }
+    fn done(&self) -> bool {
+        System::done(self)
+    }
+    fn cycle(&self) -> u64 {
+        System::cycle(self).raw()
+    }
+    fn state_digest(&self) -> u64 {
+        System::state_digest(self)
+    }
+    fn metrics(&self) -> RunMetrics {
+        System::metrics(self)
+    }
+    fn samples_taken(&self) -> u64 {
+        System::samples_taken(self)
+    }
+    fn take_observation(&mut self) -> Option<rcc_obs::ObsReport> {
+        System::take_observation(self)
+    }
+}
+
+/// Proves `machine` is the machine `ck` describes: same cycle, same
+/// [`System::state_digest`]. A mismatch is a typed
+/// [`SimError::Checkpoint`] naming the digests, never a silent
+/// divergence; `how` says where the machine came from.
+fn attest<M: Machine + ?Sized>(machine: &M, ck: &Checkpoint, how: &str) -> Result<(), SimError> {
+    let (cycle, digest) = (machine.cycle(), machine.state_digest());
+    if cycle != ck.cycle || digest != ck.state_digest {
+        return Err(SimError::Checkpoint(format!(
+            "state digest mismatch {how}: checkpoint has {:016x} at cycle {}, \
+             the machine has {digest:016x} at cycle {cycle}",
+            ck.state_digest, ck.cycle
+        )));
+    }
+    Ok(())
+}
+
 /// Resume: replays to the checkpointed cycle, then proves the rebuilt
 /// machine is the checkpointed machine before the run goes on. A mismatch
 /// means the binary, config, or workload no longer reproduces the
 /// original history — continuing would silently diverge, so it is a typed
 /// error instead. A fresh run (`replay == None`) is left untouched.
-fn replay_to<P: Protocol>(
-    system: &mut System<P>,
+fn replay_to<M: Machine + ?Sized>(
+    system: &mut M,
     replay: Option<&Checkpoint>,
 ) -> Result<(), SimError> {
     let Some(ck) = replay else {
         return Ok(());
     };
     system.run_until(ck.cycle)?;
-    let digest = system.state_digest();
-    if digest != ck.state_digest {
-        return Err(SimError::Checkpoint(format!(
-            "state digest mismatch after replay to cycle {}: \
-             checkpoint has {:016x}, replay produced {digest:016x}",
-            ck.cycle, ck.state_digest
-        )));
-    }
-    Ok(())
+    attest(system, ck, &format!("after replay to cycle {}", ck.cycle))
 }
 
 fn run_system<P: Protocol>(
@@ -187,6 +238,14 @@ fn run_system<P: Protocol>(
     if opts.record_trace.is_some() && replay.is_none() {
         system.set_trace_recorder(rcc_trace::TraceRecorder::new(workload));
     }
+    let snapshot = |system: &System<P>| Checkpoint {
+        kind,
+        cfg: cfg.clone(),
+        workload: Arc::new(workload.clone()),
+        opts: opts.clone(),
+        cycle: system.cycle().raw(),
+        state_digest: system.state_digest(),
+    };
 
     let outcome = (|| {
         replay_to(&mut system, replay)?;
@@ -198,7 +257,7 @@ fn run_system<P: Protocol>(
                     if system.done() {
                         break;
                     }
-                    checkpoint_now(&system, kind, cfg, workload, opts).save(path)?;
+                    snapshot(&system).save(path)?;
                     boundary += opts.checkpoint_every;
                 }
             }
@@ -226,10 +285,7 @@ fn run_system<P: Protocol>(
             // deterministically re-reaches the deadlock.
             if let Some(path) = &opts.checkpoint {
                 let hang_path = format!("{path}.hang");
-                if checkpoint_now(&system, kind, cfg, workload, opts)
-                    .save(&hang_path)
-                    .is_ok()
-                {
+                if snapshot(&system).save(&hang_path).is_ok() {
                     dump.checkpoint = Some(hang_path);
                 }
             }
@@ -239,28 +295,11 @@ fn run_system<P: Protocol>(
     }
 }
 
-fn checkpoint_now<P: Protocol>(
-    system: &System<P>,
-    kind: ProtocolKind,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-) -> Checkpoint {
-    Checkpoint {
-        kind,
-        cfg: cfg.clone(),
-        workload: workload.clone(),
-        opts: opts.clone(),
-        cycle: system.cycle().raw(),
-        state_digest: system.state_digest(),
-    }
-}
-
 /// Mid-run progress attached to a preempted slice: partial engine
-/// counters plus whatever the observer sampled so far. The observation is
-/// consumed here (the next slice replays from cycle 0 and regenerates it
-/// in full), so carrying it off is free.
-#[derive(Debug)]
+/// counters and how many rows the observer has sampled so far. Reading
+/// them takes nothing off the machine, so a parked run's observation
+/// goes on to the end and matches the uninterrupted run's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceProgress {
     /// Cycle the slice was preempted at (== the checkpoint's cycle).
     pub cycle: u64,
@@ -268,63 +307,146 @@ pub struct SliceProgress {
     pub issued: u64,
     /// Memory operations issued so far.
     pub mem_ops: u64,
-    /// Partial observation (time-series rows sampled up to the
-    /// preemption point), when the run was armed with sampling/tracing.
-    pub obs: Option<rcc_obs::ObsReport>,
+    /// Time-series rows sampled so far (0 when the run was not armed
+    /// with sampling).
+    pub samples: u64,
 }
 
 /// What one cooperative slice of a run produced: either the run finished
 /// inside the quantum, or it was preempted at the quantum boundary and
-/// hands back the checkpoint that resumes it bit-identically.
+/// hands back the checkpoint that describes the machine at that point.
 #[derive(Debug)]
 pub enum SliceOutcome {
     /// The run completed; full metrics, exactly as [`try_simulate`]
     /// would have returned them.
     Finished(Box<RunMetrics>),
-    /// The quantum expired mid-run. `ck` resumes the run (pass it to
-    /// [`resume_slice`]); `progress` reports how far it got.
+    /// The quantum expired mid-run. `ck` describes the machine at the
+    /// boundary: the live [`SliceRun`] continues from it, and
+    /// [`resume_slice`] rebuilds it by replay; `progress` reports how
+    /// far the run got.
     Preempted {
         /// Checkpoint at the quantum boundary (digest-verified on resume).
         ck: Box<Checkpoint>,
-        /// Partial counters and observation at the boundary (boxed: the
-        /// observation dwarfs the `Finished` variant otherwise).
-        progress: Box<SliceProgress>,
+        /// Partial counters at the boundary.
+        progress: SliceProgress,
     },
 }
 
-fn run_slice<P: Protocol>(
-    protocol: &P,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<&Checkpoint>,
-) -> Result<SliceOutcome, SimError> {
-    // Slice mode arms no trace recorder and writes no periodic disk
-    // snapshots: the checkpoint it yields lives in memory, owned by the
-    // caller (e.g. the rcc-serve job table). Trace-recording jobs run
-    // through `try_simulate` in a single slice instead.
-    let mut system = build_system(protocol, cfg, workload, opts);
-    replay_to(&mut system, replay)?;
-    let boundary = system.cycle().raw().saturating_add(opts.quantum);
-    if opts.quantum > 0 && boundary < opts.max_cycles {
-        system.run_until(boundary)?;
-        if !system.done() {
-            let ck = checkpoint_now(&system, protocol.kind(), cfg, workload, opts);
-            let partial = system.metrics();
-            return Ok(SliceOutcome::Preempted {
-                ck: Box::new(ck),
-                progress: Box::new(SliceProgress {
-                    cycle: partial.cycles,
-                    issued: partial.core.issued,
-                    mem_ops: partial.core.mem_ops,
-                    obs: system.take_observation(),
-                }),
-            });
+/// A resumable run: one live machine that executes a workload one
+/// quantum ([`SimOptions::quantum`]) at a time. Between slices the
+/// machine stays parked in the handle, so a preemption is a yield and
+/// the next slice goes on from where the last one stopped. Replay from
+/// cycle 0 ([`SliceRun::resume`]) is the recovery path: it rebuilds a
+/// run from its [`Checkpoint`] when no live handle exists (a crashed
+/// attempt, a restarted process).
+///
+/// Slice mode arms no trace recorder and writes no periodic disk
+/// snapshots: the checkpoints it yields live in memory, owned by the
+/// caller (e.g. the rcc-serve job table). Trace-recording runs go
+/// through [`try_simulate`] in one piece instead.
+pub struct SliceRun {
+    machine: Box<dyn Machine + Send>,
+    kind: ProtocolKind,
+    cfg: GpuConfig,
+    workload: Arc<Workload>,
+    opts: SimOptions,
+}
+
+impl SliceRun {
+    /// Builds the machine for `workload` under `kind` at cycle 0. No
+    /// cycle runs until [`SliceRun::next_slice`].
+    pub fn start(
+        kind: ProtocolKind,
+        cfg: &GpuConfig,
+        workload: impl Into<Arc<Workload>>,
+        opts: &SimOptions,
+    ) -> SliceRun {
+        let workload = workload.into();
+        let machine = with_protocol!(kind, cfg, |p| {
+            Box::new(build_system(&p, cfg, &workload, opts)) as Box<dyn Machine + Send>
+        });
+        SliceRun {
+            machine,
+            kind,
+            cfg: cfg.clone(),
+            workload,
+            opts: opts.clone(),
         }
     }
-    let mut metrics = system.run(opts.max_cycles)?;
-    metrics.obs = system.take_observation();
-    Ok(SliceOutcome::Finished(Box::new(metrics)))
+
+    /// Rebuilds the run `ck` was taken from: replays its input closure
+    /// to the checkpointed cycle and verifies the state digest
+    /// bit-for-bit. Slices go on under the checkpoint's options
+    /// (`ck.opts.quantum` included).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Checkpoint`] when the replayed state digest does not
+    /// match the checkpointed one (a corrupted or inapplicable snapshot),
+    /// plus anything the replayed cycles can raise.
+    pub fn resume(ck: &Checkpoint) -> Result<SliceRun, SimError> {
+        let mut run = SliceRun::start(ck.kind, &ck.cfg, Arc::clone(&ck.workload), &ck.opts);
+        replay_to(run.machine.as_mut(), Some(ck))?;
+        Ok(run)
+    }
+
+    /// Proves this live run is the machine `ck` describes (same cycle,
+    /// same state digest) before it goes on from `ck`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Checkpoint`] naming both digests on a mismatch.
+    pub fn verify(&self, ck: &Checkpoint) -> Result<(), SimError> {
+        attest(self.machine.as_ref(), ck, "on the parked run")
+    }
+
+    /// Runs at most one quantum past the current cycle on the live
+    /// machine. Returns [`SliceOutcome::Finished`] with full metrics
+    /// (verdict checks applied) when the run completes inside it, or
+    /// [`SliceOutcome::Preempted`] with the checkpoint at the boundary.
+    /// With `quantum == 0` the run goes to completion. A finished run is
+    /// spent: drop it.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`try_simulate`] can return; the checked-verdict errors
+    /// (SC scoreboard / sanitizer) apply only to a finished run.
+    pub fn next_slice(&mut self) -> Result<SliceOutcome, SimError> {
+        let (quantum, max_cycles) = (self.opts.quantum, self.opts.max_cycles);
+        let boundary = self.machine.cycle().saturating_add(quantum);
+        if quantum > 0 && boundary < max_cycles {
+            self.machine.run_until(boundary)?;
+            if !self.machine.done() {
+                let partial = self.machine.metrics();
+                return Ok(SliceOutcome::Preempted {
+                    ck: Box::new(self.checkpoint()),
+                    progress: SliceProgress {
+                        cycle: partial.cycles,
+                        issued: partial.core.issued,
+                        mem_ops: partial.core.mem_ops,
+                        samples: self.machine.samples_taken(),
+                    },
+                });
+            }
+        }
+        let mut metrics = self.machine.run(max_cycles)?;
+        metrics.obs = self.machine.take_observation();
+        verify_metrics(self.kind, self.workload.name, &self.opts, &metrics)?;
+        Ok(SliceOutcome::Finished(Box::new(metrics)))
+    }
+
+    /// The checkpoint describing the machine now. The workload is
+    /// shared, not copied.
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            kind: self.kind,
+            cfg: self.cfg.clone(),
+            workload: Arc::clone(&self.workload),
+            opts: self.opts.clone(),
+            cycle: self.machine.cycle(),
+            state_digest: self.machine.state_digest(),
+        }
+    }
 }
 
 /// One whole run (fresh, or resumed from `replay`), with the requested
@@ -341,32 +463,11 @@ fn simulate_from(
     Ok(metrics)
 }
 
-/// One slice (fresh, or resumed from `replay`); the verdict checks apply
-/// only when the run finishes inside it.
-fn slice_from(
-    kind: ProtocolKind,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<&Checkpoint>,
-) -> Result<SliceOutcome, SimError> {
-    let out = with_protocol!(kind, cfg, |p| run_slice(&p, cfg, workload, opts, replay))?;
-    if let SliceOutcome::Finished(metrics) = &out {
-        verify_metrics(kind, workload.name, opts, metrics)?;
-    }
-    Ok(out)
-}
-
 /// Runs at most one quantum ([`SimOptions::quantum`]) of `workload` under
-/// `kind`, from the beginning of the run. Returns
-/// [`SliceOutcome::Finished`] with full metrics when the run completes
-/// inside the quantum, or [`SliceOutcome::Preempted`] with the in-memory
-/// checkpoint that continues it ([`resume_slice`]). With `quantum == 0`
-/// this is [`try_simulate`] with a boxed result.
-///
-/// The slice chain is bit-identical to an uninterrupted run by
-/// construction: every resume replays to the checkpointed cycle and
-/// verifies the architectural state digest before continuing.
+/// `kind`, from the beginning of the run: the first slice of a fresh
+/// [`SliceRun`], which a caller that keeps the machine live between
+/// slices uses directly. With `quantum == 0` this is [`try_simulate`]
+/// with a boxed result.
 ///
 /// # Errors
 ///
@@ -378,12 +479,14 @@ pub fn try_simulate_slice(
     workload: &Workload,
     opts: &SimOptions,
 ) -> Result<SliceOutcome, SimError> {
-    slice_from(kind, cfg, workload, opts, None)
+    SliceRun::start(kind, cfg, workload.clone(), opts).next_slice()
 }
 
-/// Continues a run preempted by [`try_simulate_slice`]: replays to the
-/// checkpointed cycle, verifies the state digest bit-for-bit, then runs
-/// at most one more quantum (the checkpoint's `opts.quantum`).
+/// Continues a preempted run by replay ([`SliceRun::resume`]): rebuilds
+/// the machine from the checkpoint, verifies the state digest
+/// bit-for-bit, then runs at most one more quantum (the checkpoint's
+/// `opts.quantum`). The slice chain is bit-identical to an uninterrupted
+/// run by construction.
 ///
 /// # Errors
 ///
@@ -391,7 +494,7 @@ pub fn try_simulate_slice(
 /// the checkpointed one (a corrupted or inapplicable snapshot), plus
 /// everything [`try_simulate_slice`] can return.
 pub fn resume_slice(ck: &Checkpoint) -> Result<SliceOutcome, SimError> {
-    slice_from(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(ck))
+    SliceRun::resume(ck)?.next_slice()
 }
 
 fn verify_metrics(

@@ -65,13 +65,16 @@ enum SpinState {
     /// The last tick ended in a structural reject (chaos disarmed, no
     /// same-cycle completion). A controller's reject path may carry a
     /// one-time side effect — TC self-invalidates the expired line it
-    /// probes — so the spin engages only if the next retry repeats the
-    /// exact same stat delta, by which point the path is pure.
+    /// probes — so the spin engages only if the next retry re-presents
+    /// the same access with the exact same stat delta, by which point
+    /// the path is pure.
     Candidate,
-    /// Two consecutive retries produced identical stat deltas: the
-    /// reject path is in its pure steady state, every further cycle
-    /// repeats it bit-exactly, and gap cycles replay as `spin_delta`
-    /// copies.
+    /// Two consecutive retries of one access produced identical stat
+    /// deltas: the reject path is in its pure steady state, every
+    /// further cycle repeats it bit-exactly, and gap cycles replay as
+    /// `spin_delta` copies. (Equal deltas from two *different* accesses
+    /// prove nothing: two warps can each pay a one-time
+    /// self-invalidation in consecutive cycles.)
     Active,
 }
 
@@ -251,6 +254,9 @@ pub struct System<P: Protocol> {
     /// line). Only meaningful while the matching `spin_state` is not
     /// `Idle`.
     spin_delta: Vec<L1Stats>,
+    /// The access each core's last executed reject re-presented; the
+    /// spin engages only on two consecutive rejects of the same access.
+    spin_access: Vec<Option<Access>>,
     /// Reusable outbox buffers (capacity persists across cycles).
     scratch_l1: L1Outbox,
     scratch_l2: L2Outbox,
@@ -350,6 +356,7 @@ impl<P: Protocol> System<P> {
             synced_to: vec![0; cfg.num_cores],
             spin_state: vec![SpinState::Idle; cfg.num_cores],
             spin_delta: vec![L1Stats::default(); cfg.num_cores],
+            spin_access: vec![None; cfg.num_cores],
             scratch_l1: L1Outbox::new(),
             scratch_l2: L2Outbox::new(),
             chaos_pipe: None,
@@ -429,6 +436,14 @@ impl<P: Protocol> System<P> {
             self.take_sample();
         }
         self.obs.take().map(Observer::into_report)
+    }
+
+    /// Time-series rows the attached observer has sampled so far (0 with
+    /// no observer). Unlike [`System::take_observation`] this leaves the
+    /// observer in place and adds no tail row, so a run that goes on
+    /// afterwards samples exactly what an uninterrupted run does.
+    pub fn samples_taken(&self) -> u64 {
+        self.obs.as_ref().map_or(0, |o| o.rows() as u64)
     }
 
     /// Records one time-series row (and the logical-time counter tracks)
@@ -1470,7 +1485,7 @@ impl<P: Protocol> System<P> {
                     let recorder = &mut self.recorder;
                     let chaos = &mut self.chaos_access;
                     let mut issued_any = false;
-                    let mut reject_delta: Option<L1Stats> = None;
+                    let mut reject_delta: Option<(Access, L1Stats)> = None;
                     let core_out = self.cores[i].tick(cycle, |access| {
                         if let Some(c) = chaos.as_mut() {
                             if c.fires(Site::L1Access) {
@@ -1494,7 +1509,8 @@ impl<P: Protocol> System<P> {
                                 // The access never started; forget what
                                 // the recorder registered for it.
                                 recorder.note_reject(i, access);
-                                reject_delta = Some(l1.stats().delta_since(&stats_before));
+                                reject_delta =
+                                    Some((access, l1.stats().delta_since(&stats_before)));
                             }
                         }
                         outcome
@@ -1503,17 +1519,21 @@ impl<P: Protocol> System<P> {
                     // point (see `Core::stall_horizon`): the retry can be
                     // slept through and replayed — unless a completion
                     // delivered below already changed warp state. Spin
-                    // engages on the second consecutive retry with an
-                    // identical stat delta (the first may carry one-time
-                    // side effects like TC's expiry self-invalidation).
+                    // engages on the second consecutive retry of the same
+                    // access with an identical stat delta (the first may
+                    // carry one-time side effects like TC's expiry
+                    // self-invalidation).
                     self.spin_state[i] = match reject_delta {
-                        Some(delta)
+                        Some((access, delta))
                             if self.chaos_access.is_none() && out.completions.is_empty() =>
                         {
-                            if self.spin_state[i] != SpinState::Idle && self.spin_delta[i] == delta
+                            if self.spin_state[i] != SpinState::Idle
+                                && self.spin_access[i] == Some(access)
+                                && self.spin_delta[i] == delta
                             {
                                 SpinState::Active
                             } else {
+                                self.spin_access[i] = Some(access);
                                 self.spin_delta[i] = delta;
                                 SpinState::Candidate
                             }

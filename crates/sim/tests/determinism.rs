@@ -55,6 +55,23 @@ fn fast_forward_is_invisible_in_metrics() {
             );
         }
     }
+    // 8 cores at standard scale: two warps of one TC-Weak core each
+    // self-invalidate an expired line and hit a full MSHR in consecutive
+    // cycles. Equal stat deltas from two different accesses must not
+    // engage the reject-spin, or the slept-through retries are charged
+    // a self-invalidation each that the real retries never pay.
+    let cfg = GpuConfig {
+        num_cores: 8,
+        ..GpuConfig::small()
+    };
+    let wl = Benchmark::Cl.generate(&cfg, &Scale::standard(), 204);
+    let every = simulate(ProtocolKind::TcWeak, &cfg, &wl, &opts(false));
+    let skipped = simulate(ProtocolKind::TcWeak, &cfg, &wl, &opts(true));
+    assert_eq!(every.l1, skipped.l1, "TCW/cl-8core-standard: L1 counters");
+    assert!(
+        every.same_simulated_results(&skipped),
+        "TCW/cl-8core-standard"
+    );
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! The cooperative slice entry points: a run chopped into checkpoint
-//! quanta is bit-identical to the uninterrupted run, and a corrupted
-//! in-memory snapshot fails typed instead of resuming wrong state.
+//! quanta is bit-identical to the uninterrupted run — whether the
+//! machine stays parked between slices or is rebuilt by replay at every
+//! resume — and a corrupted in-memory snapshot fails typed instead of
+//! resuming wrong state.
 
 use rcc_common::GpuConfig;
 use rcc_core::ProtocolKind;
 use rcc_sim::runner::{resume_slice, try_simulate, try_simulate_slice, SimOptions};
-use rcc_sim::{SimError, SliceOutcome};
+use rcc_sim::{Checkpoint, RunMetrics, SimError, SliceOutcome, SliceRun};
 use rcc_workloads::{Benchmark, Scale, Workload};
 
 const SEED: u64 = 7;
@@ -41,36 +43,117 @@ fn sliced_metrics(
     }
 }
 
+/// Drives a slice chain to completion: `next` is called with the last
+/// boundary's checkpoint (`None` first) and yields the next slice.
+/// Returns the final metrics and every boundary checkpoint in order.
+fn chain(
+    mut next: impl FnMut(Option<&Checkpoint>) -> Result<SliceOutcome, SimError>,
+) -> (RunMetrics, Vec<Checkpoint>) {
+    let mut boundaries: Vec<Checkpoint> = Vec::new();
+    loop {
+        match next(boundaries.last()).expect("slice") {
+            SliceOutcome::Finished(m) => return (*m, boundaries),
+            SliceOutcome::Preempted { ck, progress } => {
+                assert_eq!(ck.cycle, progress.cycle, "checkpoint sits at the yield");
+                assert!(boundaries.len() < 1000, "slicing must terminate");
+                boundaries.push(*ck);
+            }
+        }
+    }
+}
+
+/// One live machine, parked between slices.
+fn parked_chain(run: &mut SliceRun) -> (RunMetrics, Vec<Checkpoint>) {
+    chain(|_| run.next_slice())
+}
+
+/// The replay chain: every slice after the first rebuilds the machine
+/// from the previous boundary's checkpoint.
+fn replay_chain(
+    kind: ProtocolKind,
+    cfg: &GpuConfig,
+    wl: &Workload,
+    opts: &SimOptions,
+) -> (RunMetrics, Vec<Checkpoint>) {
+    chain(|ck| match ck {
+        None => try_simulate_slice(kind, cfg, wl, opts),
+        Some(ck) => resume_slice(ck),
+    })
+}
+
+fn series_csv(m: &RunMetrics) -> Option<String> {
+    m.obs.as_ref().map(|o| o.series.to_csv())
+}
+
+/// Parking is not replay: a chain of `SliceRun::next_slice` calls on one
+/// live machine matches the direct run's digest, the replay chain's
+/// boundary checkpoints byte for byte, and a replay resumed from any of
+/// its boundaries. With sampling armed, the parked run's final series
+/// equals the direct run's row for row (taking the observer off a
+/// parked machine would drop the rows sampled before the boundary).
 #[test]
-fn slice_chain_is_bit_identical_to_uninterrupted_run() {
+fn parked_run_is_bit_identical_to_direct_and_replayed_runs() {
     let (cfg, wl) = dlb_quick();
-    // 8 cores at standard scale drive MESI-WB's L1 into reject-spins on
-    // a poisoned or full MSHR. Every resume replays to its checkpoint
-    // and checks the state digest, so this chain finishes only if the
-    // architectural state is independent of where each earlier slice
-    // paused the run (a rejected access may change nothing but L1
-    // counters).
     let cfg8 = GpuConfig {
         num_cores: 8,
         ..GpuConfig::small()
     };
     let bh8 = Benchmark::Bh.generate(&cfg8, &Scale::standard(), SEED);
-    for (kind, cfg, wl, quantum) in [
-        (ProtocolKind::RccSc, &cfg, &wl, 4_000),
-        (ProtocolKind::MesiWb, &cfg8, &bh8, 30_000),
-    ] {
-        let direct = try_simulate(kind, cfg, wl, &SimOptions::fast()).expect("direct run");
-        let (chained, slices) = sliced_metrics(kind, cfg, wl, quantum);
+    let quantum = |q: u64| SimOptions {
+        quantum: q,
+        ..SimOptions::fast()
+    };
+    let mut cases: Vec<(ProtocolKind, &GpuConfig, &Workload, SimOptions)> = ProtocolKind::ALL
+        .into_iter()
+        .map(|kind| (kind, &cfg, &wl, quantum(2_000)))
+        .collect();
+    // The perfbench/NOTES.md reproducer, a TC-Weak input whose result
+    // depended on where a run paused (a reject-spin engaged on two
+    // different warps' rejects), and a sampled input.
+    let cl8 = Benchmark::Cl.generate(&cfg8, &Scale::standard(), 204);
+    cases.push((ProtocolKind::MesiWb, &cfg8, &bh8, quantum(30_000)));
+    cases.push((ProtocolKind::TcWeak, &cfg8, &cl8, quantum(30_000)));
+    cases.push((
+        ProtocolKind::RccSc,
+        &cfg,
+        &wl,
+        SimOptions {
+            sample_every: 1_000,
+            ..quantum(4_000)
+        },
+    ));
+    for (kind, cfg, wl, opts) in cases {
+        let direct = try_simulate(kind, cfg, wl, &opts).expect("direct run");
+        let mut run = SliceRun::start(kind, cfg, wl.clone(), &opts);
+        let (parked, boundaries) = parked_chain(&mut run);
         assert!(
-            slices > 3,
-            "{kind}: quantum small enough to actually preempt"
+            boundaries.len() > 3,
+            "{kind}: quantum must actually preempt"
         );
-        assert_eq!(chained.cycles, direct.cycles, "{kind}");
+        assert_eq!(parked.digest(SEED), direct.digest(SEED), "{kind}: parked");
+        assert_eq!(series_csv(&parked), series_csv(&direct), "{kind}: series");
+
+        let (replayed, replay_boundaries) = replay_chain(kind, cfg, wl, &opts);
         assert_eq!(
-            chained.digest(SEED),
+            replayed.digest(SEED),
             direct.digest(SEED),
-            "{kind}: full field set"
+            "{kind}: replayed"
         );
+        assert_eq!(boundaries.len(), replay_boundaries.len(), "{kind}");
+        for (a, b) in boundaries.iter().zip(&replay_boundaries) {
+            assert_eq!(a.encode(), b.encode(), "{kind}: boundary {}", a.cycle);
+        }
+
+        for ck in &boundaries {
+            let mut resumed = SliceRun::resume(ck).expect("replay to the boundary");
+            let (m, _) = parked_chain(&mut resumed);
+            assert_eq!(
+                m.digest(SEED),
+                direct.digest(SEED),
+                "{kind}: resumed from {}",
+                ck.cycle
+            );
+        }
     }
 }
 
@@ -90,6 +173,9 @@ fn quantum_past_the_run_length_never_yields() {
     assert!(m.cycles > 0);
 }
 
+/// A corrupted snapshot fails typed on both resume paths: the replay
+/// that rebuilds the machine, and the check a parked run passes before
+/// it goes on.
 #[test]
 fn corrupted_snapshot_is_a_typed_checkpoint_error() {
     let (cfg, wl) = dlb_quick();
@@ -97,15 +183,19 @@ fn corrupted_snapshot_is_a_typed_checkpoint_error() {
         quantum: 4_000,
         ..SimOptions::fast()
     };
-    let out = try_simulate_slice(ProtocolKind::RccSc, &cfg, &wl, &opts).expect("first slice");
-    let SliceOutcome::Preempted { mut ck, .. } = out else {
+    let mut run = SliceRun::start(ProtocolKind::RccSc, &cfg, wl, &opts);
+    let SliceOutcome::Preempted { mut ck, .. } = run.next_slice().expect("first slice") else {
         panic!("quantum 4000 must preempt dlb-quick");
     };
+    run.verify(&ck)
+        .expect("the parked run is the checkpointed machine");
     ck.state_digest ^= 1;
-    match resume_slice(&ck) {
-        Err(SimError::Checkpoint(msg)) => {
-            assert!(msg.contains("digest"), "names the mismatch: {msg}")
+    for got in [resume_slice(&ck).map(|_| ()), run.verify(&ck)] {
+        match got {
+            Err(SimError::Checkpoint(msg)) => {
+                assert!(msg.contains("digest"), "names the mismatch: {msg}")
+            }
+            other => panic!("corrupted snapshot must fail typed, got {other:?}"),
         }
-        other => panic!("corrupted snapshot must fail typed, got {other:?}"),
     }
 }

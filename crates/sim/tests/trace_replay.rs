@@ -202,7 +202,7 @@ fn timed_replay_is_deterministic_on_every_protocol() {
         .programs
         .iter()
         .flatten()
-        .flat_map(|p| &p.ops)
+        .flat_map(|p| p.ops.iter())
         .filter(|op| matches!(op, rcc_gpu::MemOp::WaitUntil(_)))
         .count();
     assert_eq!(

@@ -785,7 +785,7 @@ mod tests {
             let mut owner: std::collections::HashMap<LineAddr, usize> = Default::default();
             for (c, core) in wl.programs.iter().enumerate() {
                 for p in core {
-                    for op in &p.ops {
+                    for op in p.ops.iter() {
                         let addr = match op {
                             MemOp::Load(a) | MemOp::Store(a, _) | MemOp::Atomic(a, _) => Some(*a),
                             MemOp::Lock(a) | MemOp::Unlock(a) => Some(*a),
@@ -819,7 +819,7 @@ mod tests {
                 Default::default();
             for (c, core) in wl.programs.iter().enumerate() {
                 for p in core {
-                    for op in &p.ops {
+                    for op in p.ops.iter() {
                         match op {
                             MemOp::Load(a) => {
                                 readers.entry(a.line()).or_default().insert(c);
@@ -857,7 +857,7 @@ mod tests {
         let mut arrivals_per_word: std::collections::HashMap<_, u64> = Default::default();
         for core in &wl.programs {
             for p in core {
-                for op in &p.ops {
+                for op in p.ops.iter() {
                     if let MemOp::Barrier { word, members } = op {
                         assert_eq!(*members, wgs as u64);
                         *arrivals_per_word.entry(*word).or_default() += 1;
@@ -877,7 +877,7 @@ mod tests {
         let mut unlocks = 0;
         for core in &wl.programs {
             for p in core {
-                for op in &p.ops {
+                for op in p.ops.iter() {
                     match op {
                         MemOp::Lock(_) => locks += 1,
                         MemOp::Unlock(_) => unlocks += 1,
@@ -919,7 +919,7 @@ mod structure_tests {
             for core in &wl.programs {
                 for p in core {
                     let mut reads_since_store: HashSet<LineAddr> = HashSet::new();
-                    for op in &p.ops {
+                    for op in p.ops.iter() {
                         match op {
                             MemOp::Load(a) => {
                                 reads_since_store.insert(a.line());
@@ -953,7 +953,7 @@ mod structure_tests {
         for (c, core) in wl.programs.iter().enumerate() {
             for (w, p) in core.iter().enumerate() {
                 let my_q = (c * wgs_per_core + w / wpw) as u64;
-                for op in &p.ops {
+                for op in p.ops.iter() {
                     if let MemOp::Load(a) = op {
                         if a.line().0 == my_q {
                             own_queue_loads += 1;
@@ -978,7 +978,7 @@ mod structure_tests {
                 .programs
                 .iter()
                 .flatten()
-                .flat_map(|p| &p.ops)
+                .flat_map(|p| p.ops.iter())
                 .any(|o| matches!(o, MemOp::Fence));
             if b.category().is_inter_workgroup() {
                 assert!(

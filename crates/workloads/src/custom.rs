@@ -83,7 +83,9 @@ fn parse_addr(s: &str, line: usize) -> Result<rcc_common::addr::WordAddr, ParseT
 /// malformed input (unknown opcode, bad number, op outside a warp,
 /// out-of-range core).
 pub fn parse_trace(text: &str, num_cores: usize) -> Result<Workload, ParseTraceError> {
-    let mut programs: Vec<Vec<WarpProgram>> = vec![Vec::new(); num_cores];
+    // Per core, per warp: (workgroup, ops), assembled into programs at
+    // the end.
+    let mut programs: Vec<Vec<(WorkgroupId, Vec<MemOp>)>> = vec![Vec::new(); num_cores];
     let mut current: Option<(usize, usize)> = None;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -111,9 +113,9 @@ pub fn parse_trace(text: &str, num_cores: usize) -> Result<Workload, ParseTraceE
                     .unwrap_or(core as u64) as usize;
                 let progs = &mut programs[core];
                 while progs.len() <= warp {
-                    progs.push(WarpProgram::new(WorkgroupId(wg), Vec::new()));
+                    progs.push((WorkgroupId(wg), Vec::new()));
                 }
-                progs[warp].workgroup = WorkgroupId(wg);
+                progs[warp].0 = WorkgroupId(wg);
                 current = Some((core, warp));
             }
             _ => {
@@ -121,7 +123,7 @@ pub fn parse_trace(text: &str, num_cores: usize) -> Result<Workload, ParseTraceE
                     return Err(err(line_no, "operation before any `warp` header"));
                 };
                 let memop = parse_op(&tokens, line_no)?;
-                programs[core][warp].ops.push(memop);
+                programs[core][warp].1.push(memop);
             }
         }
     }
@@ -129,7 +131,14 @@ pub fn parse_trace(text: &str, num_cores: usize) -> Result<Workload, ParseTraceE
     Ok(Workload {
         name: "custom",
         category: Sharing::InterWorkgroup,
-        programs,
+        programs: programs
+            .into_iter()
+            .map(|core| {
+                core.into_iter()
+                    .map(|(wg, ops)| WarpProgram::new(wg, ops))
+                    .collect()
+            })
+            .collect(),
         warps_per_workgroup: 1,
     })
 }
@@ -285,7 +294,7 @@ pub fn to_trace(workload: &Workload) -> String {
                 continue;
             }
             out.push_str(&format!("warp {core} {warp} wg={}\n", p.workgroup.index()));
-            for op in &p.ops {
+            for op in p.ops.iter() {
                 out.push_str("  ");
                 out.push_str(&format_op(op));
                 out.push('\n');

@@ -126,7 +126,7 @@ pub fn message_passing_fenced(cores: usize, seed: u64) -> Litmus {
                     fenced.push(MemOp::Fence);
                 }
             }
-            p.ops = fenced;
+            p.ops = fenced.into();
         }
     }
     l
@@ -233,13 +233,13 @@ pub fn store_buffering_fenced(cores: usize, seed: u64) -> Litmus {
     for core in &mut l.programs {
         for p in core {
             let mut fenced = Vec::new();
-            for op in &p.ops {
+            for op in p.ops.iter() {
                 fenced.push(*op);
                 if matches!(op, MemOp::Store(..)) {
                     fenced.push(MemOp::Fence);
                 }
             }
-            p.ops = fenced;
+            p.ops = fenced.into();
         }
     }
     l
