@@ -16,8 +16,8 @@
 //!    it — on the very first litmus run for at least one seed — or the
 //!    harness cannot be trusted to catch real protocol holes.
 //! 3. **Benchmark smoke** — each sound profile × protocol over a few
-//!    quick benchmarks with the sanitizer on (`simulate` aborts on a
-//!    violated verdict, so completing the grid *is* the check).
+//!    quick benchmarks with the sanitizer on (`try_simulate` fails on a
+//!    violated verdict, so a grid with no failed jobs *is* the check).
 //!
 //! Flags: `--seeds N` (default 64; `--quick` defaults to 8), `--jobs N`,
 //! `--out PATH` (default `BENCH_chaos.json`).
@@ -31,7 +31,9 @@ use rcc_common::GpuConfig;
 use rcc_core::ProtocolKind;
 use rcc_sim::litmus::{run_litmus_chaos, LitmusOutcome};
 use rcc_sim::runner::{try_simulate, SimOptions};
+use rcc_sim::SimError;
 use rcc_workloads::{litmus, Benchmark, Scale};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const KINDS: [ProtocolKind; 3] = [
     ProtocolKind::RccSc,
@@ -68,6 +70,40 @@ fn is_violation(kind: ProtocolKind, name: &'static str, out: &LitmusOutcome) -> 
     }
 }
 
+/// Runs one pass's jobs on the pool. A job that returns an error or
+/// panics leaves `None` in its slot and a `failed_jobs` row for `pass`
+/// (one attempt: the run is deterministic, so a rerun would fail the
+/// same way); the rest of the pass still completes.
+fn run_pass<J: Send, T: Send>(
+    pass: &str,
+    jobs: Vec<J>,
+    threads: usize,
+    failed: &mut Vec<FailedJobRow>,
+    f: impl Fn(J) -> Result<T, SimError> + Sync,
+) -> Vec<Option<T>> {
+    let outcomes = pool::run_indexed(jobs, threads, |job| {
+        catch_unwind(AssertUnwindSafe(|| f(job)))
+            .map_err(|payload| pool::panic_reason(payload.as_ref()))
+            .and_then(|r| r.map_err(|e| e.to_string()))
+    });
+    outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(index, outcome)| match outcome {
+            Ok(v) => Some(v),
+            Err(reason) => {
+                failed.push(FailedJobRow {
+                    pass: pass.to_string(),
+                    index: index as u64,
+                    attempts: 1,
+                    reason,
+                });
+                None
+            }
+        })
+        .collect()
+}
+
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -99,38 +135,33 @@ fn main() -> std::process::ExitCode {
     );
 
     // Pass 1: litmus sweep over the sound profiles. One job = one
-    // (profile, seed, protocol) triple running the whole suite. Jobs run
-    // guarded: a deadlocked or panicking (profile, seed, protocol) cell
-    // becomes a failed-job row in the report, and the rest of the sweep
-    // still completes.
-    let policy = pool::GuardPolicy::default();
+    // (profile, seed, protocol) triple running the whole suite. A
+    // deadlocked or panicking cell becomes a failed-job row in the
+    // report, and the rest of the sweep still completes.
     let mut failed_jobs: Vec<FailedJobRow> = Vec::new();
     let grid: Vec<(&'static str, u64, ProtocolKind)> = profiles
         .iter()
         .flat_map(|p| (0..seeds).flat_map(move |s| KINDS.into_iter().map(move |k| (p.name, s, k))))
         .collect();
-    let sweep_cfg = cfg.clone();
-    let (results, sweep_failures) =
-        pool::run_guarded(grid, jobs, policy, move |(profile, seed, kind)| {
+    let results = run_pass(
+        "litmus",
+        grid,
+        jobs,
+        &mut failed_jobs,
+        |(profile, seed, kind)| {
             let spec = ChaosSpec::new(seed, ChaosProfile::by_name(profile).expect("preset name"));
             let mut violations = Vec::new();
             let mut runs = 0u64;
-            for lit in litmus::all(sweep_cfg.num_cores, seed) {
-                let out = run_litmus_chaos(kind, &sweep_cfg, &lit, Some(&spec))
-                    .unwrap_or_else(|e| panic!("{e}"));
+            for lit in litmus::all(cfg.num_cores, seed) {
+                let out = run_litmus_chaos(kind, &cfg, &lit, Some(&spec))?;
                 runs += 1;
                 if is_violation(kind, lit.name, &out) {
                     violations.push(violation(profile, seed, kind, lit.name, &out));
                 }
             }
-            (runs, violations)
-        });
-    failed_jobs.extend(sweep_failures.iter().map(|f| FailedJobRow {
-        pass: "litmus".to_string(),
-        index: f.index as u64,
-        attempts: u64::from(f.attempts),
-        reason: f.reason.clone(),
-    }));
+            Ok((runs, violations))
+        },
+    );
     let litmus_runs: u64 = results.iter().flatten().map(|(r, _)| r).sum();
     let violations: Vec<ViolationRow> =
         results.into_iter().flatten().flat_map(|(_, v)| v).collect();
@@ -153,15 +184,17 @@ fn main() -> std::process::ExitCode {
     // the sanitizer must flag it, and (b) at least one seed is flagged
     // on its very first litmus run.
     let canary_seeds: Vec<u64> = (0..seeds.min(8)).collect();
-    let canary_cfg = cfg.clone();
-    let (canary_results, canary_failures) =
-        pool::run_guarded(canary_seeds.clone(), jobs, policy, move |seed| {
+    let canary_results = run_pass(
+        "canary",
+        canary_seeds.clone(),
+        jobs,
+        &mut failed_jobs,
+        |seed| {
             let spec = ChaosSpec::new(seed, ChaosProfile::canary());
             let mut first_caught = None;
             let mut bitten_but_missed = 0u64;
-            for (i, lit) in litmus::all(canary_cfg.num_cores, seed).iter().enumerate() {
-                let out = run_litmus_chaos(ProtocolKind::RccSc, &canary_cfg, lit, Some(&spec))
-                    .unwrap_or_else(|e| panic!("{e}"));
+            for (i, lit) in litmus::all(cfg.num_cores, seed).iter().enumerate() {
+                let out = run_litmus_chaos(ProtocolKind::RccSc, &cfg, lit, Some(&spec))?;
                 if !out.sanitizer_sc && first_caught.is_none() {
                     first_caught = Some(i as u64 + 1);
                 }
@@ -169,14 +202,9 @@ fn main() -> std::process::ExitCode {
                     bitten_but_missed += 1;
                 }
             }
-            (first_caught, bitten_but_missed)
-        });
-    failed_jobs.extend(canary_failures.iter().map(|f| FailedJobRow {
-        pass: "canary".to_string(),
-        index: f.index as u64,
-        attempts: u64::from(f.attempts),
-        reason: f.reason.clone(),
-    }));
+            Ok((first_caught, bitten_but_missed))
+        },
+    );
     let canary_caught = canary_results
         .iter()
         .flatten()
@@ -214,32 +242,30 @@ fn main() -> std::process::ExitCode {
             }
         }
     }
-    let bench_cfg = cfg.clone();
-    let (bench_results, bench_failures) =
-        pool::run_guarded(bench_grid, jobs, policy, move |(profile, kind, bench)| {
+    let bench_results = run_pass(
+        "bench",
+        bench_grid,
+        jobs,
+        &mut failed_jobs,
+        |(profile, kind, bench)| {
             let mut opts = SimOptions::fast();
             opts.sanitize = true;
             opts.chaos = Some(ChaosSpec::new(
                 1,
                 ChaosProfile::by_name(profile).expect("preset name"),
             ));
-            let wl = bench.generate(&bench_cfg, &Scale::quick(), rcc_bench::SEED);
-            let m = try_simulate(kind, &bench_cfg, &wl, &opts).unwrap_or_else(|e| panic!("{e}"));
-            BenchRow {
+            let wl = bench.generate(&cfg, &Scale::quick(), rcc_bench::SEED);
+            let m = try_simulate(kind, &cfg, &wl, &opts)?;
+            Ok(BenchRow {
                 profile: profile.to_string(),
                 protocol: kind.label().to_string(),
                 benchmark: format!("{bench:?}"),
                 cycles: m.cycles,
                 chaos_events: m.chaos_events,
                 sanitizer_sc: m.sanitizer_sc.unwrap_or(false),
-            }
-        });
-    failed_jobs.extend(bench_failures.iter().map(|f| FailedJobRow {
-        pass: "bench".to_string(),
-        index: f.index as u64,
-        attempts: u64::from(f.attempts),
-        reason: f.reason.clone(),
-    }));
+            })
+        },
+    );
     let bench_rows: Vec<BenchRow> = bench_results.into_iter().flatten().collect();
     println!("benchmark smoke: {} runs, all sanitized", bench_rows.len());
 

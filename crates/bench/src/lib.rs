@@ -33,8 +33,9 @@
 //!   writes `PATH-<protocol>-<workload>` (plus a `.manifest.json`
 //!   sidecar), and a deadlocked run leaves a replayable auto-checkpoint
 //!   at `...hang`
-//! * `--checkpoint-every N` — snapshot period in cycles (default
-//!   1000000 when `--checkpoint` is given)
+//! * `--checkpoint-every N` — snapshot period in cycles: the slice
+//!   quantum each run goes in (default 1000000 when `--checkpoint` is
+//!   given)
 //! * `--resume PATH` — replay one snapshot and print its metrics
 //!   instead of running the experiment (exit 1 on a typed failure,
 //!   e.g. when a `.hang` snapshot faithfully reproduces its deadlock)
@@ -78,8 +79,6 @@ pub struct Harness {
     /// Checkpoint path stem from `--checkpoint`; each run snapshots to
     /// `<stem>-<protocol>-<workload>` so grid runs don't collide.
     pub checkpoint: Option<String>,
-    /// Snapshot period from `--checkpoint-every`.
-    pub checkpoint_every: u64,
     /// Trace stem from `--record-trace`; each run captures its
     /// memory-access trace to `<stem>-<protocol>-<workload>.rcct`.
     pub record_trace: Option<String>,
@@ -134,7 +133,9 @@ impl Harness {
             }
         }
         let checkpoint = flag_value("--checkpoint");
-        let checkpoint_every = flag_value("--checkpoint-every")
+        // The snapshot period is the slice quantum: a whole run saves
+        // the checkpoint at every quantum boundary.
+        opts.quantum = flag_value("--checkpoint-every")
             .and_then(|n| n.parse::<u64>().ok())
             .unwrap_or(if checkpoint.is_some() { 1_000_000 } else { 0 });
         let (cfg, scale) = if quick {
@@ -152,7 +153,6 @@ impl Harness {
             trace_out,
             series_out,
             checkpoint,
-            checkpoint_every,
             record_trace: flag_value("--record-trace"),
             replay_trace: flag_value("--replay-trace"),
         }
@@ -164,7 +164,6 @@ impl Harness {
         let mut opts = self.opts.clone();
         if let Some(stem) = &self.checkpoint {
             opts.checkpoint = Some(format!("{stem}-{}-{workload}", kind.label()));
-            opts.checkpoint_every = self.checkpoint_every;
         }
         if let Some(stem) = &self.record_trace {
             opts.record_trace = Some(format!("{stem}-{}-{workload}.rcct", kind.label()));

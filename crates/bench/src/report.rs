@@ -260,18 +260,19 @@ pub struct BenchRow {
     pub sanitizer_sc: bool,
 }
 
-/// One job that exhausted its retry budget during a sweep (see
-/// `pool::run_guarded`): reported in the JSON instead of aborting the
-/// harness, so a single bad seed is a row, not a lost sweep.
+/// One job of a sweep that returned an error or panicked: reported in
+/// the JSON instead of aborting the harness, so a single bad seed is a
+/// row, not a lost sweep.
 #[derive(Debug, Clone)]
 pub struct FailedJobRow {
     /// Sweep pass the job belonged to (`"litmus"`, `"canary"`, `"bench"`).
     pub pass: String,
     /// Submission index of the job within its pass.
     pub index: u64,
-    /// Attempts made before giving up.
+    /// Attempts made (1: a simulation is deterministic, so a rerun
+    /// would fail the same way).
     pub attempts: u64,
-    /// Last failure reason (panic message or timeout).
+    /// Failure reason (the error or panic message).
     pub reason: String,
 }
 
@@ -292,7 +293,7 @@ pub struct ChaosReport {
     pub canary: CanarySummary,
     /// Benchmark-smoke rows.
     pub benchmarks: Vec<BenchRow>,
-    /// Jobs that exhausted their retry budget (empty on a clean sweep).
+    /// Jobs that failed (empty on a clean sweep).
     pub failed_jobs: Vec<FailedJobRow>,
 }
 

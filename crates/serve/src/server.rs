@@ -13,7 +13,10 @@
 //! only: a crash retry, a wedged worker, or a restart that rebuilt the
 //! job from the journal. Either way preemption is invisible in the
 //! results, and a corrupted snapshot surfaces as a typed `checkpoint`
-//! failure on that job, never a wedged worker.
+//! failure on that job, never a wedged worker. Trace jobs
+//! (`record_trace`) are preempted like every other job: the recorder
+//! rides the parked machine, a replay re-records from cycle 0, and the
+//! trace is written when the run finishes.
 //!
 //! A parked run costs one live `System` per preempted job, about 0.5 MB
 //! on the 8-core small machine at standard scale (0.4–0.8 MB measured
@@ -431,6 +434,17 @@ fn handle_crash(
     }
 }
 
+/// Sets a job's host-side run options: this server's preemption
+/// quantum and, for a trace job, where the recording goes. RCCK carries
+/// neither, so a fresh start and a checkpoint replayed from the journal
+/// both take them from here.
+fn host_options(opts: &mut SimOptions, spec: &JobSpec, id: u64, store: &Store, quantum: u64) {
+    opts.quantum = quantum;
+    if spec.record_trace {
+        opts.record_trace = store.trace_path(id);
+    }
+}
+
 fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
     if let Some(inj) = &inner.injector {
         if matches!(
@@ -473,15 +487,13 @@ fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
             (Some(ck), None) => SliceRun::resume(ck)?,
             (None, _) => {
                 let (kind, cfg, wl, mut opts) = task.spec.inputs();
-                if task.spec.record_trace {
-                    // A resumed run does not re-record, so trace jobs run
-                    // as one uninterrupted quantum through the plain
-                    // driver path.
-                    opts.record_trace = inner.store.trace_path(task.id as u64);
-                    let m = rcc_sim::try_simulate(kind, &cfg, &wl, &opts)?;
-                    return Ok(QuantumOutcome::Finished(Box::new(m)));
-                }
-                opts.quantum = inner.quantum;
+                host_options(
+                    &mut opts,
+                    &task.spec,
+                    task.id as u64,
+                    &inner.store,
+                    inner.quantum,
+                );
                 SliceRun::start(kind, &cfg, wl, &opts)
             }
         };
@@ -756,7 +768,12 @@ fn job_mut(st: &mut State, id: u64) -> Result<&mut Job, String> {
 /// Rebuilds the job table from replayed journal records. Fails closed
 /// on semantic inconsistency (out-of-order ids, invalid specs,
 /// undecodable checkpoints): guessing would diverge from what ran.
-fn rebuild_from_journal(st: &mut State, records: &[Record], quantum: u64) -> Result<(), String> {
+fn rebuild_from_journal(
+    st: &mut State,
+    records: &[Record],
+    store: &Store,
+    quantum: u64,
+) -> Result<(), String> {
     for rec in records {
         match rec {
             Record::Submitted {
@@ -810,10 +827,8 @@ fn rebuild_from_journal(st: &mut State, records: &[Record], quantum: u64) -> Res
             } => {
                 let mut ck = Checkpoint::decode(checkpoint)
                     .map_err(|e| format!("journal replay: job {id} checkpoint: {e}"))?;
-                // The preemption quantum is a host knob, deliberately
-                // not serialized in RCCK; re-impose this server's.
-                ck.opts.quantum = quantum;
                 let job = job_mut(st, *id)?;
+                host_options(&mut ck.opts, &job.spec, *id, store, quantum);
                 job.ck = Some(Box::new(ck));
                 job.record.slices = *slices;
                 job.record.preemptions = *preemptions;
@@ -928,7 +943,7 @@ impl Server {
             shutdown: false,
             addr: None,
         };
-        rebuild_from_journal(&mut st, &replayed, cfg.quantum)?;
+        rebuild_from_journal(&mut st, &replayed, &store, cfg.quantum)?;
         let shed_queue = if cfg.shed_queue > 0 {
             cfg.shed_queue
         } else if cfg.max_queue > 0 {

@@ -126,9 +126,10 @@ pub struct JobSpec {
     pub fast_forward: bool,
     /// Attach the runtime SC sanitizer.
     pub sanitize: bool,
-    /// Record the run's memory-access trace into the results dir.
-    /// Trace-recording jobs run unpreempted (a resumed run does not
-    /// re-record, so slicing would truncate the artifact).
+    /// Record the run's memory-access trace into the results dir
+    /// (`trace-<id>.rcct`). Trace jobs are preempted like any other: a
+    /// replayed run re-records from cycle 0, so the artifact is the
+    /// uninterrupted run's.
     pub record_trace: bool,
     /// Time-series sampling period in cycles (0 = off); feeds the
     /// per-slice progress events the service streams.

@@ -332,10 +332,9 @@ fn read_opts(r: &mut SnapReader) -> Result<SimOptions, SnapError> {
         sample_every: r.u64()?,
         trace: r.bool()?,
         profile: r.bool()?,
-        checkpoint_every: 0,
+        // Host-local output paths: a run resumed from disk writes no
+        // snapshots and records no trace unless the caller names paths.
         checkpoint: None,
-        // Host-local output path, like `checkpoint`: a resumed run does
-        // not re-record (the pre-checkpoint issues are gone).
         record_trace: None,
         // Host-side scheduling knob: a checkpoint loaded from disk runs
         // to completion unless the caller re-imposes a quantum.

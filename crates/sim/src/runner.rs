@@ -1,5 +1,14 @@
-//! Protocol dispatch, run options, time-sliced runs, and checkpoint/resume
-//! orchestration.
+//! Protocol dispatch, run options, and the one driver every run goes
+//! through.
+//!
+//! [`SliceRun`] owns the live machine of a run and executes it one
+//! quantum ([`SimOptions::quantum`]) at a time. A whole run
+//! ([`try_simulate`], [`resume`]) is [`SliceRun::finish`]: the same
+//! slices back to back, each boundary checkpoint saved to
+//! [`SimOptions::checkpoint`] when a path is named. rcc-serve keeps the
+//! handle between slices instead, so a preemption is a yield. Replay
+//! from cycle 0 ([`SliceRun::resume`]) rebuilds a run from its
+//! [`Checkpoint`] and is digest-verified before it goes on.
 
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
@@ -48,32 +57,29 @@ pub struct SimOptions {
     /// Profile the simulator itself: per-phase wall-clock attribution in
     /// [`RunMetrics::profile`]. Host-machine measurement only.
     pub profile: bool,
-    /// Write a checkpoint every this many cycles (0 — the default —
-    /// disables periodic checkpointing). Requires [`SimOptions::checkpoint`]
-    /// to name the file; each boundary overwrites the previous snapshot,
-    /// so the file always holds the latest one. Checkpointing is passive:
-    /// results are bit-identical with it on or off.
-    pub checkpoint_every: u64,
-    /// Checkpoint file path. Periodic snapshots (see
-    /// [`SimOptions::checkpoint_every`]) land here, and if the watchdog
-    /// fires an auto-checkpoint of the hung state is written next to it
-    /// (`<path>.hang`) for forensic replay. A JSON manifest sidecar
-    /// (`<path>.manifest.json`) accompanies every snapshot.
+    /// Checkpoint file path for whole runs ([`SliceRun::finish`]): the
+    /// checkpoint at every quantum boundary lands here, each overwriting
+    /// the last, and if the watchdog fires an auto-checkpoint of the
+    /// hung state is written next to it (`<path>.hang`) for forensic
+    /// replay. A JSON manifest sidecar (`<path>.manifest.json`)
+    /// accompanies every snapshot. Host-local state that checkpoints do
+    /// not carry.
     pub checkpoint: Option<String>,
     /// Record the run's per-warp memory-access trace (issue cycles at
     /// program-op granularity) and write it to this path as an RCCT
-    /// binary, with a JSON manifest sidecar (`<path>.manifest.json`).
-    /// Recording is passive: simulated results are bit-identical with it
-    /// on or off, and — like [`SimOptions::checkpoint`] — the path is
-    /// host-local state that checkpoints do not carry (a resumed run
-    /// does not re-record).
+    /// binary, with a JSON manifest sidecar (`<path>.manifest.json`),
+    /// when the run finishes. Recording is passive: simulated results
+    /// are bit-identical with it on or off, and a run replayed from a
+    /// checkpoint re-records identical bytes. Like
+    /// [`SimOptions::checkpoint`], the path is host-local state that
+    /// on-disk checkpoints do not carry.
     pub record_trace: Option<String>,
-    /// Cooperative-preemption quantum in cycles for the slice entry
-    /// points ([`SliceRun::next_slice`], [`try_simulate_slice`],
-    /// [`resume_slice`]): a slice runs at most this many cycles past its
-    /// starting point, then yields an in-memory [`Checkpoint`] instead of
-    /// finishing. `0` — the default — runs to completion. Like
-    /// `checkpoint_every`, this is host-side scheduling state: it cannot
+    /// Slice quantum in cycles: [`SliceRun::next_slice`] runs at most
+    /// this many cycles past its starting point, then yields a
+    /// [`Checkpoint`] instead of finishing. `0` — the default — runs to
+    /// completion in one slice. rcc-serve preempts jobs at it; a whole
+    /// run saves each boundary to [`SimOptions::checkpoint`]
+    /// (`--checkpoint-every`). Host-side scheduling state: it cannot
     /// affect simulated results (pausing a run is transparent, and a
     /// replayed resume is digest-verified) and is not serialized into
     /// on-disk checkpoints.
@@ -92,7 +98,6 @@ impl SimOptions {
             sample_every: 0,
             trace: false,
             profile: false,
-            checkpoint_every: 0,
             checkpoint: None,
             record_trace: None,
             quantum: 0,
@@ -126,8 +131,7 @@ impl Default for SimOptions {
 }
 
 /// Builds the system one run of `opts` executes on, with every
-/// simulated and observational option armed (trace recording excepted:
-/// only whole runs record, see [`run_system`]).
+/// simulated, observational and recording option armed.
 fn build_system<P: Protocol>(
     protocol: &P,
     cfg: &GpuConfig,
@@ -151,6 +155,9 @@ fn build_system<P: Protocol>(
         });
     }
     system.set_profiling(opts.profile);
+    if opts.record_trace.is_some() {
+        system.set_trace_recorder(rcc_trace::TraceRecorder::new(workload));
+    }
     system
 }
 
@@ -165,6 +172,7 @@ trait Machine {
     fn metrics(&self) -> RunMetrics;
     fn samples_taken(&self) -> u64;
     fn take_observation(&mut self) -> Option<rcc_obs::ObsReport>;
+    fn take_trace_recorder(&mut self) -> Option<rcc_trace::TraceRecorder>;
 }
 
 impl<P: Protocol> Machine for System<P> {
@@ -192,106 +200,8 @@ impl<P: Protocol> Machine for System<P> {
     fn take_observation(&mut self) -> Option<rcc_obs::ObsReport> {
         System::take_observation(self)
     }
-}
-
-/// Proves `machine` is the machine `ck` describes: same cycle, same
-/// [`System::state_digest`]. A mismatch is a typed
-/// [`SimError::Checkpoint`] naming the digests, never a silent
-/// divergence; `how` says where the machine came from.
-fn attest<M: Machine + ?Sized>(machine: &M, ck: &Checkpoint, how: &str) -> Result<(), SimError> {
-    let (cycle, digest) = (machine.cycle(), machine.state_digest());
-    if cycle != ck.cycle || digest != ck.state_digest {
-        return Err(SimError::Checkpoint(format!(
-            "state digest mismatch {how}: checkpoint has {:016x} at cycle {}, \
-             the machine has {digest:016x} at cycle {cycle}",
-            ck.state_digest, ck.cycle
-        )));
-    }
-    Ok(())
-}
-
-/// Resume: replays to the checkpointed cycle, then proves the rebuilt
-/// machine is the checkpointed machine before the run goes on. A mismatch
-/// means the binary, config, or workload no longer reproduces the
-/// original history — continuing would silently diverge, so it is a typed
-/// error instead. A fresh run (`replay == None`) is left untouched.
-fn replay_to<M: Machine + ?Sized>(
-    system: &mut M,
-    replay: Option<&Checkpoint>,
-) -> Result<(), SimError> {
-    let Some(ck) = replay else {
-        return Ok(());
-    };
-    system.run_until(ck.cycle)?;
-    attest(system, ck, &format!("after replay to cycle {}", ck.cycle))
-}
-
-fn run_system<P: Protocol>(
-    protocol: &P,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<&Checkpoint>,
-) -> Result<RunMetrics, SimError> {
-    let kind = protocol.kind();
-    let mut system = build_system(protocol, cfg, workload, opts);
-    if opts.record_trace.is_some() && replay.is_none() {
-        system.set_trace_recorder(rcc_trace::TraceRecorder::new(workload));
-    }
-    let snapshot = |system: &System<P>| Checkpoint {
-        kind,
-        cfg: cfg.clone(),
-        workload: Arc::new(workload.clone()),
-        opts: opts.clone(),
-        cycle: system.cycle().raw(),
-        state_digest: system.state_digest(),
-    };
-
-    let outcome = (|| {
-        replay_to(&mut system, replay)?;
-        if opts.checkpoint_every > 0 {
-            if let Some(path) = &opts.checkpoint {
-                let mut boundary = opts.checkpoint_every.max(system.cycle().raw() + 1);
-                while !system.done() && boundary < opts.max_cycles {
-                    system.run_until(boundary)?;
-                    if system.done() {
-                        break;
-                    }
-                    snapshot(&system).save(path)?;
-                    boundary += opts.checkpoint_every;
-                }
-            }
-        }
-        system.run(opts.max_cycles)
-    })();
-
-    match outcome {
-        Ok(mut metrics) => {
-            metrics.obs = system.take_observation();
-            if let (Some(path), Some(rec)) = (&opts.record_trace, system.take_trace_recorder()) {
-                let trace = rec.finish(&kind.to_string(), metrics.cycles);
-                trace
-                    .save(path)
-                    .map_err(|e| SimError::Trace(e.to_string()))?;
-                let manifest = format!("{path}.manifest.json");
-                std::fs::write(&manifest, trace.manifest_json())
-                    .map_err(|e| SimError::Trace(format!("{manifest}: {e}")))?;
-            }
-            Ok(metrics)
-        }
-        Err(SimError::Deadlock(mut dump)) => {
-            // Watchdog fired: attach an auto-checkpoint of the hung
-            // state so the hang can be replayed offline. Replaying it
-            // deterministically re-reaches the deadlock.
-            if let Some(path) = &opts.checkpoint {
-                let hang_path = format!("{path}.hang");
-                if snapshot(&system).save(&hang_path).is_ok() {
-                    dump.checkpoint = Some(hang_path);
-                }
-            }
-            Err(SimError::Deadlock(dump))
-        }
-        Err(e) => Err(e),
+    fn take_trace_recorder(&mut self) -> Option<rcc_trace::TraceRecorder> {
+        System::take_trace_recorder(self)
     }
 }
 
@@ -340,10 +250,9 @@ pub enum SliceOutcome {
 /// run from its [`Checkpoint`] when no live handle exists (a crashed
 /// attempt, a restarted process).
 ///
-/// Slice mode arms no trace recorder and writes no periodic disk
-/// snapshots: the checkpoints it yields live in memory, owned by the
-/// caller (e.g. the rcc-serve job table). Trace-recording runs go
-/// through [`try_simulate`] in one piece instead.
+/// This is the only driver of a [`System`]: a whole run is
+/// [`SliceRun::finish`], and a trace-recording run records across its
+/// slices (a replayed one re-records from cycle 0).
 pub struct SliceRun {
     machine: Box<dyn Machine + Send>,
     kind: ProtocolKind,
@@ -353,8 +262,9 @@ pub struct SliceRun {
 }
 
 impl SliceRun {
-    /// Builds the machine for `workload` under `kind` at cycle 0. No
-    /// cycle runs until [`SliceRun::next_slice`].
+    /// Builds the machine for `workload` under `kind` at cycle 0, with
+    /// the trace recorder armed when [`SimOptions::record_trace`] names
+    /// a path. No cycle runs until [`SliceRun::next_slice`].
     pub fn start(
         kind: ProtocolKind,
         cfg: &GpuConfig,
@@ -386,7 +296,8 @@ impl SliceRun {
     /// plus anything the replayed cycles can raise.
     pub fn resume(ck: &Checkpoint) -> Result<SliceRun, SimError> {
         let mut run = SliceRun::start(ck.kind, &ck.cfg, Arc::clone(&ck.workload), &ck.opts);
-        replay_to(run.machine.as_mut(), Some(ck))?;
+        run.machine.run_until(ck.cycle)?;
+        run.attest(ck, &format!("after replay to cycle {}", ck.cycle))?;
         Ok(run)
     }
 
@@ -397,15 +308,31 @@ impl SliceRun {
     ///
     /// [`SimError::Checkpoint`] naming both digests on a mismatch.
     pub fn verify(&self, ck: &Checkpoint) -> Result<(), SimError> {
-        attest(self.machine.as_ref(), ck, "on the parked run")
+        self.attest(ck, "on the parked run")
+    }
+
+    /// Proves the live machine is the machine `ck` describes: same
+    /// cycle, same [`System::state_digest`]. A mismatch is a typed
+    /// [`SimError::Checkpoint`] naming the digests, never a silent
+    /// divergence; `how` says where the machine came from.
+    fn attest(&self, ck: &Checkpoint, how: &str) -> Result<(), SimError> {
+        let (cycle, digest) = (self.machine.cycle(), self.machine.state_digest());
+        if cycle != ck.cycle || digest != ck.state_digest {
+            return Err(SimError::Checkpoint(format!(
+                "state digest mismatch {how}: checkpoint has {:016x} at cycle {}, \
+                 the machine has {digest:016x} at cycle {cycle}",
+                ck.state_digest, ck.cycle
+            )));
+        }
+        Ok(())
     }
 
     /// Runs at most one quantum past the current cycle on the live
     /// machine. Returns [`SliceOutcome::Finished`] with full metrics
-    /// (verdict checks applied) when the run completes inside it, or
-    /// [`SliceOutcome::Preempted`] with the checkpoint at the boundary.
-    /// With `quantum == 0` the run goes to completion. A finished run is
-    /// spent: drop it.
+    /// (verdict checks applied, recorded trace written) when the run
+    /// completes inside it, or [`SliceOutcome::Preempted`] with the
+    /// checkpoint at the boundary. With `quantum == 0` the run goes to
+    /// completion. A finished run is spent: drop it.
     ///
     /// # Errors
     ///
@@ -431,8 +358,51 @@ impl SliceRun {
         }
         let mut metrics = self.machine.run(max_cycles)?;
         metrics.obs = self.machine.take_observation();
+        if let (Some(path), Some(rec)) =
+            (&self.opts.record_trace, self.machine.take_trace_recorder())
+        {
+            let trace = rec.finish(&self.kind.to_string(), metrics.cycles);
+            trace
+                .save(path)
+                .map_err(|e| SimError::Trace(e.to_string()))?;
+            let manifest = format!("{path}.manifest.json");
+            std::fs::write(&manifest, trace.manifest_json())
+                .map_err(|e| SimError::Trace(format!("{manifest}: {e}")))?;
+        }
         verify_metrics(self.kind, self.workload.name, &self.opts, &metrics)?;
         Ok(SliceOutcome::Finished(Box::new(metrics)))
+    }
+
+    /// Runs to completion, slice after slice, saving each boundary's
+    /// checkpoint to [`SimOptions::checkpoint`] when a path is named.
+    /// If the watchdog fires there, an auto-checkpoint of the hung state
+    /// lands at `<path>.hang` and the hang dump points at it; replaying
+    /// it deterministically re-reaches the deadlock.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`try_simulate`] can return.
+    pub fn finish(mut self) -> Result<RunMetrics, SimError> {
+        loop {
+            match self.next_slice() {
+                Ok(SliceOutcome::Finished(metrics)) => return Ok(*metrics),
+                Ok(SliceOutcome::Preempted { ck, .. }) => {
+                    if let Some(path) = &self.opts.checkpoint {
+                        ck.save(path)?;
+                    }
+                }
+                Err(SimError::Deadlock(mut dump)) => {
+                    if let Some(path) = &self.opts.checkpoint {
+                        let hang_path = format!("{path}.hang");
+                        if self.checkpoint().save(&hang_path).is_ok() {
+                            dump.checkpoint = Some(hang_path);
+                        }
+                    }
+                    return Err(SimError::Deadlock(dump));
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// The checkpoint describing the machine now. The workload is
@@ -447,20 +417,6 @@ impl SliceRun {
             state_digest: self.machine.state_digest(),
         }
     }
-}
-
-/// One whole run (fresh, or resumed from `replay`), with the requested
-/// verdict checks applied to its metrics.
-fn simulate_from(
-    kind: ProtocolKind,
-    cfg: &GpuConfig,
-    workload: &Workload,
-    opts: &SimOptions,
-    replay: Option<&Checkpoint>,
-) -> Result<RunMetrics, SimError> {
-    let metrics = with_protocol!(kind, cfg, |p| run_system(&p, cfg, workload, opts, replay))?;
-    verify_metrics(kind, workload.name, opts, &metrics)?;
-    Ok(metrics)
 }
 
 /// Runs at most one quantum ([`SimOptions::quantum`]) of `workload` under
@@ -524,7 +480,7 @@ fn verify_metrics(
 }
 
 /// Runs `workload` on the machine `cfg` under `kind`, returning the run's
-/// metrics.
+/// metrics: [`SliceRun::finish`] on a fresh run.
 ///
 /// # Errors
 ///
@@ -533,14 +489,15 @@ fn verify_metrics(
 /// [`SimError::ProtocolInvariant`] on completion-bookkeeping corruption,
 /// [`SimError::ScViolation`] / [`SimError::SanitizerViolation`] when the
 /// requested checks fail on an SC-capable protocol, and
-/// [`SimError::Checkpoint`] when a requested snapshot cannot be written.
+/// [`SimError::Checkpoint`] / [`SimError::Trace`] when a requested
+/// snapshot or trace cannot be written.
 pub fn try_simulate(
     kind: ProtocolKind,
     cfg: &GpuConfig,
     workload: &Workload,
     opts: &SimOptions,
 ) -> Result<RunMetrics, SimError> {
-    simulate_from(kind, cfg, workload, opts, None)
+    SliceRun::start(kind, cfg, workload.clone(), opts).finish()
 }
 
 /// Runs `workload` on the machine `cfg` under `kind`, returning the run's
@@ -579,11 +536,12 @@ pub fn resume(path: &str) -> Result<RunMetrics, SimError> {
     resume_checkpoint(&ck)
 }
 
-/// [`resume`] for an already-decoded checkpoint.
+/// [`resume`] for an already-decoded checkpoint: [`SliceRun::finish`]
+/// on the replayed run.
 ///
 /// # Errors
 ///
 /// See [`resume`].
 pub fn resume_checkpoint(ck: &Checkpoint) -> Result<RunMetrics, SimError> {
-    simulate_from(ck.kind, &ck.cfg, &ck.workload, &ck.opts, Some(ck))
+    SliceRun::resume(ck)?.finish()
 }

@@ -80,7 +80,7 @@ fn resume_is_bit_identical_across_protocols_ff_and_chaos() {
                 // length so the boundary always lands inside it.
                 let path = tmp(&format!("ck-{kind:?}-{bench:?}-{ff}-{chaos}"));
                 let mut ck_opts = base.clone();
-                ck_opts.checkpoint_every = (uninterrupted.cycles / 2).max(1);
+                ck_opts.quantum = (uninterrupted.cycles / 2).max(1);
                 ck_opts.checkpoint = Some(path.clone());
                 let checkpointed =
                     try_simulate(kind, &cfg, &wl, &ck_opts).expect("checkpointed run");
@@ -124,7 +124,7 @@ fn corrupt_and_missing_checkpoints_are_typed_errors() {
     let probe =
         try_simulate(ProtocolKind::RccSc, &cfg, &wl, &SimOptions::fast()).expect("probe run");
     let mut o = SimOptions::fast();
-    o.checkpoint_every = (probe.cycles / 2).max(1);
+    o.quantum = (probe.cycles / 2).max(1);
     o.checkpoint = Some(path.clone());
     try_simulate(ProtocolKind::RccSc, &cfg, &wl, &o).expect("checkpointed run");
 

@@ -11,13 +11,14 @@
 //! * **Fidelity** — replaying a recorded trace through the runner
 //!   reproduces the originating run bit-identically: metrics, metrics
 //!   digest, and the full architectural `state_digest()`, fast-forward
-//!   on or off. The recorded bytes themselves are engine-independent
-//!   (FF on and FF off record identical files).
+//!   on or off. The recorded bytes themselves are engine-independent:
+//!   FF on and FF off, a `SliceRun` chain, and a run replayed from a
+//!   mid-run checkpoint all record the whole run's bytes.
 
 use rcc_common::GpuConfig;
 use rcc_core::ProtocolKind;
 use rcc_sim::runner::{simulate, SimOptions};
-use rcc_sim::{RunMetrics, System};
+use rcc_sim::{Checkpoint, RunMetrics, SliceOutcome, SliceRun, System};
 use rcc_trace::Trace;
 use rcc_workloads::{Benchmark, Scale, Workload};
 
@@ -51,6 +52,24 @@ fn tmp(label: &str) -> String {
 fn cleanup(path: &str) {
     let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_file(format!("{path}.manifest.json"));
+}
+
+/// Runs `run` slice by slice to the end; returns the boundary
+/// checkpoints in order.
+fn drain(mut run: SliceRun) -> Vec<Checkpoint> {
+    let mut boundaries = Vec::new();
+    while let SliceOutcome::Preempted { ck, .. } = run.next_slice().expect("slice") {
+        boundaries.push(*ck);
+    }
+    boundaries
+}
+
+/// Reads a recording and its manifest sidecar, then removes both.
+fn take_recording(path: &str) -> (Vec<u8>, String) {
+    let bytes = std::fs::read(path).expect("trace written");
+    let manifest = std::fs::read_to_string(format!("{path}.manifest.json")).expect("manifest");
+    cleanup(path);
+    (bytes, manifest)
 }
 
 /// Runs to completion on a live system and returns the metrics plus the
@@ -114,22 +133,46 @@ fn record_then_replay_reproduces_the_run() {
 #[test]
 fn recorded_bytes_are_engine_independent() {
     // Issue cycles are simulated results, so the trace a run records
-    // must not depend on whether the engine stepped or fast-forwarded.
+    // must not depend on how the engine drove it: stepped or
+    // fast-forwarded, in one slice or a `SliceRun` chain, or replayed
+    // from a mid-run checkpoint (the recorder rides the live machine
+    // across slices, and a replay re-records from cycle 0).
     let cfg = GpuConfig::small();
     let wl = Benchmark::Bh.generate(&cfg, &Scale::quick(), 5);
-    let mut bytes = Vec::new();
-    for ff in [true, false] {
-        let path = tmp(&format!("engine-{ff}"));
-        let mut o = opts(ff);
+    for kind in KINDS {
+        let path = tmp(&format!("engine-{}", kind.label()));
+        let mut o = opts(true);
         o.record_trace = Some(path.clone());
-        simulate(ProtocolKind::RccSc, &cfg, &wl, &o);
-        bytes.push(std::fs::read(&path).unwrap());
-        cleanup(&path);
+        simulate(kind, &cfg, &wl, &o);
+        let whole = take_recording(&path);
+
+        simulate(
+            kind,
+            &cfg,
+            &wl,
+            &SimOptions {
+                fast_forward: false,
+                ..o.clone()
+            },
+        );
+        assert!(
+            take_recording(&path) == whole,
+            "{kind}: fast-forwarding changed the recording"
+        );
+
+        let sliced = SimOptions {
+            quantum: 1_000,
+            ..o
+        };
+        let boundaries = drain(SliceRun::start(kind, &cfg, wl.clone(), &sliced));
+        assert!(boundaries.len() >= 2, "{kind}: the quantum must preempt");
+        assert!(take_recording(&path) == whole, "{kind}: sliced recording");
+
+        // The boundary carries the recording path, so the replay writes
+        // the file the sliced run wrote (and `take_recording` removed).
+        drain(SliceRun::resume(&boundaries[boundaries.len() / 2]).expect("replay to mid-run"));
+        assert!(take_recording(&path) == whole, "{kind}: resumed recording");
     }
-    assert_eq!(
-        bytes[0], bytes[1],
-        "fast-forwarding changed the recorded trace"
-    );
 }
 
 #[test]

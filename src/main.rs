@@ -25,9 +25,11 @@
 //!               extension); under --all, exports cover --protocol's run
 //!   --profile   attach the self-profiler; print per-phase wall-clock
 //!   --checkpoint PATH   write periodic snapshots here; on a watchdog
-//!               deadlock an auto-checkpoint lands at PATH.hang
-//!   --checkpoint-every N  snapshot period in cycles (default 1000000
-//!               when --checkpoint is given)
+//!               deadlock an auto-checkpoint lands at PATH.hang; under
+//!               --all, covers --protocol's run
+//!   --checkpoint-every N  snapshot period in cycles: the run goes in
+//!               slices of N cycles and saves each boundary (default
+//!               1000000 when --checkpoint is given)
 //!   --resume PATH       replay a snapshot (protocol, benchmark, and
 //!               options come from the snapshot; results are
 //!               bit-identical to the uninterrupted run)
@@ -215,7 +217,7 @@ fn main() -> ExitCode {
             include_str!("main.rs")
                 .lines()
                 .skip(3)
-                .take(46)
+                .take_while(|l| !l.starts_with("//! ```"))
                 .map(|l| l.trim_start_matches("//!").strip_prefix(' ').unwrap_or(""))
                 .collect::<Vec<_>>()
                 .join("\n")
@@ -271,7 +273,7 @@ fn main() -> ExitCode {
         .and_then(|n| n.parse().ok())
         .unwrap_or(if series_out.is_some() { 256 } else { 0 });
     opts.checkpoint = get("--checkpoint");
-    opts.checkpoint_every = get("--checkpoint-every")
+    opts.quantum = get("--checkpoint-every")
         .and_then(|n| n.parse().ok())
         .unwrap_or(if opts.checkpoint.is_some() {
             1_000_000
@@ -345,11 +347,13 @@ fn main() -> ExitCode {
     // error and flips the exit code; the other jobs still complete.
     let jobs = rcc_bench::parse_jobs(&args);
     let results = rcc_bench::pool::run_indexed(kinds, jobs, |k| {
-        // Like the observation exports, a trace under --all covers the
-        // --protocol selection — the other runs must not race on the path.
+        // Like the observation exports, a trace or checkpoint under --all
+        // covers the --protocol selection: the other runs must not race
+        // on the path.
         let mut o = opts.clone();
         if k != kind {
             o.record_trace = None;
+            o.checkpoint = None;
         }
         try_simulate(k, &cfg, &wl, &o)
     });
