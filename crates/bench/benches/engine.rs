@@ -45,7 +45,8 @@ fn engine_fast_forward(c: &mut Criterion) {
 // The queue's three hot operations, at a realistic component count
 // (gtx480: 15 cores + 15 L1s + 2 NoC directions + banks/pipes/DRAM
 // + rollover ≈ 64). A set-arm over an armed slot is the cancel path
-// (supersede + repost); `next_wake` pops through the lazy heap.
+// (one slot write that supersedes the old wake); `next_wake` is a
+// linear minimum over the flat slot array.
 fn event_queue_ops(c: &mut Criterion) {
     const COMPS: usize = 64;
     let mut group = c.benchmark_group("sched/queue");
@@ -92,9 +93,7 @@ fn event_queue_ops(c: &mut Criterion) {
                 // Retire every component due at the popped horizon so
                 // the drain terminates.
                 for comp in 0..COMPS {
-                    if q.is_due(comp, w) {
-                        q.disarm(comp);
-                    }
+                    q.take_due(comp, w);
                 }
             }
             sum

@@ -30,14 +30,6 @@ use rcc_sim::RunMetrics;
 use rcc_workloads::{Benchmark, Workload};
 use std::time::Instant;
 
-const KINDS: [ProtocolKind; 5] = [
-    ProtocolKind::Mesi,
-    ProtocolKind::TcStrong,
-    ProtocolKind::TcWeak,
-    ProtocolKind::RccSc,
-    ProtocolKind::IdealSc,
-];
-
 // Workloads are generated once, outside the timed region: generation is
 // identical in both passes and is not what this smoke test measures.
 fn run_grid(
@@ -46,7 +38,7 @@ fn run_grid(
     opts: &SimOptions,
     jobs: usize,
 ) -> (Vec<(RunMetrics, f64)>, f64) {
-    let grid: Vec<_> = KINDS
+    let grid: Vec<_> = ProtocolKind::ALL
         .into_iter()
         .flat_map(|k| workloads.iter().map(move |wl| (k, wl)))
         .collect();
@@ -102,7 +94,7 @@ fn main() -> std::process::ExitCode {
         "protocol", "sim cycles", "sim cyc/s", "skipped", "skip%"
     );
     let mut rows = Vec::new();
-    for kind in KINDS {
+    for kind in ProtocolKind::ALL {
         let runs: Vec<_> = optimized.iter().filter(|(m, _)| m.kind == kind).collect();
         let cycles: u64 = runs.iter().map(|(m, _)| m.cycles).sum();
         let skipped: u64 = runs.iter().map(|(m, _)| m.skipped_cycles).sum();

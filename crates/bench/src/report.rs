@@ -109,11 +109,13 @@ pub struct ProtocolRow {
 pub struct SchedSummary {
     /// Wake events posted into the calendar queue, summed over runs.
     pub events_posted: u64,
-    /// Posted events superseded by a re-arm before firing, summed.
+    /// Wakes superseded by a re-arm or disarmed before they fired,
+    /// summed.
     pub events_cancelled: u64,
     /// `events_cancelled / events_posted` (0 when nothing was posted).
     pub cancel_ratio: f64,
-    /// Mean over runs of each run's median queue depth at post time.
+    /// Mean over runs of each run's median queue depth (armed slots)
+    /// at post time.
     pub queue_depth_p50_mean: f64,
     /// Peak queue depth over every run.
     pub queue_depth_max: u64,

@@ -579,5 +579,87 @@ mod wb {
             );
             assert_eq!(b.pending(), 0, "no stuck transactions");
         }
+
+        fn gets(src: usize, line: u64) -> ReqMsg {
+            ReqMsg {
+                src: CoreId(src),
+                line: LineAddr(line),
+                id: ReqId(0),
+                payload: ReqPayload::Gets {
+                    now: Timestamp(0),
+                    renew_exp: None,
+                },
+            }
+        }
+
+        fn digest(b: &MesiWbL2) -> u64 {
+            let mut d = rcc_common::snap::StateDigest::new();
+            b.digest_state(&mut d);
+            d.finish()
+        }
+
+        /// A fill parked behind an eviction recall (a Shared victim whose
+        /// sharers must ack their invalidations) sleeps: `next_event` is
+        /// `None` until the InvAck arrives, ticking meanwhile changes
+        /// nothing, and the ack completes the fill.
+        #[test]
+        fn fill_parked_behind_a_recall_sleeps_until_the_ack() {
+            let cfg = GpuConfig::small();
+            let mut b = bank();
+            // Every way of set 0 held Shared by core 1.
+            let sets = (cfg.l2.partition.num_sets() * cfg.l2.num_partitions) as u64;
+            let ways = cfg.l2.partition.ways as u64;
+            for v in (1..=ways).map(|i| i * sets) {
+                let mut out = L2Outbox::new();
+                b.handle_req(Cycle(0), gets(1, v), &mut out).unwrap();
+                b.handle_dram(Cycle(0), LineAddr(v), LineData::zeroed(), &mut out);
+            }
+            let mut out = L2Outbox::new();
+            b.handle_req(Cycle(1), gets(0, 0), &mut out).unwrap();
+            assert_eq!(out.dram_fetch, vec![LineAddr(0)]);
+
+            // The fill must invalidate a victim's sharer first.
+            let mut out = L2Outbox::new();
+            b.handle_dram(Cycle(2), LineAddr(0), LineData::zeroed(), &mut out);
+            let invs: Vec<&RespMsg> = out
+                .to_l1
+                .iter()
+                .filter(|m| matches!(m.payload, RespPayload::Inv))
+                .collect();
+            assert_eq!(invs.len(), 1, "one sharer of one victim");
+            let (victim, sharer) = (invs[0].line, invs[0].dst);
+            assert_eq!(sharer, CoreId(1));
+            assert!(b.pending() > 0, "the fill is parked");
+
+            let parked = digest(&b);
+            for c in 3..20 {
+                assert_eq!(b.next_event(Cycle(c)), None, "asleep at {c}");
+                let mut out = L2Outbox::new();
+                b.tick(Cycle(c), &mut out);
+                assert!(out.is_empty());
+                assert_eq!(digest(&b), parked, "tick at {c} changed state");
+            }
+
+            let mut out = L2Outbox::new();
+            b.handle_req(
+                Cycle(20),
+                ReqMsg {
+                    src: sharer,
+                    line: victim,
+                    id: ReqId(0),
+                    payload: ReqPayload::InvAck,
+                },
+                &mut out,
+            )
+            .unwrap();
+            assert!(
+                out.to_l1.iter().any(|m| m.dst == CoreId(0)
+                    && m.line == LineAddr(0)
+                    && matches!(m.payload, RespPayload::Data { .. })),
+                "the ack completes the fill and serves the queued GETS"
+            );
+            assert_eq!(b.next_event(Cycle(20)), None);
+            assert_eq!(b.pending(), 0, "no stuck transactions");
+        }
     }
 }

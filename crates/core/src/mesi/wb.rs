@@ -615,6 +615,17 @@ impl MesiWbL2 {
         self.txns.contains_key(&line) || self.filling.contains(&line)
     }
 
+    /// Whether `tick` retries the parked fills: some fill found every
+    /// way transiently busy and no eviction recall is pending (a recall
+    /// legitimately holds them until its InvAck or WbData arrives).
+    fn stalled_fills_retryable(&self) -> bool {
+        !self.stalled_fills.is_empty()
+            && !self.txns.values().any(|t| match t {
+                Txn::CollectInvs { op, .. } => matches!(op.payload, ReqPayload::FlushAck),
+                Txn::AwaitWb { pending_fill, .. } => pending_fill.is_some(),
+            })
+    }
+
     fn sharers(mask: u64) -> Vec<CoreId> {
         (0..64)
             .filter(|i| mask & (1 << i) != 0)
@@ -1112,18 +1123,7 @@ impl L2Bank for MesiWbL2 {
     }
 
     fn tick(&mut self, cycle: Cycle, out: &mut L2Outbox) {
-        // Retry fills that found every way transiently busy (only when no
-        // eviction-recall is pending, which would legitimately hold them).
-        if !self.stalled_fills.is_empty() && !self.txns.values().any(|t| {
-            matches!(t, Txn::CollectInvs { op, .. } if matches!(op.payload, ReqPayload::FlushAck))
-                || matches!(
-                    t,
-                    Txn::AwaitWb {
-                        pending_fill: Some(_),
-                        ..
-                    }
-                )
-        }) {
+        if self.stalled_fills_retryable() {
             let stalled = std::mem::take(&mut self.stalled_fills);
             for pf in stalled {
                 self.filling.remove(&pf.line);
@@ -1133,13 +1133,11 @@ impl L2Bank for MesiWbL2 {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // Stalled fills poll every cycle until the blocking transaction
-        // clears; with none parked the bank is purely reactive.
-        if self.stalled_fills.is_empty() {
-            None
-        } else {
-            Some(now + 1)
-        }
+        // Exact: the hint is `tick`'s own guard. While an eviction recall
+        // holds the parked fills the bank sleeps; the InvAck or WbData
+        // that ends the recall retries them in `handle_req`, after which
+        // the engine re-arms the bank.
+        self.stalled_fills_retryable().then_some(now + 1)
     }
 
     fn pending(&self) -> usize {

@@ -96,7 +96,8 @@ struct L1Entry {
 }
 
 /// The RCC L1 controller for one core.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
+#[cfg_attr(not(feature = "bug-injection"), derive(Debug))]
 pub struct RccL1 {
     core: CoreId,
     mode: ViewMode,
@@ -116,6 +117,32 @@ pub struct RccL1 {
     /// ignores lease expiry, so loads hit on logically stale copies.
     #[cfg(feature = "bug-injection")]
     lease_bug: bool,
+}
+
+/// The derived `Debug` plus the seeded fault, shown only when armed.
+/// `Debug` output feeds the state digest, so an unarmed controller must
+/// digest the same whether or not cargo's feature unification compiled
+/// the fault in (`rcc-verify`'s tests turn the feature on for every
+/// crate of a workspace test build).
+#[cfg(feature = "bug-injection")]
+impl std::fmt::Debug for RccL1 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("RccL1");
+        d.field("core", &self.core)
+            .field("mode", &self.mode)
+            .field("params", &self.params)
+            .field("read_now", &self.read_now)
+            .field("write_now", &self.write_now)
+            .field("tags", &self.tags)
+            .field("mshrs", &self.mshrs)
+            .field("next_req", &self.next_req)
+            .field("stats", &self.stats)
+            .field("chaos", &self.chaos);
+        if self.lease_bug {
+            d.field("lease_bug", &self.lease_bug);
+        }
+        d.finish()
+    }
 }
 
 impl RccL1 {

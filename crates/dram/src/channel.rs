@@ -166,9 +166,9 @@ impl DramChannel {
 
     fn service(&mut self, req: Request, now: u64) {
         // Chaos: pretend the command was picked `stretch` cycles later
-        // than it really was. One draw pair per serviced command (event-
-        // driven), and purely a delay, so `next_event`'s poll-while-
-        // queued contract is unaffected.
+        // than it really was. One draw pair per serviced command, taken
+        // here where bank state changes anyway, so `next_event` stays
+        // exact: the stretched timing is visible to it after `tick`.
         let now = match &mut self.chaos {
             Some(c) => now + c.jitter(Site::DramCommand) + c.jitter(Site::DramRefresh),
             None => now,
@@ -232,16 +232,30 @@ impl DramChannel {
         self.queue.len() + self.completions.len()
     }
 
-    /// Earliest cycle at which something will complete or could issue,
-    /// if known (lets the simulator skip idle cycles). While commands
-    /// are queued the channel arbitrates every cycle (bank timing may
-    /// free up at any point), so the queue takes precedence over any
-    /// known completion time.
+    /// The exact cycle of the channel's next action: the first cycle at
+    /// which [`Self::tick`] would service a command, or the earliest
+    /// read completion if that is sooner. `None` when idle.
+    ///
+    /// `pick` succeeds at once when some queued request's row is open;
+    /// otherwise at the earliest cycle some queued request's bank can
+    /// precharge and activate. Bank timing changes only when a command
+    /// is serviced, so the hint stays exact until the next `tick` or
+    /// `enqueue`, after both of which the engine re-arms the channel.
     pub fn next_event(&self) -> Option<Cycle> {
-        if !self.queue.is_empty() {
-            return Some(Cycle(0)); // work queued: poll every cycle
-        }
-        self.completions.iter().map(|(at, _)| *at).min().map(Cycle)
+        let issue = self
+            .queue
+            .iter()
+            .map(|req| {
+                let bank = &self.banks[self.bank_of(req.line)];
+                if bank.open_row == Some(self.row_of(req.line)) {
+                    0
+                } else {
+                    bank.pre_ready.max(bank.act_ready).max(self.any_act_ready)
+                }
+            })
+            .min();
+        let done = self.completions.iter().map(|(at, _)| *at).min();
+        issue.into_iter().chain(done).min().map(Cycle)
     }
 
     /// Reads serviced.

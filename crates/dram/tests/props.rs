@@ -38,3 +38,42 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// `next_event` is exact: stepping the channel one cycle at a time,
+    /// a tick services a command or reports a completion exactly at the
+    /// cycle `max(now, next_event())`, never before it.
+    #[test]
+    fn next_event_is_the_first_cycle_the_channel_acts(
+        reqs in prop::collection::vec((0u64..4096, any::<bool>(), 0u64..60), 1..40),
+    ) {
+        let cfg = GpuConfig::small();
+        let mut ch = DramChannel::new(&cfg.dram);
+        let mut arrivals = reqs.iter().scan(0u64, |at, &(line, is_write, gap)| {
+            *at += gap;
+            Some((*at, LineAddr(line), is_write))
+        }).peekable();
+        let mut now = 0u64;
+        while arrivals.peek().is_some() || ch.pending() > 0 {
+            prop_assert!(now < 1_000_000, "channel failed to drain");
+            while let Some(&(at, line, is_write)) = arrivals.peek() {
+                if at > now {
+                    break;
+                }
+                ch.enqueue(Cycle(now), line, is_write);
+                arrivals.next();
+            }
+            let due = ch.next_event().map(|c| c.raw().max(now));
+            let serviced_before = ch.row_hits() + ch.row_misses();
+            let reported = !ch.tick(Cycle(now)).is_empty();
+            let serviced = ch.row_hits() + ch.row_misses() > serviced_before;
+            prop_assert_eq!(
+                serviced || reported,
+                due == Some(now),
+                "cycle {}: hint {:?}, serviced {}, reported {}",
+                now, due, serviced, reported
+            );
+            now += 1;
+        }
+    }
+}

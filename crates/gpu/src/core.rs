@@ -10,6 +10,10 @@ use rcc_core::msg::{Access, AccessKind, AccessOutcome, AtomicOp, Completion, Com
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Warp contexts one core supports: [`Core::tick`] keeps one bit per
+/// warp in a `u64` (Table III has 48, the small machine 8).
+pub const MAX_WARPS_PER_CORE: usize = 64;
+
 /// How FENCE instructions retire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FencePolicy {
@@ -226,8 +230,14 @@ impl Core {
     ///
     /// # Panics
     ///
-    /// Panics if more programs than warp contexts are supplied.
+    /// Panics if more programs than warp contexts are supplied, or if
+    /// there are more than [`MAX_WARPS_PER_CORE`] warp contexts.
     pub fn new(id: CoreId, params: CoreParams, programs: Vec<WarpProgram>) -> Self {
+        assert!(
+            params.warps_per_core <= MAX_WARPS_PER_CORE,
+            "{} warp contexts; at most {MAX_WARPS_PER_CORE} are supported",
+            params.warps_per_core
+        );
         assert!(
             programs.len() <= params.warps_per_core,
             "{} programs for {} warp contexts",
@@ -688,7 +698,12 @@ impl Core {
         let now = cycle.raw();
         let mut out = CoreOutput::default();
 
-        // Phase 1: bookkeeping for every warp.
+        // Phase 1: bookkeeping for every warp, and one intent evaluation
+        // per warp. A warp's bookkeeping touches only that warp, so what
+        // it would do when visited is already final here: bit `i` of
+        // `ready` marks warp `i` as one that issues (or presents an
+        // access to the L1) if the scheduler reaches it.
+        let mut ready: u64 = 0;
         for i in 0..self.warps.len() {
             let fence_policy = self.params.fence_policy;
             let epoch = self.wg_epochs[self.warps[i].wg_index];
@@ -725,137 +740,137 @@ impl Core {
                 warp.done = true;
                 self.retired_warps += 1;
             }
-            // SC stall accounting: the warp has an access it would issue
-            // this cycle but ordering forbids it.
             let warp = &self.warps[i];
-            if let Some((_, addr, _, is_sync)) = self.issue_intent(warp, now) {
-                let allowed = self.ordering_allows(warp, addr, is_sync);
-                if !allowed {
-                    let prev = warp
-                        .outstanding
-                        .back()
-                        .expect("ordering blocks only with outstanding ops")
-                        .class
-                        .prev_kind();
-                    self.stats.record_sc_stall_cycle(prev);
-                    self.warps[i].wait_for_issue += 1;
+            match self.issue_intent(warp, now) {
+                Some((_, addr, _, is_sync)) => {
+                    if self.ordering_allows(warp, addr, is_sync) {
+                        ready |= 1 << i;
+                    } else {
+                        // SC stall accounting: the warp has an access it
+                        // would issue this cycle but ordering forbids it.
+                        let prev = warp
+                            .outstanding
+                            .back()
+                            .expect("ordering blocks only with outstanding ops")
+                            .class
+                            .prev_kind();
+                        self.stats.record_sc_stall_cycle(prev);
+                        self.warps[i].wait_for_issue += 1;
+                    }
+                }
+                None => {
+                    if Self::runs_without_memory(warp, now) {
+                        ready |= 1 << i;
+                    }
                 }
             }
+        }
+        if ready == 0 {
+            return out;
         }
 
-        // Phase 2: scheduling — issue at most one instruction, visiting
-        // warps in the policy's preference order.
+        // Phase 2: scheduling — the first ready warp in the policy's
+        // preference order acts, and the tick ends.
         let n = self.warps.len();
-        let order: Vec<usize> = match self.params.scheduler {
-            SchedPolicy::LooseRoundRobin => (0..n).map(|off| (self.sched_ptr + off) % n).collect(),
+        let i = match self.params.scheduler {
+            // Rotate from the pointer: the lowest ready warp at or above
+            // it, else the lowest ready warp overall.
+            SchedPolicy::LooseRoundRobin => {
+                let from_ptr = ready & (u64::MAX << self.sched_ptr);
+                (if from_ptr != 0 { from_ptr } else { ready }).trailing_zeros() as usize
+            }
+            // Greedy: the last issuer first, then the oldest (lowest id).
             SchedPolicy::GreedyThenOldest => {
-                // Greedy: last issuer first, then oldest (lowest id).
-                let last = self.sched_ptr.checked_sub(1).map_or(n - 1, |x| x);
-                std::iter::once(last)
-                    .chain((0..n).filter(move |i| *i != last))
-                    .collect()
+                let last = self.sched_ptr.checked_sub(1).unwrap_or(n - 1);
+                if ready & (1 << last) != 0 {
+                    last
+                } else {
+                    ready.trailing_zeros() as usize
+                }
             }
         };
-        for i in order {
-            let now_op = {
-                let warp = &self.warps[i];
-                if warp.done || warp.busy_until > now || warp.at_fence {
-                    continue;
-                }
-                warp.current_op()
-            };
-            // Compute / fence / local-wait / gate "issue" (no memory
-            // access).
-            match now_op {
-                Some(MemOp::Compute(c)) if self.warps[i].micro == Micro::Fresh => {
-                    let warp = &mut self.warps[i];
-                    out.issued_op = Some((i, warp.pc));
-                    warp.busy_until = now + c.max(1) as u64;
-                    warp.pc += 1;
-                    self.stats.issued += 1;
-                    self.sched_ptr = (i + 1) % n;
-                    return out;
-                }
-                Some(MemOp::Fence) if self.warps[i].micro == Micro::Fresh => {
-                    let warp = &mut self.warps[i];
-                    out.issued_op = Some((i, warp.pc));
-                    self.stats.issued += 1;
-                    if self.params.fence_policy == FencePolicy::Free {
-                        warp.pc += 1;
-                    } else {
-                        warp.at_fence = true;
-                    }
-                    self.sched_ptr = (i + 1) % n;
-                    return out;
-                }
-                Some(MemOp::LocalWait { epoch })
-                    if self.warps[i].micro == Micro::Fresh
-                        && self.warps[i].waiting_local.is_none() =>
-                {
-                    let wg = self.warps[i].wg_index;
-                    let warp = &mut self.warps[i];
-                    out.issued_op = Some((i, warp.pc));
-                    self.stats.issued += 1;
-                    if self.wg_epochs[wg] >= epoch {
-                        warp.pc += 1;
-                    } else {
-                        warp.waiting_local = Some(epoch);
-                    }
-                    self.sched_ptr = (i + 1) % n;
-                    return out;
-                }
-                Some(MemOp::WaitUntil(t)) if self.warps[i].micro == Micro::Fresh && now >= t => {
-                    // The gate has passed: retire it. (Before `t` the
-                    // warp simply has no intent and accrues no stalls —
-                    // it is idle, not stalled.)
-                    let warp = &mut self.warps[i];
-                    out.issued_op = Some((i, warp.pc));
-                    warp.pc += 1;
-                    self.stats.issued += 1;
-                    self.sched_ptr = (i + 1) % n;
-                    return out;
-                }
-                _ => {}
+        let warp = &mut self.warps[i];
+        let pc = warp.pc;
+        // Compute / fence / local-wait / gate "issue" (no memory access;
+        // a warp is in `Micro::Fresh` at these ops).
+        match warp.current_op() {
+            Some(MemOp::Compute(c)) => {
+                warp.busy_until = now + c.max(1) as u64;
+                warp.pc += 1;
             }
-            // Memory issue.
-            let Some((kind, addr, purpose, is_sync)) = self.issue_intent(&self.warps[i], now)
-            else {
-                continue;
-            };
-            if !self.ordering_allows(&self.warps[i], addr, is_sync) {
-                continue; // ordering stall, already counted
-            }
-            // First presentation of the program op at `pc` (as opposed
-            // to a lock-CAS retry or barrier re-poll out of a backoff
-            // state) — what the trace recorder pins the issue cycle of.
-            let first_issue = self.warps[i].micro == Micro::Fresh;
-            let pc = self.warps[i].pc;
-            let access = Access {
-                warp: WarpId(i),
-                addr,
-                kind,
-            };
-            match try_access(access) {
-                AccessOutcome::Reject(_) => {
-                    self.stats.structural_stall_cycles += 1;
-                    // Retry next cycle; do not advance the pointer so the
-                    // rejected warp gets another shot.
-                    return out;
+            Some(MemOp::Fence) => {
+                if self.params.fence_policy == FencePolicy::Free {
+                    warp.pc += 1;
+                } else {
+                    warp.at_fence = true;
                 }
-                outcome => {
-                    if first_issue {
-                        out.issued_op = Some((i, pc));
+            }
+            Some(MemOp::LocalWait { epoch }) => {
+                if self.wg_epochs[warp.wg_index] >= epoch {
+                    warp.pc += 1;
+                } else {
+                    warp.waiting_local = Some(epoch);
+                }
+            }
+            // The gate has passed: retire it. (Before `t` the warp simply
+            // has no intent and accrues no stalls — it is idle, not
+            // stalled.)
+            Some(MemOp::WaitUntil(_)) => warp.pc += 1,
+            _ => {
+                // Memory issue.
+                let (kind, addr, purpose, _) = self
+                    .issue_intent(&self.warps[i], now)
+                    .expect("a ready warp with a memory op has an intent");
+                // First presentation of the program op at `pc` (as
+                // opposed to a lock-CAS retry or barrier re-poll out of a
+                // backoff state) — what the trace recorder pins the issue
+                // cycle of.
+                let first_issue = self.warps[i].micro == Micro::Fresh;
+                let access = Access {
+                    warp: WarpId(i),
+                    addr,
+                    kind,
+                };
+                match try_access(access) {
+                    AccessOutcome::Reject(_) => {
+                        self.stats.structural_stall_cycles += 1;
+                        // Retry next cycle; do not advance the pointer so
+                        // the rejected warp gets another shot.
+                        return out;
                     }
-                    self.note_issue(i, cycle, addr, kind, purpose);
-                    if let AccessOutcome::Done(c) = outcome {
-                        self.complete(cycle, &c);
+                    outcome => {
+                        if first_issue {
+                            out.issued_op = Some((i, pc));
+                        }
+                        self.note_issue(i, cycle, addr, kind, purpose);
+                        if let AccessOutcome::Done(c) = outcome {
+                            self.complete(cycle, &c);
+                        }
+                        self.sched_ptr = (i + 1) % n;
+                        return out;
                     }
-                    self.sched_ptr = (i + 1) % n;
-                    return out;
                 }
             }
         }
+        out.issued_op = Some((i, pc));
+        self.stats.issued += 1;
+        self.sched_ptr = (i + 1) % n;
         out
+    }
+
+    /// Whether the warp's op at `pc` executes without a memory access
+    /// when the scheduler visits it this cycle: a compute op, a fence, a
+    /// local wait not yet parked, or a replay gate whose cycle has come.
+    fn runs_without_memory(warp: &Warp, now: u64) -> bool {
+        if warp.done || warp.busy_until > now || warp.at_fence || warp.micro != Micro::Fresh {
+            return false;
+        }
+        match warp.current_op() {
+            Some(MemOp::Compute(_) | MemOp::Fence) => true,
+            Some(MemOp::LocalWait { .. }) => warp.waiting_local.is_none(),
+            Some(MemOp::WaitUntil(t)) => now >= t,
+            _ => false,
+        }
     }
 
     fn note_issue(

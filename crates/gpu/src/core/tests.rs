@@ -34,6 +34,17 @@ impl FakeMem {
 }
 
 fn drive(core: &mut Core, mem: &Rc<RefCell<FakeMem>>, max_cycles: u64) -> u64 {
+    drive_logged(core, mem, max_cycles).0
+}
+
+/// [`drive`], also returning every tick's `CoreOutput::issued_op` as
+/// `(cycle, warp, pc)`.
+fn drive_logged(
+    core: &mut Core,
+    mem: &Rc<RefCell<FakeMem>>,
+    max_cycles: u64,
+) -> (u64, Vec<(u64, usize, usize)>) {
+    let mut log = Vec::new();
     for c in 0..max_cycles {
         let cycle = Cycle(c);
         // Deliver due completions.
@@ -49,10 +60,10 @@ fn drive(core: &mut Core, mem: &Rc<RefCell<FakeMem>>, max_cycles: u64) -> u64 {
             core.complete(cycle, &completion);
         }
         if core.done() {
-            return c;
+            return (c, log);
         }
         let mem2 = Rc::clone(mem);
-        core.tick(cycle, |access| {
+        let out = core.tick(cycle, |access| {
             let mut m = mem2.borrow_mut();
             m.served += 1;
             let old = *m.mem.get(&access.addr).unwrap_or(&0);
@@ -78,6 +89,9 @@ fn drive(core: &mut Core, mem: &Rc<RefCell<FakeMem>>, max_cycles: u64) -> u64 {
             m.pending.push_back((at, completion));
             AccessOutcome::Pending
         });
+        if let Some((warp, pc)) = out.issued_op {
+            log.push((c, warp, pc));
+        }
     }
     panic!("core did not finish in {max_cycles} cycles");
 }
@@ -502,20 +516,137 @@ fn gto_scheduler_prefers_the_last_issuer() {
     // Two warps of pure compute: GTO drains one warp before touching the
     // other; round-robin interleaves.
     let prog = || WarpProgram::new(WorkgroupId(0), (0..6).map(|_| MemOp::Compute(1)).collect());
-    let run = |sched| {
+    let issue_order = |sched| {
         let params = CoreParams {
             scheduler: sched,
             ..CoreParams::sequential(8, 4)
         };
         let mut core = Core::new(CoreId(0), params, vec![prog(), prog()]);
         let mem = FakeMem::new(1);
-        drive(&mut core, &mem, 1000)
+        let (_, log) = drive_logged(&mut core, &mem, 1000);
+        log.into_iter().map(|(_, warp, _)| warp).collect::<Vec<_>>()
     };
-    // Both finish; identical total work.
-    let t_rr = run(SchedPolicy::LooseRoundRobin);
-    let t_gto = run(SchedPolicy::GreedyThenOldest);
-    assert!(t_rr > 0 && t_gto > 0);
+    assert_eq!(
+        issue_order(SchedPolicy::GreedyThenOldest),
+        [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+    );
+    assert_eq!(
+        issue_order(SchedPolicy::LooseRoundRobin),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+    );
 }
+
+/// Every issue `(cycle, warp, pc)` of a mixed compute / memory / fence
+/// workload on a weakly ordered core, pinned per policy: ordering
+/// stalls, fence drains, compute timers and the scheduler's visit order
+/// all shape the sequence.
+#[test]
+fn mixed_programs_issue_in_a_pinned_order() {
+    let prog = |k: u64| {
+        WarpProgram::new(
+            WorkgroupId(0),
+            vec![
+                MemOp::Load(w(k)),
+                MemOp::Compute(2 + k as u32),
+                MemOp::Fence,
+                MemOp::Store(w(10 + k), k),
+                MemOp::Atomic(w(20), AtomicOp::Add(1)),
+                MemOp::Compute(1),
+                MemOp::Load(w(10 + (k + 1) % 4)),
+                MemOp::Fence,
+                MemOp::Load(w(20)),
+            ],
+        )
+    };
+    let issue_log = |sched| {
+        let params = CoreParams {
+            scheduler: sched,
+            ..CoreParams::weakly_ordered(8, 4, FencePolicy::Drain)
+        };
+        let mut core = Core::new(CoreId(0), params, (0..4).map(prog).collect());
+        let mem = FakeMem::new(7);
+        drive_logged(&mut core, &mem, 10_000).1
+    };
+    assert_eq!(issue_log(SchedPolicy::LooseRoundRobin), RR_MIXED);
+    assert_eq!(issue_log(SchedPolicy::GreedyThenOldest), GTO_MIXED);
+}
+
+const RR_MIXED: [(u64, usize, usize); 36] = [
+    (0, 0, 0),
+    (1, 1, 0),
+    (2, 2, 0),
+    (3, 3, 0),
+    (4, 0, 1),
+    (5, 1, 1),
+    (6, 2, 1),
+    (7, 3, 1),
+    (8, 0, 2),
+    (9, 1, 2),
+    (10, 2, 2),
+    (11, 0, 3),
+    (12, 1, 3),
+    (13, 2, 3),
+    (14, 3, 2),
+    (15, 3, 3),
+    (18, 0, 4),
+    (19, 1, 4),
+    (20, 2, 4),
+    (21, 0, 5),
+    (22, 1, 5),
+    (23, 2, 5),
+    (24, 3, 4),
+    (25, 0, 6),
+    (26, 1, 6),
+    (27, 2, 6),
+    (28, 3, 5),
+    (29, 0, 7),
+    (30, 1, 7),
+    (31, 2, 7),
+    (32, 3, 6),
+    (33, 0, 8),
+    (34, 1, 8),
+    (35, 2, 8),
+    (36, 3, 7),
+    (39, 3, 8),
+];
+const GTO_MIXED: [(u64, usize, usize); 36] = [
+    (0, 0, 0),
+    (1, 0, 1),
+    (2, 1, 0),
+    (3, 1, 1),
+    (4, 0, 2),
+    (5, 2, 0),
+    (6, 2, 1),
+    (7, 0, 3),
+    (8, 1, 2),
+    (9, 1, 3),
+    (10, 2, 2),
+    (11, 3, 0),
+    (12, 3, 1),
+    (13, 2, 3),
+    (14, 0, 4),
+    (15, 0, 5),
+    (16, 0, 6),
+    (17, 0, 7),
+    (18, 1, 4),
+    (19, 1, 5),
+    (20, 1, 6),
+    (21, 1, 7),
+    (22, 2, 4),
+    (23, 2, 5),
+    (24, 2, 6),
+    (25, 2, 7),
+    (26, 0, 8),
+    (27, 1, 8),
+    (28, 3, 2),
+    (29, 3, 3),
+    (31, 2, 8),
+    (36, 3, 4),
+    (37, 3, 5),
+    (38, 3, 6),
+    (39, 3, 7),
+    (45, 3, 8),
+];
 
 #[test]
 fn gto_and_rr_complete_memory_programs_identically() {

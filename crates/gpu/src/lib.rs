@@ -29,6 +29,7 @@ pub mod stats;
 
 pub use self::core::{
     Core, CoreOutput, CoreParams, FencePolicy, OutstandingAccess, SchedPolicy, WarpState,
+    MAX_WARPS_PER_CORE,
 };
 pub use op::{MemOp, WarpProgram};
 pub use stats::{CoreStats, PrevOpKind};

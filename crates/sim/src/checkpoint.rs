@@ -37,7 +37,7 @@ use rcc_common::config::{
 use rcc_common::ids::WorkgroupId;
 use rcc_common::snap::{SnapError, SnapReader, SnapWriter};
 use rcc_core::ProtocolKind;
-use rcc_gpu::{MemOp, WarpProgram};
+use rcc_gpu::{MemOp, WarpProgram, MAX_WARPS_PER_CORE};
 use rcc_workloads::{Sharing, Workload};
 use std::sync::Arc;
 
@@ -269,6 +269,11 @@ fn read_workload(r: &mut SnapReader) -> Result<Workload, SnapError> {
     let mut programs = Vec::with_capacity(ncores);
     for _ in 0..ncores {
         let nwarps = r.u32()? as usize;
+        if nwarps > MAX_WARPS_PER_CORE {
+            return Err(SnapError(format!(
+                "{nwarps} warps on one core (at most {MAX_WARPS_PER_CORE})"
+            )));
+        }
         let mut warps = Vec::with_capacity(nwarps);
         for _ in 0..nwarps {
             let workgroup = WorkgroupId(r.u64()? as usize);
@@ -539,5 +544,10 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(Checkpoint::decode(&trailing).is_err());
+        let mut too_many_warps = sample();
+        Arc::make_mut(&mut too_many_warps.workload).programs[0] =
+            vec![WarpProgram::new(WorkgroupId(0), Vec::new()); MAX_WARPS_PER_CORE + 1];
+        let err = Checkpoint::decode(&too_many_warps.encode()).unwrap_err();
+        assert!(err.to_string().contains("65 warps"), "{err}");
     }
 }

@@ -15,13 +15,14 @@ use rcc_obs::{DigestWriter, ObsReport, SimProfile};
 /// here (e.g. fast-forward on vs. off).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Wake events posted into the calendar queue.
+    /// Wake events posted into the calendar queue (arms that changed a
+    /// component's slot).
     pub events_posted: u64,
-    /// Posted events superseded by a re-arm before firing.
+    /// Wakes superseded by a re-arm or disarmed before they fired.
     pub events_cancelled: u64,
-    /// Median queue depth sampled at every post.
+    /// Median queue depth (armed slots) sampled at every post.
     pub queue_depth_p50: u64,
-    /// Peak queue depth.
+    /// Peak queue depth (armed slots).
     pub queue_depth_max: u64,
 }
 

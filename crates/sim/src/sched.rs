@@ -24,16 +24,13 @@
 //! because every skipped cycle is proven action-free by the components'
 //! own exact `next_event` contracts.
 //!
-//! # Lazy invalidation
+//! # Flat slots
 //!
-//! Re-arming a component does not search the heap for its old entry.
-//! The `armed` array is the single source of truth; heap entries are
-//! hints, and an entry whose cycle no longer matches `armed[comp]` is
-//! stale and discarded (counted as a cancellation) when it surfaces.
-//! This keeps every operation O(log n) with no auxiliary indices.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The queue is the `armed` array itself, one slot per component (67 on
+//! the GTX 480): arming writes a slot, consuming a due wake clears it,
+//! and the next wake is the minimum over the slots. At this size a
+//! linear minimum costs less than keeping a heap ordered, and there are
+//! no stale entries to discard.
 
 /// A component's slot value meaning "no spontaneous wake scheduled".
 const DISARMED: u64 = u64::MAX;
@@ -42,23 +39,20 @@ const DISARMED: u64 = u64::MAX;
 /// the last bucket).
 const DEPTH_BUCKETS: usize = 256;
 
-/// Deterministic calendar/priority queue of per-component wake cycles.
+/// Deterministic calendar queue of per-component wake cycles.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Exact next wake cycle per component (`u64::MAX` = disarmed).
-    /// This array is authoritative; the heap is a lazy index over it.
     armed: Vec<u64>,
-    /// Min-heap of `(cycle, component)` hints. Ties break on the
-    /// component id purely to keep the heap's internal order a pure
-    /// function of its contents.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Slots currently armed: the queue depth.
+    depth: u64,
     /// Wake events posted (arm calls that changed a slot).
     posted: u64,
-    /// Stale heap entries discarded (arms superseded before firing).
+    /// Wakes superseded by a re-arm or disarmed before they fired.
     cancelled: u64,
-    /// Peak heap depth observed.
+    /// Peak queue depth observed.
     depth_max: u64,
-    /// Heap depth sampled at every post, for the p50 estimate.
+    /// Queue depth sampled at every post, for the p50 estimate.
     depth_hist: [u64; DEPTH_BUCKETS],
 }
 
@@ -67,7 +61,7 @@ impl EventQueue {
     pub fn new(components: usize) -> Self {
         EventQueue {
             armed: vec![DISARMED; components],
-            heap: BinaryHeap::with_capacity(components * 2),
+            depth: 0,
             posted: 0,
             cancelled: 0,
             depth_max: 0,
@@ -75,19 +69,20 @@ impl EventQueue {
         }
     }
 
-    /// Disarms every slot and clears the heap (telemetry is kept).
-    /// Used when the engine re-derives all wakes from component state.
+    /// Disarms every slot (telemetry is kept, and nothing counts as
+    /// cancelled). Used when the engine re-derives all wakes from
+    /// component state.
     pub fn reset(&mut self) {
         self.armed.fill(DISARMED);
-        self.heap.clear();
+        self.depth = 0;
     }
 
-    /// Makes every component due at `cycle` and clears the heap: the
-    /// every-cycle due policy (fast-forward off), under which the
-    /// engine runs all components each cycle and never pops a wake.
+    /// Makes every component due at `cycle`: the every-cycle due policy
+    /// (fast-forward off), under which the engine runs all components
+    /// each cycle and never pops a wake.
     pub fn due_all(&mut self, cycle: u64) {
         self.armed.fill(cycle);
-        self.heap.clear();
+        self.depth = self.armed.len() as u64;
     }
 
     /// Sets component `comp`'s wake to exactly `cycle`, replacing any
@@ -95,11 +90,16 @@ impl EventQueue {
     /// full state (a `next_event` hint), which supersedes older arms.
     #[inline]
     pub fn arm_at(&mut self, comp: usize, cycle: u64) {
-        if self.armed[comp] == cycle {
-            return; // the existing heap entry is still valid
+        let old = self.armed[comp];
+        if old == cycle {
+            return;
+        }
+        if cycle == DISARMED {
+            self.disarm(comp);
+            return;
         }
         self.armed[comp] = cycle;
-        self.push(comp, cycle);
+        self.post(old);
     }
 
     /// Moves component `comp`'s wake earlier to `cycle` if it is not
@@ -108,50 +108,58 @@ impl EventQueue {
     /// knowledge of the component's other pending wakes.
     #[inline]
     pub fn arm_min(&mut self, comp: usize, cycle: u64) {
-        if cycle < self.armed[comp] {
+        let old = self.armed[comp];
+        if cycle < old {
             self.armed[comp] = cycle;
-            self.push(comp, cycle);
+            self.post(old);
         }
     }
 
-    /// Clears component `comp`'s wake. The engine calls this when it
-    /// consumes a due wake (re-arming afterwards from fresh state) and
-    /// when a component goes idle.
+    /// Cancels component `comp`'s wake before it fires. The engine calls
+    /// this when a component goes idle or is paused.
     #[inline]
     pub fn disarm(&mut self, comp: usize) {
-        self.armed[comp] = DISARMED;
-    }
-
-    /// Whether component `comp` is due at (or overdue by) `now`.
-    #[inline]
-    pub fn is_due(&self, comp: usize, now: u64) -> bool {
-        self.armed[comp] <= now
-    }
-
-    /// The earliest armed wake cycle across all components, discarding
-    /// stale heap entries along the way. `None` means every component
-    /// is disarmed (the machine is quiescent).
-    pub fn next_wake(&mut self) -> Option<u64> {
-        while let Some(&Reverse((cycle, comp))) = self.heap.peek() {
-            if self.armed[comp as usize] == cycle {
-                return Some(cycle);
-            }
-            self.heap.pop();
+        if std::mem::replace(&mut self.armed[comp], DISARMED) != DISARMED {
+            self.depth -= 1;
             self.cancelled += 1;
         }
-        None
     }
 
+    /// Consumes component `comp`'s wake if it is due at (or overdue by)
+    /// `now`, and reports whether it was. The engine re-arms the
+    /// component from fresh state after running it.
     #[inline]
-    fn push(&mut self, comp: usize, cycle: u64) {
-        if cycle == DISARMED {
-            return;
+    pub fn take_due(&mut self, comp: usize, now: u64) -> bool {
+        if self.armed[comp] <= now {
+            self.armed[comp] = DISARMED;
+            self.depth -= 1;
+            true
+        } else {
+            false
         }
-        self.heap.push(Reverse((cycle, comp as u32)));
+    }
+
+    /// The earliest armed wake cycle across all components. `None`
+    /// means every component is disarmed (the machine is quiescent).
+    pub fn next_wake(&self) -> Option<u64> {
+        self.armed
+            .iter()
+            .copied()
+            .min()
+            .filter(|&cycle| cycle != DISARMED)
+    }
+
+    /// Books a slot that changed from `old` to an armed cycle.
+    #[inline]
+    fn post(&mut self, old: u64) {
+        if old == DISARMED {
+            self.depth += 1;
+        } else {
+            self.cancelled += 1;
+        }
         self.posted += 1;
-        let depth = self.heap.len() as u64;
-        self.depth_max = self.depth_max.max(depth);
-        self.depth_hist[(depth as usize).min(DEPTH_BUCKETS - 1)] += 1;
+        self.depth_max = self.depth_max.max(self.depth);
+        self.depth_hist[(self.depth as usize).min(DEPTH_BUCKETS - 1)] += 1;
     }
 
     /// Wake events posted so far.
@@ -159,18 +167,18 @@ impl EventQueue {
         self.posted
     }
 
-    /// Stale (superseded) heap entries discarded so far.
+    /// Wakes superseded by a re-arm or disarmed before they fired.
     pub fn cancelled(&self) -> u64 {
         self.cancelled
     }
 
-    /// Peak heap depth observed.
+    /// Peak queue depth (armed slots) observed at a post.
     pub fn depth_max(&self) -> u64 {
         self.depth_max
     }
 
-    /// Median heap depth over all posts (clamped to the histogram
-    /// range; 0 if nothing was posted).
+    /// Median queue depth (armed slots) over all posts (clamped to the
+    /// histogram range; 0 if nothing was posted).
     pub fn depth_p50(&self) -> u64 {
         let total: u64 = self.depth_hist.iter().sum();
         if total == 0 {
@@ -185,11 +193,6 @@ impl EventQueue {
         }
         (DEPTH_BUCKETS - 1) as u64
     }
-
-    /// Current heap size (valid + stale entries); diagnostics only.
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]
@@ -203,21 +206,23 @@ mod tests {
         q.arm_at(0, 10);
         q.arm_at(1, 20);
         assert_eq!(q.next_wake(), Some(10));
-        assert!(q.is_due(0, 10));
-        assert!(!q.is_due(1, 10));
-        q.disarm(0);
+        assert!(!q.take_due(1, 10));
+        assert!(q.take_due(0, 10));
+        assert!(!q.take_due(0, 10), "a consumed wake fires once");
         assert_eq!(q.next_wake(), Some(20));
+        assert_eq!(q.cancelled(), 0, "firing is not cancelling");
     }
 
     #[test]
     fn rearm_supersedes_and_counts_cancellation() {
         let mut q = EventQueue::new(2);
         q.arm_at(0, 50);
-        q.arm_at(0, 10); // earlier: new entry wins immediately
+        q.arm_at(0, 10); // earlier: supersedes the 50
         assert_eq!(q.next_wake(), Some(10));
-        q.arm_at(0, 70); // later: the 10 and 50 entries are now stale
+        q.arm_at(0, 70); // later: supersedes the 10
         assert_eq!(q.next_wake(), Some(70));
         assert_eq!(q.cancelled(), 2);
+        assert_eq!(q.posted(), 3);
     }
 
     #[test]
@@ -228,6 +233,7 @@ mod tests {
         assert_eq!(q.next_wake(), Some(40));
         q.arm_min(0, 15);
         assert_eq!(q.next_wake(), Some(15));
+        assert_eq!(q.cancelled(), 1);
     }
 
     #[test]
@@ -237,18 +243,19 @@ mod tests {
         q.arm_at(1, 5);
         q.disarm(1);
         assert_eq!(q.next_wake(), None);
-        // The stale entry was discarded while scanning.
-        assert_eq!(q.cancelled(), 1);
+        assert_eq!(q.cancelled(), 1, "disarmed before it fired");
+        q.disarm(1);
+        assert_eq!(q.cancelled(), 1, "disarming an empty slot is free");
     }
 
     #[test]
-    fn due_all_makes_every_slot_due_and_drops_the_heap() {
+    fn due_all_makes_every_slot_due() {
         let mut q = EventQueue::new(3);
         q.arm_at(0, 50);
         q.due_all(7);
-        assert!((0..3).all(|c| q.is_due(c, 7)));
-        assert!(!q.is_due(1, 6));
-        assert_eq!(q.heap_len(), 0);
+        assert_eq!(q.next_wake(), Some(7));
+        assert!((0..3).all(|c| q.take_due(c, 7)));
+        assert_eq!(q.next_wake(), None);
     }
 
     #[test]
@@ -261,13 +268,20 @@ mod tests {
     }
 
     #[test]
-    fn depth_telemetry_tracks_posts() {
+    fn depth_counts_armed_slots() {
         let mut q = EventQueue::new(8);
         for c in 0..8 {
             q.arm_at(c, 100 + c as u64);
         }
         assert_eq!(q.depth_max(), 8);
-        assert!(q.depth_p50() >= 1);
+        assert_eq!(q.depth_p50(), 4);
         assert_eq!(q.posted(), 8);
+        // Re-arming an armed slot does not deepen the queue.
+        q.arm_at(3, 7);
+        assert!(q.take_due(3, 7));
+        q.arm_at(3, 8);
+        q.disarm(0);
+        q.arm_at(0, 9);
+        assert_eq!(q.depth_max(), 8);
     }
 }

@@ -1297,8 +1297,7 @@ impl<P: Protocol> System<P> {
         }
 
         // 1. Response network → L1s.
-        if self.sched.is_due(self.comp_resp(), n) {
-            self.sched.disarm(self.comp_resp());
+        if self.sched.take_due(self.comp_resp(), n) {
             let delivered = self.resp_net.deliver(cycle);
             self.mem_pending -= delivered.len();
             for (dst, resp) in delivered {
@@ -1333,8 +1332,7 @@ impl<P: Protocol> System<P> {
 
         // 2. Request network → bank inboxes (flush acks are intercepted
         //    by the rollover coordinator).
-        if self.sched.is_due(self.comp_req(), n) {
-            self.sched.disarm(self.comp_req());
+        if self.sched.take_due(self.comp_req(), n) {
             let delivered = self.req_net.deliver(cycle);
             self.mem_pending -= delivered.len();
             for (dst, req) in delivered {
@@ -1354,14 +1352,13 @@ impl<P: Protocol> System<P> {
 
         // 3. L2 banks: tick, then serve one request per cycle.
         for p in 0..self.l2s.len() {
-            let bank_due = self.sched.is_due(self.comp_bank(p), n);
-            let inbox_due = self.sched.is_due(self.comp_inbox(p), n);
+            let bank_due = self.sched.take_due(self.comp_bank(p), n);
+            let inbox_due = self.sched.take_due(self.comp_inbox(p), n);
             if !bank_due && !inbox_due {
                 continue;
             }
             let mut out = std::mem::take(&mut self.scratch_l2);
             if bank_due {
-                self.sched.disarm(self.comp_bank(p));
                 let before = self.l2s[p].pending();
                 self.l2s[p].tick(cycle, &mut out);
                 self.mem_pending += self.l2s[p].pending();
@@ -1371,7 +1368,6 @@ impl<P: Protocol> System<P> {
                 }
             }
             if inbox_due {
-                self.sched.disarm(self.comp_inbox(p));
                 if let Some(req) = self.l2_inbox[p].pop_front() {
                     self.mem_pending -= 1;
                     let before = self.l2s[p].pending();
@@ -1400,10 +1396,9 @@ impl<P: Protocol> System<P> {
         // 4. L2 delay pipes → response network.
         let mut resp_injected = false;
         for p in 0..self.l2_delay.len() {
-            if !self.sched.is_due(self.comp_pipe(p), n) {
+            if !self.sched.take_due(self.comp_pipe(p), n) {
                 continue;
             }
-            self.sched.disarm(self.comp_pipe(p));
             while let Some((ready, _)) = self.l2_delay[p].front() {
                 if *ready > n {
                     break;
@@ -1425,10 +1420,9 @@ impl<P: Protocol> System<P> {
 
         // 5. DRAM.
         for p in 0..self.drams.len() {
-            if !self.sched.is_due(self.comp_dram(p), n) {
+            if !self.sched.take_due(self.comp_dram(p), n) {
                 continue;
             }
-            self.sched.disarm(self.comp_dram(p));
             let before = self.drams[p].pending();
             let lines = self.drams[p].tick(cycle);
             self.mem_pending += self.drams[p].pending();
@@ -1454,8 +1448,9 @@ impl<P: Protocol> System<P> {
         // 6. Rollover coordination (every scheduled cycle: transitions
         //    are enabled by same-cycle events from the phases above, and
         //    the coordinator's own queue slot covers the one case where
-        //    a transition is due with nothing else armed).
-        self.sched.disarm(self.comp_rollover());
+        //    a transition is due with nothing else armed; that wake, if
+        //    due, is consumed here).
+        self.sched.take_due(self.comp_rollover(), n);
         self.advance_rollover();
         self.arm_rollover_from_state(n + 1);
         self.charge(&mut mark, SimPhase::Rollover);
@@ -1463,102 +1458,97 @@ impl<P: Protocol> System<P> {
         // 7. Cores + L1 ticks (paused while a rollover is in progress).
         let issuing = self.rollover == RolloverState::Idle;
         for i in 0..self.cores.len() {
-            let l1_due = self.sched.is_due(self.comp_l1(i), n);
-            let core_due = self.sched.is_due(self.comp_core(i), n);
+            let l1_due = self.sched.take_due(self.comp_l1(i), n);
+            let core_due = self.sched.take_due(self.comp_core(i), n);
             if !l1_due && !core_due {
                 continue;
             }
             let mut out = std::mem::take(&mut self.scratch_l1);
             let before = self.l1s[i].pending();
             if l1_due {
-                self.sched.disarm(self.comp_l1(i));
                 self.l1s[i].tick(cycle, &mut out);
             }
             let mut ticked = false;
-            if core_due {
-                self.sched.disarm(self.comp_core(i));
-                if issuing && !self.cores[i].done() {
-                    // Replay the stall bookkeeping of the skipped gap,
-                    // then run the real tick for this cycle.
-                    self.sync_core_through(i, n.saturating_sub(1));
-                    let l1 = &mut self.l1s[i];
-                    let recorder = &mut self.recorder;
-                    let chaos = &mut self.chaos_access;
-                    let mut issued_any = false;
-                    let mut reject_delta: Option<(Access, L1Stats)> = None;
-                    let core_out = self.cores[i].tick(cycle, |access| {
-                        if let Some(c) = chaos.as_mut() {
-                            if c.fires(Site::L1Access) {
-                                // Bounce before the access reaches the L1
-                                // (or the recorder): the warp retries next
-                                // cycle, modelling a variable L1 service
-                                // latency.
-                                return AccessOutcome::Reject(RejectReason::ChaosStall);
-                            }
+            if core_due && issuing && !self.cores[i].done() {
+                // Replay the stall bookkeeping of the skipped gap,
+                // then run the real tick for this cycle.
+                self.sync_core_through(i, n.saturating_sub(1));
+                let l1 = &mut self.l1s[i];
+                let recorder = &mut self.recorder;
+                let chaos = &mut self.chaos_access;
+                let mut issued_any = false;
+                let mut reject_delta: Option<(Access, L1Stats)> = None;
+                let core_out = self.cores[i].tick(cycle, |access| {
+                    if let Some(c) = chaos.as_mut() {
+                        if c.fires(Site::L1Access) {
+                            // Bounce before the access reaches the L1
+                            // (or the recorder): the warp retries next
+                            // cycle, modelling a variable L1 service
+                            // latency.
+                            return AccessOutcome::Reject(RejectReason::ChaosStall);
                         }
-                        recorder.note_issue(i, access);
-                        let stats_before = l1.stats().clone();
-                        let outcome = l1.access(cycle, access, &mut out);
-                        match &outcome {
-                            AccessOutcome::Done(c) => {
-                                recorder.note_completion(i, c);
-                                issued_any = true;
-                            }
-                            AccessOutcome::Pending => issued_any = true,
-                            AccessOutcome::Reject(_) => {
-                                // The access never started; forget what
-                                // the recorder registered for it.
-                                recorder.note_reject(i, access);
-                                reject_delta =
-                                    Some((access, l1.stats().delta_since(&stats_before)));
-                            }
+                    }
+                    recorder.note_issue(i, access);
+                    let stats_before = l1.stats().clone();
+                    let outcome = l1.access(cycle, access, &mut out);
+                    match &outcome {
+                        AccessOutcome::Done(c) => {
+                            recorder.note_completion(i, c);
+                            issued_any = true;
                         }
-                        outcome
-                    });
-                    // A structural reject with chaos disarmed is a fixed
-                    // point (see `Core::stall_horizon`): the retry can be
-                    // slept through and replayed — unless a completion
-                    // delivered below already changed warp state. Spin
-                    // engages on the second consecutive retry of the same
-                    // access with an identical stat delta (the first may
-                    // carry one-time side effects like TC's expiry
-                    // self-invalidation).
-                    self.spin_state[i] = match reject_delta {
-                        Some((access, delta))
-                            if self.chaos_access.is_none() && out.completions.is_empty() =>
+                        AccessOutcome::Pending => issued_any = true,
+                        AccessOutcome::Reject(_) => {
+                            // The access never started; forget what
+                            // the recorder registered for it.
+                            recorder.note_reject(i, access);
+                            reject_delta = Some((access, l1.stats().delta_since(&stats_before)));
+                        }
+                    }
+                    outcome
+                });
+                // A structural reject with chaos disarmed is a fixed
+                // point (see `Core::stall_horizon`): the retry can be
+                // slept through and replayed — unless a completion
+                // delivered below already changed warp state. Spin
+                // engages on the second consecutive retry of the same
+                // access with an identical stat delta (the first may
+                // carry one-time side effects like TC's expiry
+                // self-invalidation).
+                self.spin_state[i] = match reject_delta {
+                    Some((access, delta))
+                        if self.chaos_access.is_none() && out.completions.is_empty() =>
+                    {
+                        if self.spin_state[i] != SpinState::Idle
+                            && self.spin_access[i] == Some(access)
+                            && self.spin_delta[i] == delta
                         {
-                            if self.spin_state[i] != SpinState::Idle
-                                && self.spin_access[i] == Some(access)
-                                && self.spin_delta[i] == delta
-                            {
-                                SpinState::Active
-                            } else {
-                                self.spin_access[i] = Some(access);
-                                self.spin_delta[i] = delta;
-                                SpinState::Candidate
-                            }
-                        }
-                        _ => SpinState::Idle,
-                    };
-                    if issued_any {
-                        self.last_progress = n;
-                    }
-                    // Trace capture: one branch when unarmed, and the
-                    // tap reads only the tick's ephemeral output, so
-                    // recording cannot perturb the simulated machine.
-                    if let Some(tr) = &mut self.trace_rec {
-                        if let Some((w, pc)) = core_out.issued_op {
-                            tr.note_issue(i, w, pc, n);
+                            SpinState::Active
+                        } else {
+                            self.spin_access[i] = Some(access);
+                            self.spin_delta[i] = delta;
+                            SpinState::Candidate
                         }
                     }
-                    for _warp in core_out.fences_retired {
-                        // RCC-WO: joining the views is a core-level action.
-                        self.l1s[i].fence();
-                        self.last_progress = n;
-                    }
-                    self.synced_to[i] = n;
-                    ticked = true;
+                    _ => SpinState::Idle,
+                };
+                if issued_any {
+                    self.last_progress = n;
                 }
+                // Trace capture: one branch when unarmed, and the
+                // tap reads only the tick's ephemeral output, so
+                // recording cannot perturb the simulated machine.
+                if let Some(tr) = &mut self.trace_rec {
+                    if let Some((w, pc)) = core_out.issued_op {
+                        tr.note_issue(i, w, pc, n);
+                    }
+                }
+                for _warp in core_out.fences_retired {
+                    // RCC-WO: joining the views is a core-level action.
+                    self.l1s[i].fence();
+                    self.last_progress = n;
+                }
+                self.synced_to[i] = n;
+                ticked = true;
             }
             self.mem_pending += self.l1s[i].pending();
             self.mem_pending -= before;

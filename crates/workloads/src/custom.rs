@@ -35,6 +35,7 @@ use rcc_common::addr::Addr;
 use rcc_common::ids::WorkgroupId;
 use rcc_core::msg::AtomicOp;
 use rcc_gpu::op::{MemOp, WarpProgram};
+use rcc_gpu::MAX_WARPS_PER_CORE;
 use std::fmt;
 
 /// A parse failure, with its line number.
@@ -81,7 +82,7 @@ fn parse_addr(s: &str, line: usize) -> Result<rcc_common::addr::WordAddr, ParseT
 ///
 /// Returns a [`ParseTraceError`] naming the offending line on any
 /// malformed input (unknown opcode, bad number, op outside a warp,
-/// out-of-range core).
+/// out-of-range core or warp).
 pub fn parse_trace(text: &str, num_cores: usize) -> Result<Workload, ParseTraceError> {
     // Per core, per warp: (workgroup, ops), assembled into programs at
     // the end.
@@ -104,6 +105,12 @@ pub fn parse_trace(text: &str, num_cores: usize) -> Result<Workload, ParseTraceE
                 let warp = parse_u64(tokens[2], line_no, "warp")? as usize;
                 if core >= num_cores {
                     return Err(err(line_no, format!("core {core} out of range")));
+                }
+                if warp >= MAX_WARPS_PER_CORE {
+                    return Err(err(
+                        line_no,
+                        format!("warp {warp} out of range (at most {MAX_WARPS_PER_CORE} per core)"),
+                    ));
                 }
                 let wg = tokens
                     .get(3)
@@ -358,6 +365,8 @@ warp 0 0 wg=3
         assert!(e.message.contains("before any"));
         let e = parse_trace("warp 9 0\n", 2).unwrap_err();
         assert!(e.message.contains("out of range"));
+        let e = parse_trace("warp 0 64\n", 1).unwrap_err();
+        assert!(e.message.contains("warp 64 out of range"), "{}", e.message);
         let e = parse_trace("warp 0 0\n  at 0x0 nand 1\n", 1).unwrap_err();
         assert!(e.message.contains("unknown atomic"));
     }
