@@ -90,6 +90,28 @@ impl ProtocolKind {
             ProtocolKind::IdealSc => "SC-IDEAL",
         }
     }
+
+    /// Name used on the command line and in job specs.
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            ProtocolKind::Mesi => "mesi",
+            ProtocolKind::MesiWb => "mesi-wb",
+            ProtocolKind::TcStrong => "tcs",
+            ProtocolKind::TcWeak => "tcw",
+            ProtocolKind::RccSc => "rcc",
+            ProtocolKind::RccWo => "rcc-wo",
+            ProtocolKind::IdealSc => "ideal",
+        }
+    }
+
+    /// Parses a [`ProtocolKind::cli_name`]; `rcc-sc` is accepted as an
+    /// alias of `rcc`.
+    pub fn from_cli_name(name: &str) -> Option<ProtocolKind> {
+        if name == "rcc-sc" {
+            return Some(ProtocolKind::RccSc);
+        }
+        ProtocolKind::ALL.into_iter().find(|k| k.cli_name() == name)
+    }
 }
 
 /// Evaluates `body` with `p` bound to the concrete protocol for a
@@ -174,6 +196,18 @@ mod tests {
         ] {
             assert_eq!(k.num_vcs(), 2);
         }
+    }
+
+    #[test]
+    fn cli_names_round_trip() {
+        for k in ProtocolKind::ALL {
+            assert_eq!(ProtocolKind::from_cli_name(k.cli_name()), Some(k));
+        }
+        assert_eq!(
+            ProtocolKind::from_cli_name("rcc-sc"),
+            Some(ProtocolKind::RccSc)
+        );
+        assert_eq!(ProtocolKind::from_cli_name("RCC"), None);
     }
 
     #[test]

@@ -82,10 +82,8 @@ pub struct Scoreboard {
     writes: FxHashMap<WordAddr, Vec<WriteRecord>>,
     reads: FxHashMap<WordAddr, Vec<ReadRecord>>,
     /// Last position seen per (core, warp), for program-order checking.
-    warp_pos: FxHashMap<(CoreId, WarpId), (Timestamp, u64)>,
+    warp_pos: FxHashMap<(CoreId, WarpId), Timestamp>,
     program_order_violations: Vec<(CoreId, WarpId)>,
-    /// Detail for each program-order violation: (addr, previous ts, ts).
-    po_detail: Vec<(WordAddr, Timestamp, Timestamp)>,
     ops: u64,
 }
 
@@ -120,7 +118,7 @@ impl Scoreboard {
                     seq: completion.seq,
                     value,
                 });
-                self.note_pos(core, completion.warp, addr, ts, 0);
+                self.note_pos(core, completion.warp, ts);
             }
             CompletionKind::StoreDone => {
                 let value = store_value.expect("store completions need their value");
@@ -129,7 +127,7 @@ impl Scoreboard {
                     seq: completion.seq,
                     value,
                 });
-                self.note_pos(core, completion.warp, addr, ts, completion.seq);
+                self.note_pos(core, completion.warp, ts);
             }
             CompletionKind::AtomicDone { old } => {
                 let new = store_value.expect("atomic completions need their new value");
@@ -149,45 +147,17 @@ impl Scoreboard {
                         value: new,
                     });
                 }
-                self.note_pos(core, completion.warp, addr, ts, completion.seq);
+                self.note_pos(core, completion.warp, ts);
             }
         }
     }
 
-    fn note_pos(&mut self, core: CoreId, warp: WarpId, addr: WordAddr, ts: Timestamp, _seq: u64) {
-        let key = (core, warp);
-        if let Some(&(prev, _)) = self.warp_pos.get(&key) {
-            if ts < prev {
-                self.program_order_violations.push(key);
-                self.po_detail.push((addr, prev, ts));
-            }
+    fn note_pos(&mut self, core: CoreId, warp: WarpId, ts: Timestamp) {
+        let pos = self.warp_pos.entry((core, warp)).or_insert(ts);
+        if ts < *pos {
+            self.program_order_violations.push((core, warp));
         }
-        let entry = self.warp_pos.entry(key).or_insert((ts, 0));
-        *entry = (entry.0.join(ts), 0);
-    }
-
-    /// Details of program-order violations: (addr, previous ts, ts).
-    pub fn program_order_detail(&self) -> &[(WordAddr, Timestamp, Timestamp)] {
-        &self.po_detail
-    }
-
-    /// Dumps the full (ts, seq, value) write history of one word and all
-    /// reads of it — a debugging aid for SC violations.
-    pub fn dump_word(&self, addr: WordAddr) {
-        let mut ws = self.writes.get(&addr).cloned().unwrap_or_default();
-        ws.sort_by_key(|w| (w.ts, w.seq));
-        eprintln!("writes to {addr}:");
-        for w in ws {
-            eprintln!("  ts={} seq={} value={:#x}", w.ts, w.seq, w.value);
-        }
-        if let Some(rs) = self.reads.get(&addr) {
-            for r in rs {
-                eprintln!(
-                    "  read by {}/{} ts={} seq={} value={:#x}",
-                    r.core, r.warp, r.ts, r.seq, r.value
-                );
-            }
-        }
+        *pos = pos.join(ts);
     }
 
     /// Verifies the SC witness invariant over everything recorded.

@@ -443,6 +443,31 @@ impl Core {
     /// event: it is replicated exactly by [`Core::fast_forward`], which
     /// the simulator must call over any cycles it skips.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.earliest_wake(now, |warp, timer_pending| match warp.current_op() {
+            Some(
+                MemOp::Compute(_) | MemOp::Fence | MemOp::LocalWait { .. } | MemOp::WaitUntil(_),
+            ) => true,
+            // A timer expiring right at the window floor is an event even
+            // if ordering then stalls the warp: its stall accrual *starts*
+            // there, and `fast_forward` (which evaluates intent at `now`,
+            // where the timer is still live) would miss those cycles. An
+            // ordering-stalled warp with no timer only advances counters,
+            // and `fast_forward` replicates those.
+            _ => self
+                .issue_intent(warp, now.raw() + 1)
+                .is_some_and(|(_, addr, _, is_sync)| {
+                    timer_pending || self.ordering_allows(warp, addr, is_sync)
+                }),
+        })
+    }
+
+    /// The per-warp wake walk [`Core::next_event`] and
+    /// [`Core::stall_horizon`] share: local waits, fences, retirement,
+    /// and the busy, lock/barrier-backoff and `WaitUntil` timers. A warp
+    /// whose waiting op is ready at the floor (`now + 1`) wakes the core
+    /// there only if `ready_acts(warp, timer_pending)` says so — the one
+    /// point where the two callers differ.
+    fn earliest_wake(&self, now: Cycle, ready_acts: impl Fn(&Warp, bool) -> bool) -> Option<Cycle> {
         if self.done() {
             return None;
         }
@@ -509,30 +534,8 @@ impl Core {
                 // A timer expires mid-idle: stepping resumes there (the
                 // warp either issues or starts accruing ordering stalls).
                 best = best.min(wake);
-                continue;
-            }
-            match warp.current_op() {
-                Some(
-                    MemOp::Compute(_)
-                    | MemOp::Fence
-                    | MemOp::LocalWait { .. }
-                    | MemOp::WaitUntil(_),
-                ) => best = floor,
-                _ => {
-                    if let Some((_, addr, _, is_sync)) = self.issue_intent(warp, wake) {
-                        if timer_pending || self.ordering_allows(warp, addr, is_sync) {
-                            // A timer expiring right at the window floor is
-                            // an event even if ordering then stalls the
-                            // warp: its stall accrual *starts* there, and
-                            // `fast_forward` (which evaluates intent at
-                            // `now`, where the timer is still live) would
-                            // miss those cycles.
-                            best = floor;
-                        }
-                        // Ordering-stalled with no timer: only counters
-                        // advance, and `fast_forward` replicates those.
-                    }
-                }
+            } else if ready_acts(warp, timer_pending) {
+                best = floor;
             }
         }
         (best != u64::MAX).then_some(Cycle(best))
@@ -601,82 +604,12 @@ impl Core {
     /// counters), [`Core::replay_structural_stalls`], and the L1's
     /// matching reject-replay hook.
     pub fn stall_horizon(&self, now: Cycle) -> Option<Cycle> {
-        if self.done() {
-            return None;
-        }
-        let nowr = now.raw();
-        let floor = nowr + 1;
-        let mut best: u64 = u64::MAX;
-        for warp in &self.warps {
-            if best == floor {
-                break; // already at the earliest possible answer
-            }
-            if warp.done {
-                continue;
-            }
-            if let Some(need) = warp.waiting_local {
-                if self.wg_epochs[warp.wg_index] >= need {
-                    // Releases in the next bookkeeping phase (should not
-                    // survive a tick, but stay conservative).
-                    best = floor;
-                }
-                continue;
-            }
-            if warp.at_fence {
-                if warp.outstanding.is_empty() {
-                    if self.params.fence_policy == FencePolicy::DrainGwct && nowr <= warp.max_gwct {
-                        // Retirement re-enables the warp: it can then
-                        // preempt the spinning warp.
-                        best = best.min(warp.max_gwct + 1);
-                    } else {
-                        best = floor;
-                    }
-                }
-                continue;
-            }
-            if warp.current_op().is_none() {
-                if warp.outstanding.is_empty() && warp.micro == Micro::Fresh {
-                    best = floor; // retirement next bookkeeping phase
-                }
-                continue;
-            }
-            let mut wake = floor;
-            let mut timer_pending = false;
-            if warp.busy_until > nowr {
-                wake = wake.max(warp.busy_until);
-                timer_pending = true;
-            }
-            match warp.micro {
-                Micro::SyncWait => continue, // woken by its completion
-                Micro::LockBackoff { until } | Micro::BarrierBackoff { until } if until > nowr => {
-                    wake = wake.max(until);
-                    timer_pending = true;
-                }
-                _ => {}
-            }
-            // A pending replay gate is a timer: at its cycle the warp
-            // becomes eligible and can preempt the spinning warp.
-            if let Some(MemOp::WaitUntil(t)) = warp.current_op() {
-                if t > nowr {
-                    wake = wake.max(t);
-                    timer_pending = true;
-                }
-            }
-            if wake > floor {
-                // A timer re-enables this warp mid-spin: the scheduler
-                // could then pick it over the spinning warp.
-                best = best.min(wake);
-                continue;
-            }
-            if timer_pending {
-                // Expires right at the window floor.
-                best = floor;
-            }
-            // Ready or ordering-stalled warps with no live timer are
-            // inert: the spin repeats ahead of them in the visit order,
-            // and their stall counters are replayed by `fast_forward`.
-        }
-        (best != u64::MAX).then_some(Cycle(best))
+        // Ready or ordering-stalled warps with no live timer are inert:
+        // the spin repeats ahead of them in the visit order, and their
+        // stall counters are replayed by `fast_forward`. A timer expiring
+        // right at the floor re-enables its warp, which can then preempt
+        // the spinning warp.
+        self.earliest_wake(now, |_, timer_pending| timer_pending)
     }
 
     /// Accounts for `cycles` skipped retry cycles during which the

@@ -14,13 +14,14 @@
 //!   of length `q` waits at most [`Sched::starvation_bound`]`(q)`
 //!   dispatches.
 //! - **Determinism.** The pick is a pure function of the queue state,
-//!   so a fixed arrival/requeue sequence yields a fixed schedule.
+//!   so a fixed arrival sequence yields a fixed schedule.
 //!
-//! Preempted jobs are [`Sched::requeue`]d at the *back* of their class
-//! under a fresh sequence number: one quantum is one turn, so a long
-//! job round-robins with its class peers instead of re-monopolizing the
-//! worker, and a flood of short jobs drains while the long one crawls
-//! forward a quantum per pass.
+//! Each entry carries the job index it was [`Sched::push`]ed with, and
+//! [`Sched::pop`] hands that index back. A preempted job is pushed again
+//! and lands at the *back* of its class under a fresh sequence number:
+//! one quantum is one turn, so a long job round-robins with its class
+//! peers instead of re-monopolizing the worker, and a flood of short
+//! jobs drains while the long one crawls forward a quantum per pass.
 
 /// Number of priority classes; class 0 is the most urgent.
 pub const CLASSES: u8 = 4;
@@ -29,6 +30,8 @@ pub const CLASSES: u8 = 4;
 struct Entry {
     seq: u64,
     class: u8,
+    /// The job index this entry dispatches.
+    job: usize,
     /// Dispatches this entry has waited through since (re)admission.
     age: u64,
 }
@@ -60,29 +63,22 @@ impl Sched {
         }
     }
 
-    /// Admits a new entry at `class` (clamped to `CLASSES - 1`) and
-    /// returns its sequence token — the handle [`Sched::pop`] yields.
-    pub fn push(&mut self, class: u8) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// Admits `job` at `class` (clamped to `CLASSES - 1`), behind every
+    /// entry already waiting in that class.
+    pub fn push(&mut self, class: u8, job: usize) {
         self.ready.push(Entry {
-            seq,
+            seq: self.next_seq,
             class: class.min(CLASSES - 1),
+            job,
             age: 0,
         });
-        seq
+        self.next_seq += 1;
     }
 
-    /// Re-admits a preempted entry at the back of its class under a
-    /// fresh token (returned): each quantum is one turn in the
-    /// round-robin, so class peers that arrived while it ran go first.
-    pub fn requeue(&mut self, class: u8) -> u64 {
-        self.push(class)
-    }
-
-    /// Dispatches the entry with the lowest `(effective class, seq)`
-    /// and ages everything still waiting by one dispatch.
-    pub fn pop(&mut self) -> Option<u64> {
+    /// Dispatches the entry with the lowest `(effective class, seq)`,
+    /// ages everything still waiting by one dispatch, and returns the
+    /// dispatched job index.
+    pub fn pop(&mut self) -> Option<usize> {
         let best = self
             .ready
             .iter()
@@ -93,7 +89,7 @@ impl Sched {
         for e in &mut self.ready {
             e.age += 1;
         }
-        Some(picked.seq)
+        Some(picked.job)
     }
 
     /// Entries currently waiting.
@@ -121,12 +117,12 @@ mod tests {
     #[test]
     fn fifo_within_a_class() {
         let mut s = Sched::new(4);
-        let a = s.push(1);
-        let b = s.push(1);
-        let c = s.push(1);
-        assert_eq!(s.pop(), Some(a));
-        assert_eq!(s.pop(), Some(b));
-        assert_eq!(s.pop(), Some(c));
+        for job in 0..3 {
+            s.push(1, job);
+        }
+        assert_eq!(s.pop(), Some(0));
+        assert_eq!(s.pop(), Some(1));
+        assert_eq!(s.pop(), Some(2));
         assert_eq!(s.pop(), None);
     }
 
@@ -135,11 +131,12 @@ mod tests {
         // One background entry, then a stream of urgent arrivals: the
         // background entry must still dispatch within its bound.
         let mut s = Sched::new(2);
-        let slow = s.push(3);
+        let slow = 0;
+        s.push(3, slow);
         let bound = s.starvation_bound(0);
         let mut waited = 0;
         loop {
-            s.push(0);
+            s.push(0, waited as usize + 1);
             let picked = s.pop().expect("queue non-empty");
             if picked == slow {
                 break;
@@ -153,11 +150,12 @@ mod tests {
     #[test]
     fn requeue_goes_to_the_back_of_the_class() {
         let mut s = Sched::new(4);
-        let a = s.push(2);
-        let b = s.push(2);
+        let (a, b) = (0, 1);
+        s.push(2, a);
+        s.push(2, b);
         assert_eq!(s.pop(), Some(a));
-        let a2 = s.requeue(2); // preempted: b takes its turn first
+        s.push(2, a); // preempted: b takes its turn first
         assert_eq!(s.pop(), Some(b));
-        assert_eq!(s.pop(), Some(a2));
+        assert_eq!(s.pop(), Some(a));
     }
 }

@@ -273,8 +273,6 @@ struct WorkerSlot {
 struct State {
     jobs: Vec<Job>,
     sched: Sched,
-    /// Scheduler token → job index, for everything currently queued.
-    token_to_job: BTreeMap<u64, usize>,
     /// Crash-retried jobs waiting out their backoff: (due, job index).
     deferred: Vec<(Instant, usize)>,
     /// Idempotency: dedup_key → job id.
@@ -378,8 +376,7 @@ fn promote_deferred(st: &mut State) -> Option<Instant> {
         if due <= now {
             st.deferred.swap_remove(i);
             let priority = st.jobs[id].record.priority;
-            let token = st.sched.push(priority);
-            st.token_to_job.insert(token, id);
+            st.sched.push(priority, id);
         } else {
             earliest = Some(earliest.map_or(due, |e| e.min(due)));
             i += 1;
@@ -529,11 +526,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                     return;
                 }
                 let next_due = promote_deferred(&mut st);
-                if let Some(token) = st.sched.pop() {
-                    let id = st
-                        .token_to_job
-                        .remove(&token)
-                        .expect("scheduler token maps to a job");
+                if let Some(id) = st.sched.pop() {
                     let (spec, ck, run, attempt, epoch, need_start) = {
                         let job = &mut st.jobs[id];
                         job.record.state = JobState::Running;
@@ -685,8 +678,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                 job.ck = Some(ck);
                 job.run = Some(*run);
                 job.record.state = JobState::Queued;
-                let token = st.sched.requeue(priority);
-                st.token_to_job.insert(token, task.id);
+                st.sched.push(priority, task.id);
                 inner.work.notify_one();
             }
         }
@@ -884,8 +876,7 @@ fn rebuild_from_journal(
             continue;
         }
         st.jobs[idx].record.state = JobState::Queued;
-        let token = st.sched.push(priority);
-        st.token_to_job.insert(token, idx);
+        st.sched.push(priority, idx);
         st.active += 1;
     }
     Ok(())
@@ -930,7 +921,6 @@ impl Server {
         let mut st = State {
             jobs: Vec::new(),
             sched: Sched::new(cfg.aging),
-            token_to_job: BTreeMap::new(),
             deferred: Vec::new(),
             dedup: BTreeMap::new(),
             workers: (0..workers)
@@ -1071,7 +1061,7 @@ impl Server {
                 };
             }
         }
-        let queued = st.token_to_job.len() + st.deferred.len();
+        let queued = st.sched.len() + st.deferred.len();
         let retry_after_ms = ((queued as u64) * 25).clamp(100, 10_000);
         if self.inner.max_queue > 0 && queued >= self.inner.max_queue {
             return Submission::Overloaded {
@@ -1104,9 +1094,8 @@ impl Server {
                 detail: format!("not admitted: {e}"),
             };
         }
-        let token = st.sched.push(spec.priority);
         let idx = st.jobs.len();
-        st.token_to_job.insert(token, idx);
+        st.sched.push(spec.priority, idx);
         if let Some(key) = &spec.dedup_key {
             st.dedup.insert(key.clone(), id);
         }
@@ -1510,11 +1499,3 @@ pub fn record_json(rec: &JobRecord) -> String {
 /// that a quick job finishes in one slice, short enough that a
 /// full-scale run yields many times.
 pub const DEFAULT_QUANTUM: u64 = 50_000;
-
-/// Convenience used by the binary and CI smoke: options a direct
-/// driver invocation would use for the same spec (for diffing a service
-/// artifact against `try_simulate`).
-pub fn direct_options(spec: &JobSpec) -> SimOptions {
-    let (_, _, _, opts) = spec.inputs();
-    opts
-}

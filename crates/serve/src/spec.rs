@@ -145,31 +145,6 @@ pub struct JobSpec {
     pub dedup_key: Option<String>,
 }
 
-fn protocol_by_cli_name(s: &str) -> Option<ProtocolKind> {
-    Some(match s {
-        "mesi" => ProtocolKind::Mesi,
-        "mesi-wb" => ProtocolKind::MesiWb,
-        "tcs" => ProtocolKind::TcStrong,
-        "tcw" => ProtocolKind::TcWeak,
-        "rcc" => ProtocolKind::RccSc,
-        "rcc-wo" => ProtocolKind::RccWo,
-        "ideal" => ProtocolKind::IdealSc,
-        _ => return None,
-    })
-}
-
-fn cli_name(kind: ProtocolKind) -> &'static str {
-    match kind {
-        ProtocolKind::Mesi => "mesi",
-        ProtocolKind::MesiWb => "mesi-wb",
-        ProtocolKind::TcStrong => "tcs",
-        ProtocolKind::TcWeak => "tcw",
-        ProtocolKind::RccSc => "rcc",
-        ProtocolKind::RccWo => "rcc-wo",
-        ProtocolKind::IdealSc => "ideal",
-    }
-}
-
 /// Default seed, shared with the bench harness so a bare spec matches
 /// the artifacts the harness produces.
 const DEFAULT_SEED: u64 = 7;
@@ -205,7 +180,7 @@ impl JobSpec {
             .get("protocol")
             .and_then(JsonValue::as_str)
             .unwrap_or_default();
-        let protocol = protocol_by_cli_name(proto_name)
+        let protocol = ProtocolKind::from_cli_name(proto_name)
             .ok_or_else(|| SpecError::new("protocol", format!("unknown protocol {proto_name}")))?;
 
         let wl = v.get("workload").expect("schema guarantees workload");
@@ -385,7 +360,7 @@ impl JobSpec {
         let _ = write!(
             s,
             "{{\"version\": {SPEC_VERSION}, \"protocol\": \"{}\", \"workload\": ",
-            cli_name(self.protocol)
+            self.protocol.cli_name()
         );
         match &self.workload {
             WorkloadSpec::Bench {
@@ -500,6 +475,10 @@ mod tests {
         let stray = r#"{"version": 1, "protocol": "rcc",
             "workload": {"kind": "litmus", "name": "mp"}, "nope": 1}"#;
         assert_eq!(JobSpec::parse(stray).unwrap_err().kind, "schema");
+        // The command line's `rcc-sc` alias is not a wire name.
+        let alias = r#"{"version": 1, "protocol": "rcc-sc",
+            "workload": {"kind": "litmus", "name": "mp"}}"#;
+        assert_eq!(JobSpec::parse(alias).unwrap_err().kind, "schema");
     }
 
     #[test]

@@ -27,29 +27,26 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Replays an op stream, returning the dispatch order as
-/// `(token, class)` pairs and tracking per-token wait counts.
-fn replay(aging: u64, ops: &[Op]) -> Vec<(u64, u8)> {
+/// Replays an op stream, returning the dispatch order as `(id, class)`
+/// pairs. Every admission, re-admissions included, pushes a fresh id
+/// (its index in `class_of`), so ids are monotone in admission order.
+fn replay(aging: u64, ops: &[Op]) -> Vec<(usize, u8)> {
     let mut s = Sched::new(aging);
-    let mut class_of: Vec<(u64, u8)> = Vec::new();
+    let mut class_of: Vec<u8> = Vec::new();
     let mut order = Vec::new();
     for op in ops {
         match op {
             Op::Push(class) => {
-                let tok = s.push(*class);
-                class_of.push((tok, *class));
+                s.push(*class, class_of.len());
+                class_of.push(*class);
             }
             Op::PopAndMaybeRequeue(requeue) => {
-                if let Some(tok) = s.pop() {
-                    let class = class_of
-                        .iter()
-                        .find(|(t, _)| *t == tok)
-                        .expect("dispatched token was admitted")
-                        .1;
-                    order.push((tok, class));
+                if let Some(id) = s.pop() {
+                    let class = class_of[id];
+                    order.push((id, class));
                     if *requeue {
-                        let t2 = s.requeue(class);
-                        class_of.push((t2, class));
+                        s.push(class, class_of.len());
+                        class_of.push(class);
                     }
                 }
             }
@@ -61,20 +58,20 @@ fn replay(aging: u64, ops: &[Op]) -> Vec<(u64, u8)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Within one class, tokens dispatch in admission order (tokens are
-    /// monotone in admission order, requeues included, so the dispatch
-    /// sequence restricted to any class must be increasing).
+    /// Within one class, entries dispatch in admission order (ids are
+    /// monotone in admission order, re-admissions included, so the
+    /// dispatch sequence restricted to any class must be increasing).
     #[test]
     fn fifo_within_each_class(ops in arb_ops(), aging in 1u64..6) {
         let order = replay(aging, &ops);
         for class in 0..CLASSES {
-            let toks: Vec<u64> = order
+            let ids: Vec<usize> = order
                 .iter()
                 .filter(|(_, c)| *c == class)
-                .map(|(t, _)| *t)
+                .map(|(id, _)| *id)
                 .collect();
-            for w in toks.windows(2) {
-                prop_assert!(w[0] < w[1], "class {class} dispatched out of order: {toks:?}");
+            for w in ids.windows(2) {
+                prop_assert!(w[0] < w[1], "class {class} dispatched out of order: {ids:?}");
             }
         }
     }
@@ -85,26 +82,29 @@ proptest! {
     #[test]
     fn every_entry_dispatches_within_the_bound(ops in arb_ops(), aging in 1u64..6) {
         let mut s = Sched::new(aging);
-        // token -> (dispatches remaining before violation)
-        let mut deadline: Vec<(u64, u64)> = Vec::new();
+        let mut next_id = 0..;
+        // id -> (dispatches remaining before violation)
+        let mut deadline: Vec<(usize, u64)> = Vec::new();
         for op in &ops {
             match op {
                 Op::Push(class) => {
                     let bound = s.starvation_bound(s.len());
-                    let tok = s.push(*class);
-                    deadline.push((tok, bound));
+                    let id = next_id.next().expect("unbounded ids");
+                    s.push(*class, id);
+                    deadline.push((id, bound));
                 }
                 Op::PopAndMaybeRequeue(requeue) => {
-                    let Some(tok) = s.pop() else { continue };
-                    deadline.retain(|(t, _)| *t != tok);
-                    for (t, left) in &mut deadline {
-                        prop_assert!(*left > 0, "token {t} starved past its bound");
+                    let Some(id) = s.pop() else { continue };
+                    deadline.retain(|(d, _)| *d != id);
+                    for (d, left) in &mut deadline {
+                        prop_assert!(*left > 0, "entry {d} starved past its bound");
                         *left -= 1;
                     }
                     if *requeue {
                         let bound = s.starvation_bound(s.len());
-                        let t2 = s.requeue(CLASSES - 1);
-                        deadline.push((t2, bound));
+                        let id = next_id.next().expect("unbounded ids");
+                        s.push(CLASSES - 1, id);
+                        deadline.push((id, bound));
                     }
                 }
             }
@@ -121,8 +121,9 @@ proptest! {
     #[test]
     fn urgent_beats_fresh_background(bg in 1u8..CLASSES) {
         let mut s = Sched::new(4);
-        let slow = s.push(bg);
-        let fast = s.push(0);
+        let (slow, fast) = (0, 1);
+        s.push(bg, slow);
+        s.push(0, fast);
         prop_assert_eq!(s.pop(), Some(fast));
         prop_assert_eq!(s.pop(), Some(slow));
     }

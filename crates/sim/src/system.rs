@@ -9,7 +9,7 @@ use rcc_common::addr::{LineAddr, WordAddr};
 use rcc_common::config::GpuConfig;
 use rcc_common::ids::{CoreId, WarpId};
 use rcc_common::snap::StateDigest;
-use rcc_common::stats::TrafficStats;
+use rcc_common::stats::{MsgClass, TrafficStats};
 use rcc_common::time::{Cycle, Timestamp};
 use rcc_common::FxHashMap;
 use rcc_core::msg::{
@@ -220,10 +220,6 @@ pub struct System<P: Protocol> {
     rollovers: u64,
     last_progress: u64,
     kind: rcc_core::ProtocolKind,
-    /// Incremental mirror of [`System::memory_system_pending_scan`]:
-    /// updated with before/after deltas at every controller call site so
-    /// the per-cycle drain checks are O(1).
-    mem_pending: usize,
     /// The due policy: `true` runs each component only at its exact
     /// wake events (calendar queue, idle cycles skipped); `false` makes
     /// every component due every cycle (the reference semantics).
@@ -346,7 +342,6 @@ impl<P: Protocol> System<P> {
             last_progress: 0,
             kind,
             cfg: cfg.clone(),
-            mem_pending: 0,
             ff_enabled: true,
             skipped_cycles: 0,
             ff_jumps: 0,
@@ -479,7 +474,7 @@ impl<P: Protocol> System<P> {
         for core in &self.cores {
             row.push(core.active_warps() as u64);
         }
-        for class in rcc_common::stats::MsgClass::ALL {
+        for class in MsgClass::ALL {
             row.push(self.traffic.flits(class));
         }
         obs.commit_sample(now);
@@ -556,32 +551,6 @@ impl<P: Protocol> System<P> {
         self.recorder.sanitizer.as_ref().map(Sanitizer::check)
     }
 
-    /// Pre-seeds memory with a value (records it as a position-0 write).
-    pub fn seed_memory(&mut self, addr: WordAddr, value: u64) {
-        self.memory
-            .entry(addr.line())
-            .or_insert_with(LineData::zeroed)
-            .set_word_at(addr, value);
-        if let Some(san) = &mut self.recorder.sanitizer {
-            san.seed(addr, value);
-        }
-        // Seeds sort before every simulated write: (ts, seq) = (0, 0).
-        self.recorder.final_vals.insert(addr, (0, 0, value));
-        if let Some(sb) = &mut self.recorder.scoreboard {
-            sb.record(
-                CoreId(usize::MAX % 251),
-                &Completion {
-                    warp: WarpId(0),
-                    addr,
-                    kind: CompletionKind::StoreDone,
-                    ts: Timestamp::ZERO,
-                    seq: 0,
-                },
-                Some(value),
-            );
-        }
-    }
-
     /// Current cycle.
     pub fn cycle(&self) -> Cycle {
         self.cycle
@@ -601,15 +570,9 @@ impl<P: Protocol> System<P> {
             .map_or(&[], Vec::as_slice)
     }
 
-    fn bill_req(traffic: &mut TrafficStats, cfg: &GpuConfig, msg: &ReqMsg) -> u64 {
-        let class = msg.payload.class();
-        let flits = flits_for(class, cfg.noc.flit_bytes, cfg.noc.control_bytes);
-        traffic.record(class, flits);
-        flits
-    }
-
-    fn bill_resp(traffic: &mut TrafficStats, cfg: &GpuConfig, msg: &RespMsg) -> u64 {
-        let class = msg.payload.class();
+    /// Records one message of `class` in the traffic totals and returns
+    /// its size in flits.
+    fn bill(traffic: &mut TrafficStats, cfg: &GpuConfig, class: MsgClass) -> u64 {
         let flits = flits_for(class, cfg.noc.flit_bytes, cfg.noc.control_bytes);
         traffic.record(class, flits);
         flits
@@ -622,11 +585,10 @@ impl<P: Protocol> System<P> {
     /// cycle for callers that precede the core phase, the next cycle for
     /// the core phase itself.
     fn process_l1_out(&mut self, core: usize, out: &mut L1Outbox, core_wake_floor: u64) {
-        self.mem_pending += out.to_l2.len();
         let injected = !out.to_l2.is_empty();
         for req in out.to_l2.drain(..) {
             let part = req.line.partition(self.cfg.l2.num_partitions);
-            let flits = Self::bill_req(&mut self.traffic, &self.cfg, &req);
+            let flits = Self::bill(&mut self.traffic, &self.cfg, req.payload.class());
             self.req_net.inject(self.cycle, core, part, 0, flits, req);
         }
         if injected {
@@ -672,7 +634,6 @@ impl<P: Protocol> System<P> {
     /// cycle for callers that follow them).
     fn process_l2_out(&mut self, part: usize, out: &mut L2Outbox, wake_floor: u64) {
         let ready = self.cycle.raw() + self.cfg.l2.partition.latency;
-        self.mem_pending += out.to_l1.len() + out.dram_fetch.len() + out.dram_writeback.len();
         for resp in out.to_l1.drain(..) {
             if let Some(obs) = &mut self.obs {
                 if obs.tracing() {
@@ -736,14 +697,7 @@ impl<P: Protocol> System<P> {
         for (line, data) in out.dram_writeback.drain(..) {
             // Data is applied functionally at once; the channel models
             // the bandwidth/occupancy cost.
-            self.traffic.record(
-                rcc_common::stats::MsgClass::Writeback,
-                flits_for(
-                    rcc_common::stats::MsgClass::Writeback,
-                    self.cfg.noc.flit_bytes,
-                    self.cfg.noc.control_bytes,
-                ),
-            );
+            Self::bill(&mut self.traffic, &self.cfg, MsgClass::Writeback);
             if let Some(obs) = &mut self.obs {
                 if obs.tracing() {
                     obs.trace_mut().instant(
@@ -759,10 +713,7 @@ impl<P: Protocol> System<P> {
         }
         for (core, line, action) in out.magic_inv.drain(..) {
             // SC-IDEAL: zero-cost, zero-latency coherence action.
-            let before = self.l1s[core.index()].pending();
             self.l1s[core.index()].magic(self.cycle, line, action);
-            self.mem_pending += self.l1s[core.index()].pending();
-            self.mem_pending -= before;
             self.sched
                 .arm_min(self.comp_l1(core.index()), self.cycle.raw());
             if self.spin_state[core.index()] == SpinState::Active {
@@ -776,16 +727,10 @@ impl<P: Protocol> System<P> {
         self.arm_dram_from_state(part, wake_floor);
     }
 
-    /// Total outstanding work anywhere in the memory system — the
-    /// incrementally maintained counter (each executed cycle
-    /// cross-checks it against the full scan in debug builds).
+    /// Total outstanding work anywhere in the memory system, summed over
+    /// every component. O(components): read only by the rollover drain
+    /// guard, hang dumps and state digests, never per executed step.
     fn memory_system_pending(&self) -> usize {
-        self.mem_pending
-    }
-
-    /// Reference implementation of [`System::memory_system_pending`]:
-    /// re-sums every component. O(components); kept for validation.
-    fn memory_system_pending_scan(&self) -> usize {
         self.l1s.iter().map(L1Cache::pending).sum::<usize>()
             + self.l2s.iter().map(L2Bank::pending).sum::<usize>()
             + self.l2_inbox.iter().map(VecDeque::len).sum::<usize>()
@@ -850,36 +795,32 @@ impl<P: Protocol> System<P> {
         2 * self.cores.len() + 2 + 4 * self.l2s.len()
     }
 
-    /// Re-arms core `i` from its own exact wake hint. `floor` clamps the
-    /// wake to the earliest cycle the core's phase can still run.
-    fn arm_core_from_state(&mut self, i: usize, floor: u64) {
-        let comp = self.comp_core(i);
-        if self.cores[i].done() {
-            self.sched.disarm(comp);
-            return;
-        }
-        match self.cores[i].next_event(self.cycle) {
+    /// The one hint-to-slot rule: arms `comp` at a component's exact
+    /// wake hint clamped to `floor` (the earliest cycle its phase can
+    /// still run), or disarms it when the hint is `None`.
+    fn arm_hint(&mut self, comp: usize, hint: Option<Cycle>, floor: u64) {
+        match hint {
             Some(c) => self.sched.arm_at(comp, c.raw().max(floor)),
             None => self.sched.disarm(comp),
         }
+    }
+
+    /// Re-arms core `i` from its own exact wake hint.
+    fn arm_core_from_state(&mut self, i: usize, floor: u64) {
+        let hint = self.cores[i].next_event(self.cycle);
+        self.arm_hint(self.comp_core(i), hint, floor);
     }
 
     /// Re-arms L1 `i` from its spontaneous-action hint.
     fn arm_l1_from_state(&mut self, i: usize, floor: u64) {
-        let comp = self.comp_l1(i);
-        match self.l1s[i].next_event(self.cycle) {
-            Some(c) => self.sched.arm_at(comp, c.raw().max(floor)),
-            None => self.sched.disarm(comp),
-        }
+        let hint = self.l1s[i].next_event(self.cycle);
+        self.arm_hint(self.comp_l1(i), hint, floor);
     }
 
     /// Re-arms L2 bank `p` from its spontaneous-action hint.
     fn arm_bank_from_state(&mut self, p: usize, floor: u64) {
-        let comp = self.comp_bank(p);
-        match self.l2s[p].next_event(self.cycle) {
-            Some(c) => self.sched.arm_at(comp, c.raw().max(floor)),
-            None => self.sched.disarm(comp),
-        }
+        let hint = self.l2s[p].next_event(self.cycle);
+        self.arm_hint(self.comp_bank(p), hint, floor);
     }
 
     /// Re-arms bank inbox `p`: a non-empty inbox serves one request per
@@ -896,39 +837,41 @@ impl<P: Protocol> System<P> {
     /// Re-arms delay pipe `p` from its front entry (the pipe is FIFO
     /// with monotone readiness, so the front is the earliest).
     fn arm_pipe_from_state(&mut self, p: usize, floor: u64) {
-        let comp = self.comp_pipe(p);
-        match self.l2_delay[p].front() {
-            Some((ready, _)) => self.sched.arm_at(comp, (*ready).max(floor)),
-            None => self.sched.disarm(comp),
-        }
+        let hint = self.l2_delay[p].front().map(|(ready, _)| Cycle(*ready));
+        self.arm_hint(self.comp_pipe(p), hint, floor);
     }
 
-    /// Re-arms DRAM channel `p`. Its hint is `Cycle(0)` ("poll me every
-    /// cycle") while commands are queued, so the clamp makes that the
-    /// next serviceable cycle.
+    /// Re-arms DRAM channel `p` from the exact cycle its next queued
+    /// command can issue or its next read completes.
     fn arm_dram_from_state(&mut self, p: usize, floor: u64) {
-        let comp = self.comp_dram(p);
-        match self.drams[p].next_event() {
-            Some(c) => self.sched.arm_at(comp, c.raw().max(floor)),
-            None => self.sched.disarm(comp),
-        }
+        let hint = self.drams[p].next_event();
+        self.arm_hint(self.comp_dram(p), hint, floor);
     }
 
     /// Re-arms the request network from its earliest in-flight delivery.
     fn arm_req_from_state(&mut self) {
-        let comp = self.comp_req();
-        match self.req_net.next_event() {
-            Some(c) => self.sched.arm_at(comp, c.raw()),
-            None => self.sched.disarm(comp),
-        }
+        let hint = self.req_net.next_event();
+        self.arm_hint(self.comp_req(), hint, 0);
     }
 
     /// Re-arms the response network from its earliest in-flight delivery.
     fn arm_resp_from_state(&mut self) {
-        let comp = self.comp_resp();
-        match self.resp_net.next_event() {
-            Some(c) => self.sched.arm_at(comp, c.raw()),
-            None => self.sched.disarm(comp),
+        let hint = self.resp_net.next_event();
+        self.arm_hint(self.comp_resp(), hint, 0);
+    }
+
+    /// The rollover FSM's one guard: whether the coordinator can leave
+    /// its current state — a bank crossed the threshold (`Idle`), the
+    /// machine holds no outstanding access (`Draining`), or every L1
+    /// acked its flush (`Flushing`).
+    fn rollover_transition_due(&self) -> bool {
+        match self.rollover {
+            RolloverState::Idle => self.l2s.iter().any(L2Bank::needs_rollover),
+            RolloverState::Draining => {
+                self.cores.iter().map(Core::outstanding).sum::<usize>() == 0
+                    && self.memory_system_pending() == 0
+            }
+            RolloverState::Flushing { acks_outstanding } => acks_outstanding == 0,
         }
     }
 
@@ -938,16 +881,8 @@ impl<P: Protocol> System<P> {
     /// 6), so this only fires for the entry corner: the cycle the
     /// threshold crossing is noticed on an already-drained machine.
     fn arm_rollover_from_state(&mut self, floor: u64) {
-        let due = match self.rollover {
-            RolloverState::Idle => self.l2s.iter().any(L2Bank::needs_rollover),
-            RolloverState::Draining => {
-                let outstanding: usize = self.cores.iter().map(Core::outstanding).sum();
-                outstanding == 0 && self.memory_system_pending() == 0
-            }
-            RolloverState::Flushing { acks_outstanding } => acks_outstanding == 0,
-        };
         let comp = self.comp_rollover();
-        if due {
+        if self.rollover_transition_due() {
             self.sched.arm_min(comp, floor);
         } else {
             self.sched.disarm(comp);
@@ -1158,7 +1093,7 @@ impl<P: Protocol> System<P> {
         d.write_debug(&self.rollover);
         d.write_u64(self.rollovers);
         d.write_u64(self.last_progress);
-        d.write_u64(self.mem_pending as u64);
+        d.write_u64(self.memory_system_pending() as u64);
         d.write_u64(self.recorder.epoch_base);
         d.write_u64(self.recorder.max_ts_seen);
         d.write_u64(self.recorder.completions);
@@ -1181,90 +1116,88 @@ impl<P: Protocol> System<P> {
         self.recorder.pending_vals.clear();
     }
 
-    fn advance_rollover(&mut self) {
+    /// Takes the rollover FSM's transition if its guard holds, and
+    /// reports whether it did.
+    fn advance_rollover(&mut self) -> bool {
+        if !self.rollover_transition_due() {
+            return false;
+        }
         match self.rollover {
             RolloverState::Idle => {
-                if self.l2s.iter().any(|l2| l2.needs_rollover()) {
-                    self.rollover = RolloverState::Draining;
-                    // Cores pause from this cycle on: settle their lazy
-                    // bookkeeping (through the last cycle they ran) and
-                    // park their wake slots until the rollover completes.
-                    let now = self.cycle.raw();
-                    for i in 0..self.cores.len() {
-                        self.sync_core_through(i, now.saturating_sub(1));
-                        self.synced_to[i] = now;
-                        self.sched.disarm(self.comp_core(i));
-                    }
-                    if let Some(obs) = &mut self.obs {
-                        if obs.tracing() {
-                            obs.trace_mut()
-                                .begin(self.cycle.raw(), track::SYSTEM, "rollover");
-                        }
+                self.rollover = RolloverState::Draining;
+                // Cores pause from this cycle on: settle their lazy
+                // bookkeeping (through the last cycle they ran) and park
+                // their wake slots until the rollover completes.
+                let now = self.cycle.raw();
+                for i in 0..self.cores.len() {
+                    self.sync_core_through(i, now.saturating_sub(1));
+                    self.synced_to[i] = now;
+                    self.sched.disarm(self.comp_core(i));
+                }
+                if let Some(obs) = &mut self.obs {
+                    if obs.tracing() {
+                        obs.trace_mut()
+                            .begin(self.cycle.raw(), track::SYSTEM, "rollover");
                     }
                 }
             }
             RolloverState::Draining => {
-                let outstanding: usize = self.cores.iter().map(Core::outstanding).sum();
-                if outstanding == 0 && self.memory_system_pending() == 0 {
-                    rcc_common::trace!("rollover: system drained at {}, resetting", self.cycle);
-                    for (p, l2) in self.l2s.iter_mut().enumerate() {
-                        if let Some(obs) = &mut self.obs {
-                            if obs.tracing() {
-                                let mnow = l2.logical_time().map_or(0, |t| t.raw());
-                                obs.trace_mut().instant(
-                                    self.cycle.raw(),
-                                    track::L2_BASE + p as u64,
-                                    "rollover-reset",
-                                    vec![("mnow", ArgValue::U(mnow))],
-                                );
-                            }
-                        }
-                        l2.rollover_reset();
-                    }
-                    // Partition 0 flushes every L1 over the response
-                    // network (billed as Flush traffic).
-                    for core in 0..self.cores.len() {
-                        let resp = RespMsg {
-                            dst: CoreId(core),
-                            line: LineAddr(0),
-                            id: rcc_core::msg::ReqId(0),
-                            payload: RespPayload::Flush,
-                        };
-                        let flits = Self::bill_resp(&mut self.traffic, &self.cfg, &resp);
-                        self.resp_net.inject(self.cycle, 0, core, 1, flits, resp);
-                        self.mem_pending += 1;
-                    }
-                    self.rollover = RolloverState::Flushing {
-                        acks_outstanding: self.cores.len(),
-                    };
-                    self.last_progress = self.cycle.raw();
-                    self.arm_resp_from_state();
-                }
-            }
-            RolloverState::Flushing { acks_outstanding } => {
-                if acks_outstanding == 0 {
-                    self.rollovers += 1;
-                    self.recorder.epoch_base = self.recorder.max_ts_seen + 1;
-                    self.rollover = RolloverState::Idle;
-                    self.last_progress = self.cycle.raw();
-                    // Cores resume *this* cycle (the core phase runs
-                    // after this one): their first tick covers the
-                    // current cycle's bookkeeping itself.
-                    let now = self.cycle.raw();
-                    for i in 0..self.cores.len() {
-                        self.synced_to[i] = now.saturating_sub(1);
-                        if !self.cores[i].done() {
-                            self.sched.arm_min(self.comp_core(i), now);
-                        }
-                    }
+                rcc_common::trace!("rollover: system drained at {}, resetting", self.cycle);
+                for (p, l2) in self.l2s.iter_mut().enumerate() {
                     if let Some(obs) = &mut self.obs {
                         if obs.tracing() {
-                            obs.trace_mut().end(self.cycle.raw(), track::SYSTEM);
+                            let mnow = l2.logical_time().map_or(0, |t| t.raw());
+                            obs.trace_mut().instant(
+                                self.cycle.raw(),
+                                track::L2_BASE + p as u64,
+                                "rollover-reset",
+                                vec![("mnow", ArgValue::U(mnow))],
+                            );
                         }
+                    }
+                    l2.rollover_reset();
+                }
+                // Partition 0 flushes every L1 over the response network
+                // (billed as Flush traffic).
+                for core in 0..self.cores.len() {
+                    let resp = RespMsg {
+                        dst: CoreId(core),
+                        line: LineAddr(0),
+                        id: rcc_core::msg::ReqId(0),
+                        payload: RespPayload::Flush,
+                    };
+                    let flits = Self::bill(&mut self.traffic, &self.cfg, MsgClass::Flush);
+                    self.resp_net.inject(self.cycle, 0, core, 1, flits, resp);
+                }
+                self.rollover = RolloverState::Flushing {
+                    acks_outstanding: self.cores.len(),
+                };
+                self.last_progress = self.cycle.raw();
+                self.arm_resp_from_state();
+            }
+            RolloverState::Flushing { .. } => {
+                self.rollovers += 1;
+                self.recorder.epoch_base = self.recorder.max_ts_seen + 1;
+                self.rollover = RolloverState::Idle;
+                self.last_progress = self.cycle.raw();
+                // Cores resume *this* cycle (the core phase runs after
+                // this one): their first tick covers the current cycle's
+                // bookkeeping itself.
+                let now = self.cycle.raw();
+                for i in 0..self.cores.len() {
+                    self.synced_to[i] = now.saturating_sub(1);
+                    if !self.cores[i].done() {
+                        self.sched.arm_min(self.comp_core(i), now);
+                    }
+                }
+                if let Some(obs) = &mut self.obs {
+                    if obs.tracing() {
+                        obs.trace_mut().end(self.cycle.raw(), track::SYSTEM);
                     }
                 }
             }
         }
+        true
     }
 
     /// The one phase body: executes cycle `self.cycle` (already set by
@@ -1298,14 +1231,9 @@ impl<P: Protocol> System<P> {
 
         // 1. Response network → L1s.
         if self.sched.take_due(self.comp_resp(), n) {
-            let delivered = self.resp_net.deliver(cycle);
-            self.mem_pending -= delivered.len();
-            for (dst, resp) in delivered {
+            for (dst, resp) in self.resp_net.deliver(cycle) {
                 let mut out = std::mem::take(&mut self.scratch_l1);
-                let before = self.l1s[dst].pending();
                 self.l1s[dst].handle_resp(cycle, resp, &mut out);
-                self.mem_pending += self.l1s[dst].pending();
-                self.mem_pending -= before;
                 self.process_l1_out(dst, &mut out, n);
                 if self.spin_state[dst] == SpinState::Active {
                     // Any response can change L1 state (free an MSHR,
@@ -1333,9 +1261,7 @@ impl<P: Protocol> System<P> {
         // 2. Request network → bank inboxes (flush acks are intercepted
         //    by the rollover coordinator).
         if self.sched.take_due(self.comp_req(), n) {
-            let delivered = self.req_net.deliver(cycle);
-            self.mem_pending -= delivered.len();
-            for (dst, req) in delivered {
+            for (dst, req) in self.req_net.deliver(cycle) {
                 if matches!(req.payload, ReqPayload::FlushAck) {
                     if let RolloverState::Flushing { acks_outstanding } = &mut self.rollover {
                         *acks_outstanding -= 1;
@@ -1343,7 +1269,6 @@ impl<P: Protocol> System<P> {
                     continue;
                 }
                 self.l2_inbox[dst].push_back(req);
-                self.mem_pending += 1;
                 self.sched.arm_min(self.comp_inbox(dst), n);
             }
             self.arm_req_from_state();
@@ -1359,30 +1284,18 @@ impl<P: Protocol> System<P> {
             }
             let mut out = std::mem::take(&mut self.scratch_l2);
             if bank_due {
-                let before = self.l2s[p].pending();
                 self.l2s[p].tick(cycle, &mut out);
-                self.mem_pending += self.l2s[p].pending();
-                self.mem_pending -= before;
                 if !out.is_empty() {
                     self.process_l2_out(p, &mut out, n);
                 }
             }
             if inbox_due {
                 if let Some(req) = self.l2_inbox[p].pop_front() {
-                    self.mem_pending -= 1;
-                    let before = self.l2s[p].pending();
                     match self.l2s[p].handle_req(cycle, req, &mut out) {
-                        Ok(()) => {
-                            self.mem_pending += self.l2s[p].pending();
-                            self.mem_pending -= before;
-                            self.process_l2_out(p, &mut out, n);
-                        }
+                        Ok(()) => self.process_l2_out(p, &mut out, n),
                         Err(req) => {
-                            self.mem_pending += self.l2s[p].pending();
-                            self.mem_pending -= before;
                             out.clear(); // discard any partial output
                             self.l2_inbox[p].push_front(req);
-                            self.mem_pending += 1;
                         }
                     }
                 }
@@ -1407,7 +1320,7 @@ impl<P: Protocol> System<P> {
                     break;
                 };
                 let dst = resp.dst.index();
-                let flits = Self::bill_resp(&mut self.traffic, &self.cfg, &resp);
+                let flits = Self::bill(&mut self.traffic, &self.cfg, resp.payload.class());
                 self.resp_net.inject(cycle, p, dst, 1, flits, resp);
                 resp_injected = true;
             }
@@ -1423,18 +1336,12 @@ impl<P: Protocol> System<P> {
             if !self.sched.take_due(self.comp_dram(p), n) {
                 continue;
             }
-            let before = self.drams[p].pending();
             let lines = self.drams[p].tick(cycle);
-            self.mem_pending += self.drams[p].pending();
-            self.mem_pending -= before;
             let touched = !lines.is_empty();
             for line in lines {
                 let data = self.memory.get(&line).cloned().unwrap_or_default();
                 let mut out = std::mem::take(&mut self.scratch_l2);
-                let before = self.l2s[p].pending();
                 self.l2s[p].handle_dram(cycle, line, data, &mut out);
-                self.mem_pending += self.l2s[p].pending();
-                self.mem_pending -= before;
                 self.process_l2_out(p, &mut out, n + 1);
                 self.scratch_l2 = out;
             }
@@ -1449,10 +1356,12 @@ impl<P: Protocol> System<P> {
         //    are enabled by same-cycle events from the phases above, and
         //    the coordinator's own queue slot covers the one case where
         //    a transition is due with nothing else armed; that wake, if
-        //    due, is consumed here).
+        //    due, is consumed here). Only a transition can make the next
+        //    one due, so only a transition re-arms the slot.
         self.sched.take_due(self.comp_rollover(), n);
-        self.advance_rollover();
-        self.arm_rollover_from_state(n + 1);
+        if self.advance_rollover() {
+            self.arm_rollover_from_state(n + 1);
+        }
         self.charge(&mut mark, SimPhase::Rollover);
 
         // 7. Cores + L1 ticks (paused while a rollover is in progress).
@@ -1464,7 +1373,6 @@ impl<P: Protocol> System<P> {
                 continue;
             }
             let mut out = std::mem::take(&mut self.scratch_l1);
-            let before = self.l1s[i].pending();
             if l1_due {
                 self.l1s[i].tick(cycle, &mut out);
             }
@@ -1550,8 +1458,6 @@ impl<P: Protocol> System<P> {
                 self.synced_to[i] = n;
                 ticked = true;
             }
-            self.mem_pending += self.l1s[i].pending();
-            self.mem_pending -= before;
             self.process_l1_out(i, &mut out, n + 1);
             if ticked {
                 // After the outbox: a synchronous completion's touch arm
@@ -1562,10 +1468,8 @@ impl<P: Protocol> System<P> {
                     // replayed on the next sync. External inputs
                     // (responses, completions, magic actions) touch-arm
                     // the core earlier and re-evaluate.
-                    match self.cores[i].stall_horizon(cycle) {
-                        Some(c) => self.sched.arm_at(self.comp_core(i), c.raw().max(n + 1)),
-                        None => self.sched.disarm(self.comp_core(i)),
-                    }
+                    let hint = self.cores[i].stall_horizon(cycle);
+                    self.arm_hint(self.comp_core(i), hint, n + 1);
                 } else {
                     self.arm_core_from_state(i, n + 1);
                 }
@@ -1583,12 +1487,6 @@ impl<P: Protocol> System<P> {
             }
             self.charge(&mut mark, SimPhase::Sample);
         }
-
-        debug_assert_eq!(
-            self.mem_pending,
-            self.memory_system_pending_scan(),
-            "incremental pending counter diverged at {cycle}"
-        );
 
         if let Some(detail) = self.recorder.invariant_failure.take() {
             self.sync_cores_to_now();
@@ -1699,22 +1597,6 @@ impl<P: Protocol> System<P> {
         Ok(self.metrics())
     }
 
-    /// Prints every scoreboard violation (diagnostic aid).
-    pub fn dump_violations(&self) {
-        if let Some(sb) = &self.recorder.scoreboard {
-            for v in sb.check() {
-                eprintln!("SC violation: {v}");
-            }
-            for ((c, w), (addr, prev, ts)) in sb
-                .program_order_violations()
-                .iter()
-                .zip(sb.program_order_detail())
-            {
-                eprintln!("program order violation: {c}/{w} at {addr}: {prev} -> {ts}");
-            }
-        }
-    }
-
     /// Collects the metrics of the run so far.
     pub fn metrics(&self) -> RunMetrics {
         let mut core = CoreStats::default();
@@ -1817,14 +1699,5 @@ impl<P: Protocol> System<P> {
     /// construction: the fold runs over the sorted word list).
     pub fn final_mem_digest(&self) -> u64 {
         RunMetrics::digest_words(&self.final_memory())
-    }
-}
-
-impl<P: Protocol> System<P> {
-    /// Dumps a word's scoreboard history (debugging aid).
-    pub fn dump_word(&self, addr: WordAddr) {
-        if let Some(sb) = &self.recorder.scoreboard {
-            sb.dump_word(addr);
-        }
     }
 }

@@ -61,19 +61,6 @@ use std::process::ExitCode;
 
 mod client;
 
-fn parse_protocol(s: &str) -> Option<ProtocolKind> {
-    Some(match s {
-        "mesi" => ProtocolKind::Mesi,
-        "mesi-wb" => ProtocolKind::MesiWb,
-        "tcs" => ProtocolKind::TcStrong,
-        "tcw" => ProtocolKind::TcWeak,
-        "rcc" | "rcc-sc" => ProtocolKind::RccSc,
-        "rcc-wo" => ProtocolKind::RccWo,
-        "ideal" => ProtocolKind::IdealSc,
-        _ => return None,
-    })
-}
-
 fn parse_bench(s: &str) -> Option<Benchmark> {
     Benchmark::ALL.into_iter().find(|b| b.name() == s)
 }
@@ -225,7 +212,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let Some(kind) = parse_protocol(&get("--protocol").unwrap_or_else(|| "rcc".into())) else {
+    let Some(kind) =
+        ProtocolKind::from_cli_name(&get("--protocol").unwrap_or_else(|| "rcc".into()))
+    else {
         eprintln!("unknown protocol (try mesi|tcs|tcw|rcc|rcc-wo|ideal)");
         return ExitCode::FAILURE;
     };

@@ -2,9 +2,11 @@
 //! the event-driven policy (fast-forward on) and the every-cycle policy
 //! (every component runs every cycle, the reference semantics) reach the
 //! same `state_digest` at every `run_until` boundary and finish with the
-//! same simulated results. Also pins the digest at one boundary, so a
-//! change that alters the digested state — and would stop journals and
-//! checkpoints written by an earlier build from recovering — fails here.
+//! same simulated results, including through an RCC timestamp rollover.
+//! Also pins the digest at one boundary per protocol and at one inside a
+//! rollover drain, so a change that alters the digested state — and
+//! would stop journals and checkpoints written by an earlier build from
+//! recovering — fails here.
 //! A seconds-scale guard; the full lockstep matrix lives in the rcc-sim
 //! `determinism` suite.
 
@@ -75,4 +77,64 @@ fn state_digest_is_pinned_across_builds() {
         })
     });
     assert_eq!(digests, PINNED_DIGESTS);
+}
+
+/// RCC with a tiny rollover threshold and a fixed lease, so timestamps
+/// roll over mid-run (Section III-D): the path where the engine drains
+/// the machine, resets the banks and flushes every L1.
+fn vpr_with_rollover() -> (GpuConfig, Workload) {
+    let mut cfg = GpuConfig::small();
+    cfg.rcc.rollover_threshold = 300;
+    cfg.rcc.fixed_lease = Some(64);
+    let wl = Benchmark::Vpr.generate(&cfg, &Scale::quick(), 23);
+    (cfg, wl)
+}
+
+/// `(boundary, state_digest())` of RCC-WO on [`vpr_with_rollover`] at a
+/// boundary where the rollover coordinator is draining the machine.
+const PINNED_DRAIN: (u64, u64) = (17_500, 0x27cd6384f833875b);
+
+#[test]
+fn due_policies_agree_through_a_rollover() {
+    let (cfg, wl) = vpr_with_rollover();
+    for kind in [ProtocolKind::RccSc, ProtocolKind::RccWo] {
+        with_protocol!(kind, &cfg, |p| {
+            let mut every = System::new(&p, &cfg, &wl, false);
+            every.set_fast_forward(false);
+            let mut event = System::new(&p, &cfg, &wl, false);
+            event.set_fast_forward(true);
+            let mut boundary = 0;
+            let mut mid_rollover = 0;
+            while !(every.done() && event.done()) {
+                boundary += 250;
+                assert!(boundary < 1_000_000, "{kind}: never retired");
+                every.run_until(boundary).unwrap();
+                event.run_until(boundary).unwrap();
+                let digest = event.state_digest();
+                assert_eq!(
+                    every.state_digest(),
+                    digest,
+                    "{kind}: due policies diverged at boundary {boundary}"
+                );
+                let phase = event.hang_dump().rollover;
+                if phase != "Idle" {
+                    mid_rollover += 1;
+                }
+                if kind == ProtocolKind::RccWo && boundary == PINNED_DRAIN.0 {
+                    assert_eq!(phase, "Draining", "the pin must be inside the drain");
+                    assert_eq!(digest, PINNED_DRAIN.1, "{kind}: drain digest moved");
+                }
+            }
+            let (every, event) = (every.metrics(), event.metrics());
+            assert!(event.rollovers >= 1, "{kind}: no rollover happened");
+            assert!(
+                mid_rollover > 0,
+                "{kind}: no boundary fell inside a rollover"
+            );
+            assert!(
+                every.same_simulated_results(&event),
+                "{kind}: final metrics diverged though every digest matched"
+            );
+        })
+    }
 }
