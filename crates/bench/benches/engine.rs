@@ -6,13 +6,16 @@
 //! contention-heavy (near-every-cycle activity, where scheduling must
 //! cost ~nothing), and rollover-heavy (a tiny timestamp threshold keeps
 //! the RCC rollover FSM — a global, every-component event source —
-//! firing). Plus a microbench of the queue's own post/cancel/pop ops.
+//! firing). Plus a microbench of the queue's own post/cancel/pop ops,
+//! and the cost of quantum boundaries: the same run whole, and as a
+//! parked `SliceRun` chain that checkpoints and verifies every boundary
+//! the way rcc-serve does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcc_common::GpuConfig;
 use rcc_core::ProtocolKind;
 use rcc_sim::runner::{simulate, SimOptions};
-use rcc_sim::EventQueue;
+use rcc_sim::{EventQueue, SliceOutcome, SliceRun};
 use rcc_workloads::{Benchmark, Scale};
 
 fn engine_fast_forward(c: &mut Criterion) {
@@ -102,5 +105,45 @@ fn event_queue_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engine_fast_forward, event_queue_ops);
+// dlb at standard scale on the 8-core small machine, the size of an
+// rcc-serve job: the direct run against a chain of 30k-cycle slices on
+// one parked machine, each boundary checkpointed and then verified as
+// the worker does before the next slice. The gap is the per-boundary
+// cost (one state digest per boundary).
+fn slice_boundary(c: &mut Criterion) {
+    let cfg = GpuConfig {
+        num_cores: 8,
+        ..GpuConfig::small()
+    };
+    let wl = Benchmark::Dlb.generate(&cfg, &Scale::standard(), 7);
+    let direct = SimOptions::fast();
+    let sliced = SimOptions {
+        quantum: 30_000,
+        ..SimOptions::fast()
+    };
+    let mut group = c.benchmark_group("slice_boundary/dlb-standard-8c");
+    group.sample_size(10);
+    group.bench_function("direct", |b| {
+        b.iter(|| simulate(ProtocolKind::RccSc, &cfg, &wl, &direct).cycles)
+    });
+    group.bench_function("q30k-chain", |b| {
+        b.iter(|| {
+            let mut run = SliceRun::start(ProtocolKind::RccSc, &cfg, wl.clone(), &sliced);
+            loop {
+                match run.next_slice().expect("slice") {
+                    SliceOutcome::Finished(m) => break m.cycles,
+                    SliceOutcome::Preempted { ck, .. } => run.verify(&ck).expect("parked run"),
+                }
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    engine_fast_forward,
+    event_queue_ops,
+    slice_boundary
+);
 criterion_main!(benches);

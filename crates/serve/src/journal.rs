@@ -1,15 +1,17 @@
 //! The `RCCJ` write-ahead journal: crash durability for the service.
 //!
-//! Every job lifecycle transition — submitted, started, preempted (with
-//! the full `RCCK` checkpoint bytes embedded), finished, failed,
-//! quarantined, and the clean-shutdown drain marker — is appended to a
-//! single journal file and fsync'd before the transition is considered
-//! to have happened. On startup [`Journal::open`] replays the file and
-//! the server rebuilds its job table and priority queue from the
-//! records alone, so a `kill -9` at any instant loses at most the
-//! in-flight quantum: preempted jobs resume from their last journaled,
-//! digest-verified checkpoint and finish bit-identical to an
-//! uninterrupted run.
+//! Every job lifecycle transition — submitted, started, parked (the
+//! boundary's cycle and state digest), finished, failed, quarantined,
+//! and the clean-shutdown drain marker — is appended to a single
+//! journal file and fsync'd before the transition is considered to have
+//! happened. On startup [`Journal::open`] replays the file and the
+//! server rebuilds its job table and priority queue from the records
+//! alone, so a `kill -9` at any instant loses at most the in-flight
+//! quantum: a parked job's checkpoint is rebuilt from its `Submitted`
+//! spec and the journaled `(cycle, state_digest)`, replayed, verified
+//! digest for digest, and finishes bit-identical to an uninterrupted
+//! run. `Preempted` records, which embed full `RCCK` bytes, are what
+//! earlier builds wrote: they still replay, and nothing writes them now.
 //!
 //! ## Format
 //!
@@ -106,8 +108,10 @@ pub enum Record {
         /// 0-based attempt number.
         attempt: u32,
     },
-    /// The job parked on a checkpoint; the full `RCCK` bytes ride in
-    /// the record so recovery can resume without any in-memory state.
+    /// The job parked on a checkpoint whose full `RCCK` bytes ride in
+    /// the record. Written by earlier builds, which journaled every
+    /// boundary this way; it still replays, and [`Record::Parked`]
+    /// replaces it.
     Preempted {
         /// Job id.
         id: u64,
@@ -117,6 +121,21 @@ pub enum Record {
         preemptions: u64,
         /// `Checkpoint::encode()` bytes.
         checkpoint: Vec<u8>,
+    },
+    /// The job parked at a quantum boundary. The checkpoint is the
+    /// job's `Submitted` spec at `(cycle, state_digest)`, so recovery
+    /// rebuilds it from the spec and replay verifies the digest.
+    Parked {
+        /// Job id.
+        id: u64,
+        /// Quanta executed so far.
+        slices: u64,
+        /// Preemptions so far.
+        preemptions: u64,
+        /// Cycle the job parked at.
+        cycle: u64,
+        /// `System::state_digest` of the machine at `cycle`.
+        state_digest: u64,
     },
     /// Terminal: finished with a result summary.
     Finished {
@@ -297,6 +316,20 @@ impl Record {
                 write_error(&mut w, error);
             }
             Record::Drained => w.u8(7),
+            Record::Parked {
+                id,
+                slices,
+                preemptions,
+                cycle,
+                state_digest,
+            } => {
+                w.u8(8);
+                w.u64(*id);
+                w.u64(*slices);
+                w.u64(*preemptions);
+                w.u64(*cycle);
+                w.u64(*state_digest);
+            }
         }
         w.into_bytes()
     }
@@ -341,6 +374,13 @@ impl Record {
                     error: read_error(&mut r)?,
                 },
                 7 => Record::Drained,
+                8 => Record::Parked {
+                    id: r.u64()?,
+                    slices: r.u64()?,
+                    preemptions: r.u64()?,
+                    cycle: r.u64()?,
+                    state_digest: r.u64()?,
+                },
                 other => {
                     return Err(rcc_common::snap::SnapError(format!(
                         "unknown record tag {other}"
@@ -359,6 +399,7 @@ impl Record {
             Record::Submitted { id, .. }
             | Record::Started { id, .. }
             | Record::Preempted { id, .. }
+            | Record::Parked { id, .. }
             | Record::Finished { id, .. }
             | Record::Failed { id, .. }
             | Record::Quarantined { id, .. } => Some(*id),
@@ -667,6 +708,13 @@ mod tests {
                 preemptions: 1,
                 checkpoint: vec![1, 2, 3, 4, 5],
             },
+            Record::Parked {
+                id: 0,
+                slices: 2,
+                preemptions: 2,
+                cycle: 60_000,
+                state_digest: 0x0123_4567_89ab_cdef,
+            },
             Record::Finished {
                 id: 0,
                 slices: 2,
@@ -720,6 +768,15 @@ mod tests {
             let decoded = Record::decode(&rec.encode()).expect("round trip");
             assert_eq!(decoded, rec);
         }
+    }
+
+    #[test]
+    fn a_parked_record_is_a_41_byte_payload() {
+        let parked = sample_records()
+            .into_iter()
+            .find(|r| matches!(r, Record::Parked { .. }))
+            .expect("sampled");
+        assert_eq!(parked.encode().len(), 41);
     }
 
     #[test]

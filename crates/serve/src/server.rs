@@ -29,14 +29,16 @@
 //!
 //! With [`ServerConfig::journal`] set, every lifecycle transition is
 //! appended to the `RCCJ` write-ahead journal **before** it takes
-//! effect in memory (submitted, started, preempted — with the full
-//! `RCCK` checkpoint bytes embedded — finished, failed, quarantined,
+//! effect in memory (submitted, started, parked — by reference, as the
+//! boundary's cycle and state digest — finished, failed, quarantined,
 //! drained). [`Server::start`] replays the journal, rebuilds the job
-//! table and priority queue, resumes preempted jobs from their last
-//! digest-verified checkpoint, and re-persists any terminal artifact
-//! the crash swallowed — so a `kill -9` loses at most the in-flight
-//! quantum and recovered results are bit-identical to an uninterrupted
-//! run.
+//! table and priority queue, rebuilds each parked job's checkpoint from
+//! its submitted spec, resumes it by digest-verified replay, and
+//! re-persists any terminal artifact the crash swallowed — so a
+//! `kill -9` loses at most the in-flight quantum and recovered results
+//! are bit-identical to an uninterrupted run. Journals that embed full
+//! `RCCK` checkpoints (`Preempted`, written by earlier builds) still
+//! replay.
 //!
 //! ## Supervision
 //!
@@ -68,7 +70,10 @@ use crate::spec::JobSpec;
 use crate::store::{JobError, JobRecord, JobState, ResultSummary, Store};
 use crate::wire::{self, Request, WireError};
 use rcc_chaos::service::{ServiceFaultSpec, ServiceInjector, WorkerFault};
+use rcc_common::GpuConfig;
+use rcc_core::ProtocolKind;
 use rcc_sim::{Checkpoint, SimError, SimOptions, SliceOutcome, SliceRun};
+use rcc_workloads::Workload;
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -442,6 +447,20 @@ fn host_options(opts: &mut SimOptions, spec: &JobSpec, id: u64, store: &Store, q
     }
 }
 
+/// What job `id` runs on: its spec's inputs under this server's host
+/// options. A fresh start and a checkpoint rebuilt from a `Parked`
+/// record both come from here.
+fn job_inputs(
+    spec: &JobSpec,
+    id: u64,
+    store: &Store,
+    quantum: u64,
+) -> (ProtocolKind, GpuConfig, Workload, SimOptions) {
+    let (kind, cfg, wl, mut opts) = spec.inputs();
+    host_options(&mut opts, spec, id, store, quantum);
+    (kind, cfg, wl, opts)
+}
+
 fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
     if let Some(inj) = &inner.injector {
         if matches!(
@@ -483,14 +502,8 @@ fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
             // Recovery (crash retry or restart): rebuild by replay.
             (Some(ck), None) => SliceRun::resume(ck)?,
             (None, _) => {
-                let (kind, cfg, wl, mut opts) = task.spec.inputs();
-                host_options(
-                    &mut opts,
-                    &task.spec,
-                    task.id as u64,
-                    &inner.store,
-                    inner.quantum,
-                );
+                let (kind, cfg, wl, opts) =
+                    job_inputs(&task.spec, task.id as u64, &inner.store, inner.quantum);
                 SliceRun::start(kind, &cfg, wl, &opts)
             }
         };
@@ -646,7 +659,7 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                 progress,
                 run,
             } => {
-                let (ck_bytes, slices, preemptions) = {
+                let (slices, preemptions) = {
                     let job = &mut st.jobs[task.id];
                     if std::mem::take(&mut job.corrupt_next) {
                         ck.state_digest ^= 0xdead_beef_dead_beef;
@@ -661,17 +674,19 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                         mem_ops: progress.mem_ops,
                         samples: progress.samples,
                     });
-                    (ck.encode(), job.record.slices, job.record.preemptions)
+                    (job.record.slices, job.record.preemptions)
                 };
                 // Journal the parked state before exposing it: on-disk
-                // never lags what a restart would need.
+                // never lags what a restart would need. The spec is
+                // already journaled, so the boundary is enough.
                 let _ = journal_append(
                     &mut st,
-                    &Record::Preempted {
+                    &Record::Parked {
                         id: task.id as u64,
                         slices,
                         preemptions,
-                        checkpoint: ck_bytes,
+                        cycle: ck.cycle,
+                        state_digest: ck.state_digest,
                     },
                 );
                 let job = &mut st.jobs[task.id];
@@ -766,6 +781,9 @@ fn rebuild_from_journal(
     store: &Store,
     quantum: u64,
 ) -> Result<(), String> {
+    // The last boundary each job parked at by reference: its checkpoint
+    // is built from the spec once, after the last record, not per record.
+    let mut parked: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for rec in records {
         match rec {
             Record::Submitted {
@@ -824,6 +842,20 @@ fn rebuild_from_journal(
                 job.ck = Some(Box::new(ck));
                 job.record.slices = *slices;
                 job.record.preemptions = *preemptions;
+                parked.remove(id);
+            }
+            Record::Parked {
+                id,
+                slices,
+                preemptions,
+                cycle,
+                state_digest,
+            } => {
+                let job = job_mut(st, *id)?;
+                job.ck = None;
+                job.record.slices = *slices;
+                job.record.preemptions = *preemptions;
+                parked.insert(*id, (*cycle, *state_digest));
             }
             Record::Finished {
                 id,
@@ -874,6 +906,18 @@ fn rebuild_from_journal(
         };
         if terminal {
             continue;
+        }
+        if let Some(&(cycle, state_digest)) = parked.get(&(idx as u64)) {
+            let job = &mut st.jobs[idx];
+            let (kind, cfg, wl, opts) = job_inputs(&job.spec, idx as u64, store, quantum);
+            job.ck = Some(Box::new(Checkpoint {
+                kind,
+                cfg,
+                workload: Arc::new(wl),
+                opts,
+                cycle,
+                state_digest,
+            }));
         }
         st.jobs[idx].record.state = JobState::Queued;
         st.sched.push(priority, idx);

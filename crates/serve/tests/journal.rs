@@ -100,6 +100,15 @@ fn arb_record() -> impl Strategy<Value = Record> {
                 preemptions,
                 checkpoint
             }),
+        (0u64..500, 0u64..100, 0u64..100, any::<u64>(), any::<u64>()).prop_map(
+            |(id, slices, preemptions, cycle, state_digest)| Record::Parked {
+                id,
+                slices,
+                preemptions,
+                cycle,
+                state_digest
+            }
+        ),
         (0u64..500, 0u64..100, 0u64..100, arb_summary()).prop_map(
             |(id, slices, preemptions, summary)| Record::Finished {
                 id,

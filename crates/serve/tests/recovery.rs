@@ -19,12 +19,15 @@
 //! can only rely on what a real `kill -9` would have left on disk.
 
 use rcc_chaos::service::{ServiceFaultSpec, StrideRule};
-use rcc_serve::journal::{replay_bytes, Record};
+use rcc_serve::journal::{replay_bytes, Journal, Record};
 use rcc_serve::spec::JobSpec;
 use rcc_serve::store::{JobError, JobState, ResultSummary};
 use rcc_serve::{Server, ServerConfig, Submission};
+use rcc_sim::{SliceOutcome, SliceRun};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const JOBS: usize = 300;
@@ -368,5 +371,112 @@ fn graceful_drain_parks_inflight_work_on_journaled_checkpoints() {
         assert_eq!(&rec.summary.unwrap().to_json(), twin.as_ref().unwrap());
     }
     server.shutdown().expect("drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal replays whichever way it recorded a job's boundaries:
+/// earlier builds wrote `Preempted` records that embed the checkpoint's
+/// RCCK bytes, the live service writes `Parked` records that name the
+/// boundary's cycle and digest. A restart from either finishes with the
+/// uninterrupted run's summary, slices and preemptions, and the live
+/// service's own journal holds no RCCK bytes at all.
+#[test]
+fn legacy_and_by_reference_journals_both_replay_to_the_twin() {
+    const QUANTUM: u64 = 2_000;
+    let dir = temp_dir("by-reference");
+    let spec_json = r#"{"version": 1, "protocol": "rcc", "workload": {"kind": "bench", "name": "dlb", "scale": "quick", "seed": 3}}"#;
+    let spec = JobSpec::parse(spec_json).expect("valid spec");
+    let cfg = |journal: &str| ServerConfig {
+        workers: 1,
+        quantum: QUANTUM,
+        journal: Some(dir.join(journal)),
+        fsync: false,
+        ..ServerConfig::default()
+    };
+
+    // The uninterrupted twin, journaled live.
+    let server = Server::start(cfg("live.rccj")).expect("start");
+    let Submission::Accepted { id, .. } = server.submit_spec(spec.clone()) else {
+        panic!("not accepted");
+    };
+    let twin = server.wait(id).expect("job exists");
+    server.shutdown().expect("drain");
+    assert_eq!(twin.state, JobState::Done, "{:?}", twin.error);
+    assert!(twin.preemptions >= 4, "the quantum must preempt repeatedly");
+    let summary = twin.summary.clone().expect("summary");
+    assert_eq!(Ok(summary.to_json()), direct_twin(&twin.spec_json));
+    let live = replay_bytes(&std::fs::read(dir.join("live.rccj")).unwrap()).unwrap();
+    assert!(
+        !live
+            .records
+            .iter()
+            .any(|r| matches!(r, Record::Preempted { .. })),
+        "the live service journals no RCCK bytes"
+    );
+    let parked = live
+        .records
+        .iter()
+        .filter(|r| matches!(r, Record::Parked { .. }))
+        .count();
+    assert_eq!(parked as u64, twin.preemptions, "one Parked per boundary");
+
+    // The job's boundary checkpoints, as the service parks them.
+    let (kind, gpu, wl, mut opts) = spec.inputs();
+    opts.quantum = QUANTUM;
+    let mut run = SliceRun::start(kind, &gpu, wl, &opts);
+    let mut boundaries = Vec::new();
+    while let SliceOutcome::Preempted { ck, .. } = run.next_slice().expect("slice") {
+        boundaries.push(ck);
+    }
+    assert_eq!(boundaries.len() as u64, twin.preemptions);
+
+    // Two journals cut at the same mid-run boundary, one per format.
+    let cut = boundaries.len() / 2;
+    let legacy = |n: usize| Record::Preempted {
+        id: 0,
+        slices: n as u64 + 1,
+        preemptions: n as u64 + 1,
+        checkpoint: boundaries[n].encode(),
+    };
+    let by_reference = |n: usize| Record::Parked {
+        id: 0,
+        slices: n as u64 + 1,
+        preemptions: n as u64 + 1,
+        cycle: boundaries[n].cycle,
+        state_digest: boundaries[n].state_digest,
+    };
+    for (name, boundary) in [
+        ("legacy.rccj", &legacy as &dyn Fn(usize) -> Record),
+        ("parked.rccj", &by_reference),
+    ] {
+        let killed = Arc::new(AtomicBool::new(false));
+        let (mut journal, _) = Journal::open(&dir.join(name), false, None, killed).unwrap();
+        journal
+            .append(&Record::Submitted {
+                id: 0,
+                priority: spec.priority,
+                spec_json: spec.to_canonical_json(),
+                dedup_key: None,
+            })
+            .unwrap();
+        journal
+            .append(&Record::Started { id: 0, attempt: 0 })
+            .unwrap();
+        for n in 0..=cut {
+            journal.append(&boundary(n)).unwrap();
+        }
+        drop(journal);
+
+        let server = Server::start(cfg(name)).expect("recovery from the journal");
+        let rec = server.wait(0).expect("job recovered");
+        server.shutdown().expect("drain");
+        assert_eq!(rec.state, JobState::Done, "{name}: {:?}", rec.error);
+        assert_eq!(rec.summary.as_ref(), Some(&summary), "{name}");
+        assert_eq!(
+            (rec.slices, rec.preemptions),
+            (twin.slices, twin.preemptions),
+            "{name}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -259,6 +259,12 @@ pub struct SliceRun {
     cfg: GpuConfig,
     workload: Arc<Workload>,
     opts: SimOptions,
+    /// `(cycle, state_digest)` of the machine as the last slice parked
+    /// it, hashed once there; `None` before the first slice, while a
+    /// slice runs and after one finished. Only [`SliceRun::next_slice`]
+    /// and [`SliceRun::finish`] touch the machine, so a parked run
+    /// cannot drift from it.
+    parked: Option<(u64, u64)>,
 }
 
 impl SliceRun {
@@ -281,6 +287,7 @@ impl SliceRun {
             cfg: cfg.clone(),
             workload,
             opts: opts.clone(),
+            parked: None,
         }
     }
 
@@ -297,34 +304,35 @@ impl SliceRun {
     pub fn resume(ck: &Checkpoint) -> Result<SliceRun, SimError> {
         let mut run = SliceRun::start(ck.kind, &ck.cfg, Arc::clone(&ck.workload), &ck.opts);
         run.machine.run_until(ck.cycle)?;
-        run.attest(ck, &format!("after replay to cycle {}", ck.cycle))?;
+        let how = format!("after replay to cycle {}", ck.cycle);
+        attest(ck, run.fingerprint(), &how)?;
         Ok(run)
     }
 
     /// Proves this live run is the machine `ck` describes (same cycle,
-    /// same state digest) before it goes on from `ck`.
+    /// same state digest) before it goes on from `ck`. A run parked at
+    /// `ck.cycle` answers from the digest it took when it parked, so a
+    /// boundary costs one hash; otherwise the machine is hashed now.
+    /// Debug builds re-hash the parked machine and assert the two agree.
     ///
     /// # Errors
     ///
     /// [`SimError::Checkpoint`] naming both digests on a mismatch.
     pub fn verify(&self, ck: &Checkpoint) -> Result<(), SimError> {
-        self.attest(ck, "on the parked run")
+        let now = match self.parked {
+            Some(parked) if parked.0 == ck.cycle => {
+                debug_assert_eq!(parked, self.fingerprint(), "a parked run changed");
+                parked
+            }
+            _ => self.fingerprint(),
+        };
+        attest(ck, now, "on the parked run")
     }
 
-    /// Proves the live machine is the machine `ck` describes: same
-    /// cycle, same [`System::state_digest`]. A mismatch is a typed
-    /// [`SimError::Checkpoint`] naming the digests, never a silent
-    /// divergence; `how` says where the machine came from.
-    fn attest(&self, ck: &Checkpoint, how: &str) -> Result<(), SimError> {
-        let (cycle, digest) = (self.machine.cycle(), self.machine.state_digest());
-        if cycle != ck.cycle || digest != ck.state_digest {
-            return Err(SimError::Checkpoint(format!(
-                "state digest mismatch {how}: checkpoint has {:016x} at cycle {}, \
-                 the machine has {digest:016x} at cycle {cycle}",
-                ck.state_digest, ck.cycle
-            )));
-        }
-        Ok(())
+    /// The machine's `(cycle, state_digest)` now: one full
+    /// [`System::state_digest`].
+    fn fingerprint(&self) -> (u64, u64) {
+        (self.machine.cycle(), self.machine.state_digest())
     }
 
     /// Runs at most one quantum past the current cycle on the live
@@ -339,14 +347,17 @@ impl SliceRun {
     /// Everything [`try_simulate`] can return; the checked-verdict errors
     /// (SC scoreboard / sanitizer) apply only to a finished run.
     pub fn next_slice(&mut self) -> Result<SliceOutcome, SimError> {
+        self.parked = None;
         let (quantum, max_cycles) = (self.opts.quantum, self.opts.max_cycles);
         let boundary = self.machine.cycle().saturating_add(quantum);
         if quantum > 0 && boundary < max_cycles {
             self.machine.run_until(boundary)?;
             if !self.machine.done() {
+                let parked = self.fingerprint();
+                self.parked = Some(parked);
                 let partial = self.machine.metrics();
                 return Ok(SliceOutcome::Preempted {
-                    ck: Box::new(self.checkpoint()),
+                    ck: Box::new(self.checkpoint(parked)),
                     progress: SliceProgress {
                         cycle: partial.cycles,
                         issued: partial.core.issued,
@@ -394,7 +405,7 @@ impl SliceRun {
                 Err(SimError::Deadlock(mut dump)) => {
                     if let Some(path) = &self.opts.checkpoint {
                         let hang_path = format!("{path}.hang");
-                        if self.checkpoint().save(&hang_path).is_ok() {
+                        if self.checkpoint(self.fingerprint()).save(&hang_path).is_ok() {
                             dump.checkpoint = Some(hang_path);
                         }
                     }
@@ -405,18 +416,34 @@ impl SliceRun {
         }
     }
 
-    /// The checkpoint describing the machine now. The workload is
-    /// shared, not copied.
-    fn checkpoint(&self) -> Checkpoint {
+    /// The checkpoint of this run at `(cycle, state_digest)`, the
+    /// machine's [`SliceRun::fingerprint`]. The workload is shared, not
+    /// copied.
+    fn checkpoint(&self, (cycle, state_digest): (u64, u64)) -> Checkpoint {
         Checkpoint {
             kind: self.kind,
             cfg: self.cfg.clone(),
             workload: Arc::clone(&self.workload),
             opts: self.opts.clone(),
-            cycle: self.machine.cycle(),
-            state_digest: self.machine.state_digest(),
+            cycle,
+            state_digest,
         }
     }
+}
+
+/// Proves a machine whose `(cycle, state_digest)` is `now` is the
+/// machine `ck` describes. A mismatch is a typed [`SimError::Checkpoint`]
+/// naming the digests, never a silent divergence; `how` says where the
+/// machine came from.
+fn attest(ck: &Checkpoint, (cycle, digest): (u64, u64), how: &str) -> Result<(), SimError> {
+    if cycle != ck.cycle || digest != ck.state_digest {
+        return Err(SimError::Checkpoint(format!(
+            "state digest mismatch {how}: checkpoint has {:016x} at cycle {}, \
+             the machine has {digest:016x} at cycle {cycle}",
+            ck.state_digest, ck.cycle
+        )));
+    }
+    Ok(())
 }
 
 /// Runs at most one quantum ([`SimOptions::quantum`]) of `workload` under

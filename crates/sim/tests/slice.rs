@@ -199,3 +199,30 @@ fn corrupted_snapshot_is_a_typed_checkpoint_error() {
         }
     }
 }
+
+/// A parked run attests only the boundary it parked at: after a further
+/// slice, an earlier boundary's checkpoint fails typed on the cycle.
+#[test]
+fn an_earlier_boundary_fails_verify_on_the_cycle() {
+    let (cfg, wl) = dlb_quick();
+    let opts = SimOptions {
+        quantum: 4_000,
+        ..SimOptions::fast()
+    };
+    let mut run = SliceRun::start(ProtocolKind::RccSc, &cfg, wl, &opts);
+    let mut boundary = || match run.next_slice().expect("slice") {
+        SliceOutcome::Preempted { ck, .. } => ck,
+        SliceOutcome::Finished(_) => panic!("quantum 4000 must preempt dlb-quick"),
+    };
+    let (first, second) = (boundary(), boundary());
+    run.verify(&second)
+        .expect("the parked run is the latest boundary");
+    match run.verify(&first) {
+        Err(SimError::Checkpoint(msg)) => assert!(
+            msg.contains(&format!("at cycle {}", first.cycle))
+                && msg.contains(&format!("at cycle {}", second.cycle)),
+            "names both cycles: {msg}"
+        ),
+        other => panic!("a stale boundary must fail typed, got {other:?}"),
+    }
+}

@@ -3,7 +3,9 @@
 //! finishes with the direct run's metrics digest, yields the same
 //! boundary checkpoints as the replay chain (`try_simulate_slice`, then
 //! `resume_slice` on each checkpoint), and a replay resumed from its
-//! middle boundary finishes the same way. A seconds-scale guard; the
+//! middle boundary finishes the same way. Every parked boundary passes
+//! `SliceRun::verify`, which in a debug build also re-hashes the machine
+//! against the digest it took when it parked. A seconds-scale guard; the
 //! full matrix lives in the rcc-sim `slice` suite.
 
 use rcc_repro::coherence::ProtocolKind;
@@ -39,7 +41,13 @@ fn parked_slices_match_direct_and_replayed_runs_on_every_protocol() {
     for kind in ProtocolKind::ALL {
         let direct = try_simulate(kind, &cfg, &wl, &opts).expect("direct run");
         let mut run = SliceRun::start(kind, &cfg, wl.clone(), &opts);
-        let (parked, boundaries) = chain(|_| run.next_slice().expect("parked slice"));
+        let (parked, boundaries) = chain(|_| {
+            let out = run.next_slice().expect("parked slice");
+            if let SliceOutcome::Preempted { ck, .. } = &out {
+                run.verify(ck).expect("the parked run is its checkpoint");
+            }
+            out
+        });
         assert!(boundaries.len() >= 2, "{kind}: the quantum must preempt");
         assert_eq!(parked.digest(SEED), direct.digest(SEED), "{kind}: parked");
 
