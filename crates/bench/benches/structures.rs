@@ -56,6 +56,7 @@ fn network(c: &mut Criterion) {
         b.iter(|| {
             let mut net: Network<u64> = Network::new(&cfg.noc, 16, 8, 2);
             let mut rng = Pcg32::seeded(3);
+            let mut arrived = Vec::new();
             let mut delivered = 0;
             for i in 0..10_000u64 {
                 net.inject(
@@ -66,10 +67,12 @@ fn network(c: &mut Criterion) {
                     if rng.chance(0.3) { 34 } else { 2 },
                     i,
                 );
-                delivered += net.deliver(Cycle(i)).len();
+                net.deliver(Cycle(i), &mut arrived);
+                delivered += arrived.len();
+                arrived.clear();
             }
-            delivered += net.deliver(Cycle(10_000_000)).len();
-            delivered
+            net.deliver(Cycle(10_000_000), &mut arrived);
+            delivered + arrived.len()
         })
     });
     group.finish();

@@ -8,6 +8,7 @@ use rcc_common::ids::{CoreId, WarpId};
 use rcc_common::time::Cycle;
 use rcc_core::msg::{Access, AccessKind, AccessOutcome, AtomicOp, Completion, CompletionKind};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 /// Warp contexts one core supports: [`Core::tick`] keeps one bit per
@@ -111,6 +112,10 @@ impl OpClass {
     }
 }
 
+/// The [`PrevOpKind`] of each [`OpClass`], indexed by the class: the
+/// order of [`Core`]'s `blocked` masks.
+const PREV_KINDS: [PrevOpKind; 3] = [PrevOpKind::Load, PrevOpKind::Store, PrevOpKind::Atomic];
+
 /// Why an access was issued (what to do with its completion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Purpose {
@@ -142,7 +147,6 @@ enum Micro {
     BarrierBackoff { until: u64 },
 }
 
-#[derive(Debug)]
 struct Warp {
     program: Arc<Vec<MemOp>>,
     pc: usize,
@@ -152,17 +156,79 @@ struct Warp {
     at_fence: bool,
     waiting_local: Option<u64>,
     outstanding: VecDeque<Outstanding>,
-    /// SC-stall cycles accumulated by the op waiting at `pc`.
+    /// SC-stall cycles accumulated by the op waiting at `pc`, settled up
+    /// to `blocked_since` while the warp sits in a `blocked` mask (see
+    /// [`Core::settled_wait`]).
     wait_for_issue: u64,
     max_gwct: u64,
     barriers_passed: u64,
     done: bool,
+    /// Cache: the core's `stall_clock` when the warp entered `blocked`.
+    blocked_since: u64,
 }
 
 impl Warp {
     fn current_op(&self) -> Option<MemOp> {
         self.program.get(self.pc).copied()
     }
+
+    /// The cycle an idle warp's busy, backoff or `WaitUntil` timer runs
+    /// out, if one is pending at `now`. `None` for a warp that only a
+    /// completion or an epoch advance can wake: one in a local wait, in
+    /// `SyncWait`, or past the end of its program.
+    fn idle_timer(&self, now: u64) -> Option<u64> {
+        if self.waiting_local.is_some() || self.micro == Micro::SyncWait {
+            return None;
+        }
+        let op = self.current_op()?;
+        let mut t = self.busy_until;
+        if let MemOp::WaitUntil(gate) = op {
+            t = t.max(gate);
+        }
+        if let Micro::LockBackoff { until } | Micro::BarrierBackoff { until } = self.micro {
+            t = t.max(until);
+        }
+        (t > now).then_some(t)
+    }
+}
+
+/// A warp's `Debug` text with `wait_for_issue` settled: the fields, names
+/// and order a derived `Debug` on [`Warp`] would print without its
+/// caches, which `Core::digest_state` hashes.
+struct SettledWarp<'a> {
+    warp: &'a Warp,
+    wait_for_issue: u64,
+}
+
+impl fmt::Debug for SettledWarp<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let w = self.warp;
+        f.debug_struct("Warp")
+            .field("program", &w.program)
+            .field("pc", &w.pc)
+            .field("wg_index", &w.wg_index)
+            .field("micro", &w.micro)
+            .field("busy_until", &w.busy_until)
+            .field("at_fence", &w.at_fence)
+            .field("waiting_local", &w.waiting_local)
+            .field("outstanding", &w.outstanding)
+            .field("wait_for_issue", &self.wait_for_issue)
+            .field("max_gwct", &w.max_gwct)
+            .field("barriers_passed", &w.barriers_passed)
+            .field("done", &w.done)
+            .finish()
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// Forensic view of one non-retired warp (see [`Core::blocked_warps`]):
@@ -212,7 +278,14 @@ pub struct CoreOutput {
 }
 
 /// One streaming multiprocessor.
-#[derive(Debug)]
+///
+/// A core's per-cycle cost follows the warps that changed, not the warps
+/// it holds. When [`Core::tick`] evaluates a warp it records the warp's
+/// steady *class* in one of the masks below, and the class stands until
+/// the warp acts, a completion reaches it, its workgroup's epoch advances
+/// under its local wait (each of which marks it `dirty`), or its timer
+/// runs out. A tick re-evaluates only dirty and expired warps; the stall
+/// counters of the rest grow by mask popcounts.
 pub struct Core {
     id: CoreId,
     params: CoreParams,
@@ -222,6 +295,50 @@ pub struct Core {
     sched_ptr: usize,
     stats: CoreStats,
     retired_warps: usize,
+    /// Warps the scheduler would act on: issue (or present an access to
+    /// the L1), or run a non-memory op.
+    ready: u64,
+    /// Warps whose ready access ordering forbids, one mask per
+    /// [`OpClass`] of the access they wait on (the SC-stall attribution).
+    blocked: [u64; 3],
+    /// Warps at a fence that cannot retire yet.
+    fence: u64,
+    /// Classified warps whose busy, backoff, `WaitUntil` or GWCT timer
+    /// runs out at their `wake_at`.
+    timed: u64,
+    /// The cycle each `timed` warp's timer runs out.
+    wake_at: [u64; MAX_WARPS_PER_CORE],
+    /// Warps with no class: evaluated by the per-warp rules until the
+    /// next tick classifies them. Every live warp starts here.
+    dirty: u64,
+    /// Cycles of stall bookkeeping charged so far (ticks plus
+    /// fast-forwarded cycles); blocked warps accrue `wait_for_issue`
+    /// against it.
+    stall_clock: u64,
+}
+
+impl fmt::Debug for Core {
+    /// The fields, names and order a derived `Debug` would print without
+    /// the class masks, with every warp's `wait_for_issue` settled:
+    /// `digest_state` hashes this text, so it must not depend on when
+    /// the masks were last brought up to date.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let warps: Vec<SettledWarp> = (0..self.warps.len())
+            .map(|i| SettledWarp {
+                warp: &self.warps[i],
+                wait_for_issue: self.settled_wait(i),
+            })
+            .collect();
+        f.debug_struct("Core")
+            .field("id", &self.id)
+            .field("params", &self.params)
+            .field("warps", &warps)
+            .field("wg_epochs", &self.wg_epochs)
+            .field("sched_ptr", &self.sched_ptr)
+            .field("stats", &self.stats)
+            .field("retired_warps", &self.retired_warps)
+            .finish()
+    }
 }
 
 impl Core {
@@ -263,10 +380,14 @@ impl Core {
                     max_gwct: 0,
                     barriers_passed: 0,
                     done,
+                    blocked_since: 0,
                 }
             })
             .collect();
         let retired = warps.iter().filter(|w| w.done).count();
+        let dirty = (0..warps.len())
+            .filter(|&i| !warps[i].done)
+            .fold(0, |m, i| m | 1 << i);
         Core {
             id,
             params,
@@ -275,6 +396,13 @@ impl Core {
             sched_ptr: 0,
             stats: CoreStats::default(),
             retired_warps: retired,
+            ready: 0,
+            blocked: [0; 3],
+            fence: 0,
+            timed: 0,
+            wake_at: [0; MAX_WARPS_PER_CORE],
+            dirty,
+            stall_clock: 0,
         }
     }
 
@@ -443,7 +571,16 @@ impl Core {
     /// event: it is replicated exactly by [`Core::fast_forward`], which
     /// the simulator must call over any cycles it skips.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.earliest_wake(now, |warp, timer_pending| match warp.current_op() {
+        let nowr = now.raw();
+        self.earliest_wake(now, true, |warp, timer_pending| {
+            self.acts_at_floor(warp, nowr, timer_pending)
+        })
+    }
+
+    /// [`Core::next_event`]'s rule for a warp whose waiting op is ready
+    /// at the floor (`now + 1`): whether it then acts.
+    fn acts_at_floor(&self, warp: &Warp, now: u64, timer_pending: bool) -> bool {
+        match warp.current_op() {
             Some(
                 MemOp::Compute(_) | MemOp::Fence | MemOp::LocalWait { .. } | MemOp::WaitUntil(_),
             ) => true,
@@ -454,104 +591,152 @@ impl Core {
             // ordering-stalled warp with no timer only advances counters,
             // and `fast_forward` replicates those.
             _ => self
-                .issue_intent(warp, now.raw() + 1)
+                .issue_intent(warp, now + 1)
                 .is_some_and(|(_, addr, _, is_sync)| {
                     timer_pending || self.ordering_allows(warp, addr, is_sync)
                 }),
-        })
+        }
     }
 
-    /// The per-warp wake walk [`Core::next_event`] and
-    /// [`Core::stall_horizon`] share: local waits, fences, retirement,
-    /// and the busy, lock/barrier-backoff and `WaitUntil` timers. A warp
-    /// whose waiting op is ready at the floor (`now + 1`) wakes the core
-    /// there only if `ready_acts(warp, timer_pending)` says so — the one
-    /// point where the two callers differ.
-    fn earliest_wake(&self, now: Cycle, ready_acts: impl Fn(&Warp, bool) -> bool) -> Option<Cycle> {
-        if self.done() {
-            return None;
-        }
+    /// The wake [`Core::next_event`] and [`Core::stall_horizon`] share.
+    /// A classified warp wakes the core at the floor if it is `ready`
+    /// and the caller counts ready warps (`ready_wakes`), at its timer
+    /// if it is `timed`, and never otherwise: its class stands until an
+    /// input marks it dirty. A dirty warp, and a timed one whose timer
+    /// has already run out uncounted (a rollover paused the core), go
+    /// through the per-warp rule [`Core::warp_wake`].
+    fn earliest_wake(
+        &self,
+        now: Cycle,
+        ready_wakes: bool,
+        ready_acts: impl Fn(&Warp, bool) -> bool,
+    ) -> Option<Cycle> {
         let nowr = now.raw();
         let floor = nowr + 1;
-        let mut best: u64 = u64::MAX;
-        for warp in &self.warps {
+        if ready_wakes && self.ready != 0 {
+            return Some(Cycle(floor));
+        }
+        let mut best = u64::MAX;
+        for i in bits(self.timed) {
+            let wake_at = self.wake_at[i];
+            if wake_at > nowr {
+                best = best.min(wake_at);
+            } else if let Some(w) = self.warp_wake(&self.warps[i], nowr, &ready_acts) {
+                best = best.min(w);
+            }
+        }
+        for i in bits(self.dirty) {
             if best == floor {
                 break; // already at the earliest possible answer
             }
-            if warp.done {
-                continue;
-            }
-            if let Some(need) = warp.waiting_local {
-                // Released the cycle after the workgroup epoch advances;
-                // epochs only advance on barrier completions (external).
-                if self.wg_epochs[warp.wg_index] >= need {
-                    best = floor;
-                }
-                continue;
-            }
-            if warp.at_fence {
-                if warp.outstanding.is_empty() {
-                    if self.params.fence_policy == FencePolicy::DrainGwct && nowr <= warp.max_gwct {
-                        best = best.min(warp.max_gwct + 1);
-                    } else {
-                        best = floor;
-                    }
-                }
-                // Not drained: a completion must arrive first.
-                continue;
-            }
-            if warp.current_op().is_none() {
-                // Retirement is checked every cycle regardless of timers.
-                if warp.outstanding.is_empty() && warp.micro == Micro::Fresh {
-                    best = floor;
-                }
-                continue;
-            }
-            // An op is waiting; find when its timers next allow a visit.
-            let mut wake = floor;
-            let mut timer_pending = false;
-            if warp.busy_until > nowr {
-                wake = wake.max(warp.busy_until);
-                timer_pending = true;
-            }
-            match warp.micro {
-                Micro::SyncWait => continue, // woken by its completion
-                Micro::LockBackoff { until } | Micro::BarrierBackoff { until } if until > nowr => {
-                    wake = wake.max(until);
-                    timer_pending = true;
-                }
-                _ => {}
-            }
-            // A pending replay gate is a timer: the warp does nothing
-            // until its cycle, then advances pc (an event).
-            if let Some(MemOp::WaitUntil(t)) = warp.current_op() {
-                if t > nowr {
-                    wake = wake.max(t);
-                    timer_pending = true;
-                }
-            }
-            if wake > floor {
-                // A timer expires mid-idle: stepping resumes there (the
-                // warp either issues or starts accruing ordering stalls).
-                best = best.min(wake);
-            } else if ready_acts(warp, timer_pending) {
-                best = floor;
+            if let Some(w) = self.warp_wake(&self.warps[i], nowr, &ready_acts) {
+                best = best.min(w);
             }
         }
         (best != u64::MAX).then_some(Cycle(best))
+    }
+
+    /// The per-warp wake rule: local waits, fences, retirement, and the
+    /// busy, lock/barrier-backoff and `WaitUntil` timers, judged from
+    /// the warp's state alone. A warp whose waiting op is ready at the
+    /// floor (`now + 1`) wakes the core there only if
+    /// `ready_acts(warp, timer_pending)` says so.
+    fn warp_wake(
+        &self,
+        warp: &Warp,
+        nowr: u64,
+        ready_acts: &impl Fn(&Warp, bool) -> bool,
+    ) -> Option<u64> {
+        let floor = nowr + 1;
+        if warp.done {
+            return None;
+        }
+        if let Some(need) = warp.waiting_local {
+            // Released the cycle after the workgroup epoch advances;
+            // epochs only advance on barrier completions (external).
+            return (self.wg_epochs[warp.wg_index] >= need).then_some(floor);
+        }
+        if warp.at_fence {
+            // Not drained: a completion must arrive first.
+            if !warp.outstanding.is_empty() {
+                return None;
+            }
+            if self.params.fence_policy == FencePolicy::DrainGwct && nowr <= warp.max_gwct {
+                return Some(warp.max_gwct + 1);
+            }
+            return Some(floor);
+        }
+        if warp.current_op().is_none() {
+            // Retirement is checked every cycle regardless of timers.
+            return (warp.outstanding.is_empty() && warp.micro == Micro::Fresh).then_some(floor);
+        }
+        // An op is waiting; find when its timers next allow a visit.
+        let mut wake = floor;
+        let mut timer_pending = false;
+        if warp.busy_until > nowr {
+            wake = wake.max(warp.busy_until);
+            timer_pending = true;
+        }
+        match warp.micro {
+            Micro::SyncWait => return None, // woken by its completion
+            Micro::LockBackoff { until } | Micro::BarrierBackoff { until } if until > nowr => {
+                wake = wake.max(until);
+                timer_pending = true;
+            }
+            _ => {}
+        }
+        // A pending replay gate is a timer: the warp does nothing
+        // until its cycle, then advances pc (an event).
+        if let Some(MemOp::WaitUntil(t)) = warp.current_op() {
+            if t > nowr {
+                wake = wake.max(t);
+                timer_pending = true;
+            }
+        }
+        if wake > floor {
+            // A timer expires mid-idle: stepping resumes there (the
+            // warp either issues or starts accruing ordering stalls).
+            Some(wake)
+        } else {
+            ready_acts(warp, timer_pending).then_some(floor)
+        }
+    }
+
+    /// The full walk the class masks replace: [`Core::warp_wake`] over
+    /// every warp. The lockstep tests hold [`Core::next_event`] and
+    /// [`Core::stall_horizon`] to it.
+    #[cfg(test)]
+    fn walk_wake(&self, now: Cycle, ready_acts: impl Fn(&Warp, bool) -> bool) -> Option<Cycle> {
+        let wakes = self
+            .warps
+            .iter()
+            .filter_map(|w| self.warp_wake(w, now.raw(), &ready_acts));
+        wakes.min().map(Cycle)
     }
 
     /// Accounts for `cycles` consecutive skipped cycles during which the
     /// simulator proved (via [`Core::next_event`]) that this core takes
     /// no action: replays the per-cycle stall counters [`Core::tick`]'s
     /// bookkeeping phase would have accumulated, so metrics are
-    /// bit-identical with and without fast-forwarding.
+    /// bit-identical with and without fast-forwarding. Classified warps
+    /// are charged by mask popcount; dirty warps by the per-warp rule.
+    ///
+    /// The caller must not skip past a classified warp's timer (the
+    /// wake hints end every window at the earliest one); debug builds
+    /// check it.
     pub fn fast_forward(&mut self, now: Cycle, cycles: u64) {
         if cycles == 0 || self.done() {
             return;
         }
         let nowr = now.raw();
-        for i in 0..self.warps.len() {
+        debug_assert!(
+            bits(self.timed).all(|i| !(nowr + 1..=nowr + cycles).contains(&self.wake_at[i])),
+            "{}: fast-forward over ({nowr}, {}] skips a warp's timer",
+            self.id,
+            nowr + cycles
+        );
+        self.charge_stalls(cycles);
+        for i in bits(self.dirty) {
             let warp = &self.warps[i];
             if warp.done || warp.waiting_local.is_some() {
                 continue;
@@ -577,6 +762,45 @@ impl Core {
                 }
             }
         }
+    }
+
+    /// Charges `cycles` cycles of stalls to the classified warps: one
+    /// fence stall per `fence` warp and one SC stall per `blocked` warp
+    /// each cycle. Blocked warps' `wait_for_issue` follows `stall_clock`.
+    fn charge_stalls(&mut self, cycles: u64) {
+        self.stats.fence_stall_cycles += u64::from(self.fence.count_ones()) * cycles;
+        for (kind, mask) in PREV_KINDS.into_iter().zip(self.blocked) {
+            if mask != 0 {
+                self.stats
+                    .record_sc_stall_cycles(kind, u64::from(mask.count_ones()) * cycles);
+            }
+        }
+        self.stall_clock += cycles;
+    }
+
+    /// Warp `i`'s `wait_for_issue` including the stall cycles it has
+    /// accrued in `blocked` since it was classified.
+    fn settled_wait(&self, i: usize) -> u64 {
+        let warp = &self.warps[i];
+        let blocked = self.blocked.iter().any(|m| m & 1 << i != 0);
+        warp.wait_for_issue
+            + if blocked {
+                self.stall_clock - warp.blocked_since
+            } else {
+                0
+            }
+    }
+
+    /// Drops warp `i`'s class before its state changes: settles its
+    /// `wait_for_issue` and marks it dirty.
+    fn unclassify(&mut self, i: usize) {
+        let bit = 1 << i;
+        self.warps[i].wait_for_issue = self.settled_wait(i);
+        self.ready &= !bit;
+        self.blocked = self.blocked.map(|m| m & !bit);
+        self.fence &= !bit;
+        self.timed &= !bit;
+        self.dirty |= bit;
     }
 
     /// The earliest future cycle at which this core could act
@@ -609,7 +833,7 @@ impl Core {
         // stall counters are replayed by `fast_forward`. A timer expiring
         // right at the floor re-enables its warp, which can then preempt
         // the spinning warp.
-        self.earliest_wake(now, |_, timer_pending| timer_pending)
+        self.earliest_wake(now, false, |_, timer_pending| timer_pending)
     }
 
     /// Accounts for `cycles` skipped retry cycles during which the
@@ -631,73 +855,24 @@ impl Core {
         let now = cycle.raw();
         let mut out = CoreOutput::default();
 
-        // Phase 1: bookkeeping for every warp, and one intent evaluation
-        // per warp. A warp's bookkeeping touches only that warp, so what
-        // it would do when visited is already final here: bit `i` of
-        // `ready` marks warp `i` as one that issues (or presents an
-        // access to the L1) if the scheduler reaches it.
-        let mut ready: u64 = 0;
-        for i in 0..self.warps.len() {
-            let fence_policy = self.params.fence_policy;
-            let epoch = self.wg_epochs[self.warps[i].wg_index];
-            let warp = &mut self.warps[i];
-            if warp.done {
-                continue;
-            }
-            // Local (intra-workgroup) barrier release.
-            if let Some(need) = warp.waiting_local {
-                if epoch >= need {
-                    warp.waiting_local = None;
-                    warp.pc += 1;
-                }
-            }
-            // Fence retirement.
-            if warp.at_fence {
-                let drained = warp.outstanding.is_empty();
-                let gwct_ok = fence_policy != FencePolicy::DrainGwct || now > warp.max_gwct;
-                if drained && gwct_ok {
-                    warp.at_fence = false;
-                    warp.pc += 1;
-                    out.fences_retired.push(WarpId(i));
-                } else {
-                    self.stats.fence_stall_cycles += 1;
-                }
-            }
-            // Program retirement.
-            let warp = &mut self.warps[i];
-            if !warp.done
-                && warp.pc >= warp.program.len()
-                && warp.outstanding.is_empty()
-                && warp.micro == Micro::Fresh
-            {
-                warp.done = true;
-                self.retired_warps += 1;
-            }
-            let warp = &self.warps[i];
-            match self.issue_intent(warp, now) {
-                Some((_, addr, _, is_sync)) => {
-                    if self.ordering_allows(warp, addr, is_sync) {
-                        ready |= 1 << i;
-                    } else {
-                        // SC stall accounting: the warp has an access it
-                        // would issue this cycle but ordering forbids it.
-                        let prev = warp
-                            .outstanding
-                            .back()
-                            .expect("ordering blocks only with outstanding ops")
-                            .class
-                            .prev_kind();
-                        self.stats.record_sc_stall_cycle(prev);
-                        self.warps[i].wait_for_issue += 1;
-                    }
-                }
-                None => {
-                    if Self::runs_without_memory(warp, now) {
-                        ready |= 1 << i;
-                    }
-                }
+        // Phase 1: bookkeeping and classification of the warps that may
+        // have changed — dirty ones and those whose timer ran out. Every
+        // other warp's class (and so what it would do when visited)
+        // still stands; its stall counters grow by popcount below.
+        let mut eval = self.dirty;
+        for i in bits(self.timed) {
+            if self.wake_at[i] <= now {
+                eval |= 1 << i;
             }
         }
+        self.dirty = 0;
+        self.timed &= !eval;
+        self.fence &= !eval;
+        for i in bits(eval) {
+            self.classify(i, now, &mut out);
+        }
+        self.charge_stalls(1);
+        let ready = self.ready;
         if ready == 0 {
             return out;
         }
@@ -768,13 +943,15 @@ impl Core {
                     AccessOutcome::Reject(_) => {
                         self.stats.structural_stall_cycles += 1;
                         // Retry next cycle; do not advance the pointer so
-                        // the rejected warp gets another shot.
+                        // the rejected warp gets another shot. Nothing
+                        // changed, so the warp stays ready.
                         return out;
                     }
                     outcome => {
                         if first_issue {
                             out.issued_op = Some((i, pc));
                         }
+                        self.unclassify(i);
                         self.note_issue(i, cycle, addr, kind, purpose);
                         if let AccessOutcome::Done(c) = outcome {
                             self.complete(cycle, &c);
@@ -785,10 +962,86 @@ impl Core {
                 }
             }
         }
+        // The warp acted: its class no longer holds.
+        self.unclassify(i);
         out.issued_op = Some((i, pc));
         self.stats.issued += 1;
         self.sched_ptr = (i + 1) % n;
         out
+    }
+
+    /// Phase 1 for warp `i`: releases its local wait, retires its fence
+    /// or its program, and records the class it holds until it is next
+    /// marked dirty or its timer runs out.
+    fn classify(&mut self, i: usize, now: u64, out: &mut CoreOutput) {
+        let fence_policy = self.params.fence_policy;
+        let epoch = self.wg_epochs[self.warps[i].wg_index];
+        let warp = &mut self.warps[i];
+        if warp.done {
+            return;
+        }
+        // Local (intra-workgroup) barrier release.
+        if let Some(need) = warp.waiting_local {
+            if epoch >= need {
+                warp.waiting_local = None;
+                warp.pc += 1;
+            }
+        }
+        let bit = 1 << i;
+        // Fence retirement.
+        if warp.at_fence {
+            let drained = warp.outstanding.is_empty();
+            let gwct_ok = fence_policy != FencePolicy::DrainGwct || now > warp.max_gwct;
+            if drained && gwct_ok {
+                warp.at_fence = false;
+                warp.pc += 1;
+                out.fences_retired.push(WarpId(i));
+            } else {
+                self.fence |= bit;
+                if drained {
+                    // Only the GWCT holds it: it retires once `now`
+                    // passes the warp's write completion time.
+                    self.wake_at[i] = warp.max_gwct + 1;
+                    self.timed |= bit;
+                }
+                return;
+            }
+        }
+        // Program retirement.
+        if warp.pc >= warp.program.len()
+            && warp.outstanding.is_empty()
+            && warp.micro == Micro::Fresh
+        {
+            warp.done = true;
+            self.retired_warps += 1;
+            return;
+        }
+        let warp = &self.warps[i];
+        match self.issue_intent(warp, now) {
+            Some((_, addr, _, is_sync)) => {
+                if self.ordering_allows(warp, addr, is_sync) {
+                    self.ready |= bit;
+                } else {
+                    // SC stall: the warp has an access it would issue
+                    // this cycle but ordering forbids it.
+                    let class = warp
+                        .outstanding
+                        .back()
+                        .expect("ordering blocks only with outstanding ops")
+                        .class;
+                    self.blocked[class as usize] |= bit;
+                    self.warps[i].blocked_since = self.stall_clock;
+                }
+            }
+            None => {
+                if Self::runs_without_memory(warp, now) {
+                    self.ready |= bit;
+                } else if let Some(t) = warp.idle_timer(now) {
+                    self.wake_at[i] = t;
+                    self.timed |= bit;
+                }
+            }
+        }
     }
 
     /// Whether the warp's op at `pc` executes without a memory access
@@ -851,6 +1104,7 @@ impl Core {
     /// Delivers a memory completion to its warp.
     pub fn complete(&mut self, cycle: Cycle, completion: &Completion) {
         let i = completion.warp.index();
+        self.unclassify(i);
         let class = match completion.kind {
             CompletionKind::LoadDone { .. } => OpClass::Load,
             CompletionKind::StoreDone => OpClass::Store,
@@ -918,7 +1172,16 @@ impl Core {
                     warp.barriers_passed += 1;
                     let wg = warp.wg_index;
                     let passed = warp.barriers_passed;
-                    self.wg_epochs[wg] = self.wg_epochs[wg].max(passed);
+                    if passed > self.wg_epochs[wg] {
+                        self.wg_epochs[wg] = passed;
+                        // The workgroup's local waiters may be released.
+                        let wpw = self.params.warps_per_workgroup.max(1);
+                        for j in wg * wpw..((wg + 1) * wpw).min(self.warps.len()) {
+                            if self.warps[j].waiting_local.is_some() {
+                                self.unclassify(j);
+                            }
+                        }
+                    }
                 } else {
                     warp.micro = Micro::BarrierBackoff {
                         until: cycle.raw() + self.params.poll_interval,

@@ -31,6 +31,47 @@ impl FakeMem {
             served: 0,
         }))
     }
+
+    /// Performs `access` on the word memory and returns its completion,
+    /// stamped `ts`.
+    fn serve(&mut self, access: Access, ts: u64) -> Completion {
+        self.served += 1;
+        let old = *self.mem.get(&access.addr).unwrap_or(&0);
+        let kind = match access.kind {
+            AccessKind::Load => CompletionKind::LoadDone { value: old },
+            AccessKind::Store { value } => {
+                self.mem.insert(access.addr, value);
+                CompletionKind::StoreDone
+            }
+            AccessKind::Atomic { op } => {
+                self.mem.insert(access.addr, op.apply(old));
+                CompletionKind::AtomicDone { old }
+            }
+        };
+        Completion {
+            warp: access.warp,
+            addr: access.addr,
+            kind,
+            ts: Timestamp(ts),
+            seq: self.served,
+        }
+    }
+
+    /// Queues `completion` for delivery at cycle `at`, behind every
+    /// completion already due by then.
+    fn post(&mut self, at: u64, completion: Completion) {
+        let pos = self.pending.partition_point(|(due, _)| *due <= at);
+        self.pending.insert(pos, (at, completion));
+    }
+
+    /// Removes and returns the next completion due by cycle `c`.
+    fn pop_due(&mut self, c: u64) -> Option<Completion> {
+        if self.pending.front().is_some_and(|(at, _)| *at <= c) {
+            self.pending.pop_front().map(|(_, completion)| completion)
+        } else {
+            None
+        }
+    }
 }
 
 fn drive(core: &mut Core, mem: &Rc<RefCell<FakeMem>>, max_cycles: u64) -> u64 {
@@ -48,45 +89,17 @@ fn drive_logged(
     for c in 0..max_cycles {
         let cycle = Cycle(c);
         // Deliver due completions.
-        loop {
-            let due = {
-                let m = mem.borrow();
-                m.pending.front().is_some_and(|(at, _)| *at <= c)
-            };
-            if !due {
-                break;
-            }
-            let (_, completion) = mem.borrow_mut().pending.pop_front().expect("due");
+        while let Some(completion) = mem.borrow_mut().pop_due(c) {
             core.complete(cycle, &completion);
         }
         if core.done() {
             return (c, log);
         }
-        let mem2 = Rc::clone(mem);
         let out = core.tick(cycle, |access| {
-            let mut m = mem2.borrow_mut();
-            m.served += 1;
-            let old = *m.mem.get(&access.addr).unwrap_or(&0);
-            let kind = match access.kind {
-                AccessKind::Load => CompletionKind::LoadDone { value: old },
-                AccessKind::Store { value } => {
-                    m.mem.insert(access.addr, value);
-                    CompletionKind::StoreDone
-                }
-                AccessKind::Atomic { op } => {
-                    m.mem.insert(access.addr, op.apply(old));
-                    CompletionKind::AtomicDone { old }
-                }
-            };
-            let completion = Completion {
-                warp: access.warp,
-                addr: access.addr,
-                kind,
-                ts: Timestamp(c),
-                seq: m.served,
-            };
+            let mut m = mem.borrow_mut();
+            let completion = m.serve(access, c);
             let at = c + m.delay;
-            m.pending.push_back((at, completion));
+            m.post(at, completion);
             AccessOutcome::Pending
         });
         if let Some((warp, pc)) = out.issued_op {
@@ -699,15 +712,7 @@ mod properties {
         let mem = FakeMem::new(delay);
         for c in 0..200_000u64 {
             let cycle = Cycle(c);
-            loop {
-                let due = {
-                    let m = mem.borrow();
-                    m.pending.front().is_some_and(|(at, _)| *at <= c)
-                };
-                if !due {
-                    break;
-                }
-                let (_, completion) = mem.borrow_mut().pending.pop_front().expect("due");
+            while let Some(completion) = mem.borrow_mut().pop_due(c) {
                 let mut outs = outstanding.borrow_mut();
                 let v = outs
                     .get_mut(&completion.warp)
@@ -719,7 +724,6 @@ mod properties {
             if core.done() {
                 return;
             }
-            let mem2 = Rc::clone(&mem);
             let outs2 = Rc::clone(&outstanding);
             core.tick(cycle, |access| {
                 {
@@ -740,29 +744,10 @@ mod properties {
                     }
                     v.push(access.addr);
                 }
-                let mut m = mem2.borrow_mut();
-                m.served += 1;
-                let old = *m.mem.get(&access.addr).unwrap_or(&0);
-                let kind = match access.kind {
-                    AccessKind::Load => CompletionKind::LoadDone { value: old },
-                    AccessKind::Store { value } => {
-                        m.mem.insert(access.addr, value);
-                        CompletionKind::StoreDone
-                    }
-                    AccessKind::Atomic { op } => {
-                        m.mem.insert(access.addr, op.apply(old));
-                        CompletionKind::AtomicDone { old }
-                    }
-                };
-                let completion = Completion {
-                    warp: access.warp,
-                    addr: access.addr,
-                    kind,
-                    ts: Timestamp(c),
-                    seq: m.served,
-                };
+                let mut m = mem.borrow_mut();
+                let completion = m.serve(access, c);
                 let at = c + m.delay;
-                m.pending.push_back((at, completion));
+                m.post(at, completion);
                 AccessOutcome::Pending
             });
         }
@@ -827,5 +812,217 @@ mod properties {
             );
             drive_checked(&mut core, delay, 8, true);
         }
+    }
+}
+
+/// Fast-forwarding across a classified warp's timer breaks the contract
+/// the stall clock relies on; debug builds catch it.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "skips a warp's timer")]
+fn fast_forward_across_a_busy_timer_panics() {
+    let p = WarpProgram::new(WorkgroupId(0), vec![MemOp::Compute(10), MemOp::Load(w(0))]);
+    let mut core = sc_core(vec![p]);
+    let accept = |_| AccessOutcome::Pending;
+    core.tick(Cycle(1), accept); // the compute op: busy through cycle 10
+    core.tick(Cycle(2), accept); // classified idle until cycle 11
+    assert_eq!(core.next_event(Cycle(2)), Some(Cycle(11)));
+    core.fast_forward(Cycle(2), 20);
+}
+
+/// The class masks are invisible: a core ticked every cycle and a twin
+/// ticked only at its own `next_event` (or when a completion arrives),
+/// with `fast_forward` over the gaps, stay in the same state, and every
+/// wake hint equals the full per-warp walk it replaces.
+mod lockstep {
+    use super::*;
+    use rcc_common::rng::Pcg32;
+    use rcc_core::msg::RejectReason;
+
+    /// SplitMix64 finalizer: the memory's latency, reject and
+    /// synchronous-completion draws depend only on the access and its
+    /// cycle, so the two cores see the same memory.
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// Presents `access` at cycle `c`: rejected one time in eight,
+    /// completed on the spot one time in six, else completed after 1–80
+    /// cycles. Write completions carry a GWCT up to 63 cycles ahead.
+    fn present(mem: &mut FakeMem, seed: u64, c: u64, access: Access) -> AccessOutcome {
+        let h = mix(seed ^ mix(c ^ mix(access.addr.0 ^ (access.warp.index() as u64) << 48)));
+        if h.is_multiple_of(8) {
+            return AccessOutcome::Reject(RejectReason::MshrFull);
+        }
+        let completion = mem.serve(access, c + (h >> 8) % 64);
+        if (h >> 16).is_multiple_of(6) {
+            return AccessOutcome::Done(completion);
+        }
+        mem.post(c + 1 + (h >> 24) % 80, completion);
+        AccessOutcome::Pending
+    }
+
+    /// One random op: loads, stores and atomics over a few words (so
+    /// weak ordering meets same-address conflicts), fences, compute,
+    /// replay gates, and lock-protected sections.
+    fn random_ops(rng: &mut Pcg32, ops: &mut Vec<MemOp>) {
+        let data = |rng: &mut Pcg32| w(rng.below(6));
+        match rng.below(8) {
+            0 | 1 => ops.push(MemOp::Load(data(rng))),
+            2 => ops.push(MemOp::Store(data(rng), rng.below(100))),
+            3 => ops.push(MemOp::Atomic(data(rng), AtomicOp::Add(1))),
+            4 => ops.push(MemOp::Fence),
+            5 => ops.push(MemOp::Compute(1 + rng.below(30) as u32)),
+            6 => ops.push(MemOp::WaitUntil(rng.below(3_000))),
+            _ => {
+                let lock = w(100 + rng.below(2));
+                ops.push(MemOp::Lock(lock));
+                ops.push(MemOp::Load(data(rng)));
+                ops.push(MemOp::Store(data(rng), rng.below(100)));
+                ops.push(MemOp::Unlock(lock));
+            }
+        }
+    }
+
+    /// Random programs for `n` warps in workgroups of `wpw`: stretches of
+    /// random ops separated by up to three inter-workgroup `Barrier`s on
+    /// every lead warp, matched by a `LocalWait` on the others.
+    fn random_programs(rng: &mut Pcg32, n: usize, wpw: usize) -> Vec<WarpProgram> {
+        let wgs = n.div_ceil(wpw) as u64;
+        let phases = rng.below(4);
+        (0..n)
+            .map(|i| {
+                let mut ops = Vec::new();
+                for phase in 0..=phases {
+                    for _ in 0..rng.below(8) {
+                        random_ops(rng, &mut ops);
+                    }
+                    if phase == phases {
+                        break;
+                    }
+                    if i % wpw == 0 {
+                        ops.push(MemOp::Barrier {
+                            word: w(200 + phase),
+                            members: wgs,
+                        });
+                    } else {
+                        ops.push(MemOp::LocalWait { epoch: phase + 1 });
+                    }
+                }
+                WarpProgram::new(WorkgroupId(i / wpw), ops)
+            })
+            .collect()
+    }
+
+    /// Both wake hints equal the full walk over every warp.
+    fn assert_hints_match_walk(core: &Core, now: u64, what: &str) {
+        let walk_next_event = core.walk_wake(Cycle(now), |warp, timer_pending| {
+            core.acts_at_floor(warp, now, timer_pending)
+        });
+        let walk_stall_horizon = core.walk_wake(Cycle(now), |_, timer_pending| timer_pending);
+        assert_eq!(
+            core.next_event(Cycle(now)),
+            walk_next_event,
+            "next_event after {what} at {now}"
+        );
+        assert_eq!(
+            core.stall_horizon(Cycle(now)),
+            walk_stall_horizon,
+            "stall_horizon after {what} at {now}"
+        );
+    }
+
+    fn assert_same(every: &Core, twin: &Core, c: u64) {
+        assert_eq!(every.stats(), twin.stats(), "stats at cycle {c}");
+        assert_eq!(
+            format!("{every:?}"),
+            format!("{twin:?}"),
+            "state at cycle {c}"
+        );
+    }
+
+    /// Runs one random core and its twin; returns the cycles the twin
+    /// fast-forwarded over.
+    fn run(seed: u64) -> u64 {
+        let mut rng = Pcg32::seeded(seed);
+        let n = 1 + rng.below(48) as usize;
+        let wpw = 1 + rng.below(8) as usize;
+        let mut params = match rng.below(3) {
+            0 => CoreParams::sequential(n, wpw),
+            1 => CoreParams::weakly_ordered(n, wpw, FencePolicy::Drain),
+            _ => CoreParams::weakly_ordered(n, wpw, FencePolicy::DrainGwct),
+        };
+        if rng.chance(0.5) {
+            params.scheduler = SchedPolicy::GreedyThenOldest;
+        }
+        let programs = random_programs(&mut rng, n, wpw);
+        let mut every = Core::new(CoreId(0), params.clone(), programs.clone());
+        let mut twin = Core::new(CoreId(0), params, programs);
+        let every_mem = FakeMem::new(0);
+        let twin_mem = FakeMem::new(0);
+        // The twin's next tick, and the last cycle its counters cover.
+        let mut wake = Some(1);
+        let mut synced = 0;
+        let mut last = 0;
+        let mut skipped = 0;
+        for c in 1..200_000u64 {
+            let mut arrived = false;
+            while let Some(completion) = every_mem.borrow_mut().pop_due(c) {
+                every.complete(Cycle(c), &completion);
+                assert_hints_match_walk(&every, c, "a completion");
+                let twin_completion = twin_mem.borrow_mut().pop_due(c).expect("same memory");
+                if !arrived && c - 1 > synced {
+                    twin.fast_forward(Cycle(synced), c - 1 - synced);
+                    skipped += c - 1 - synced;
+                    synced = c - 1;
+                }
+                twin.complete(Cycle(c), &twin_completion);
+                assert_hints_match_walk(&twin, c, "a completion");
+                arrived = true;
+            }
+            if arrived {
+                wake = Some(c);
+                assert_same(&every, &twin, c);
+            }
+            if every.done() {
+                break;
+            }
+            every.tick(Cycle(c), |a| {
+                present(&mut every_mem.borrow_mut(), seed, c, a)
+            });
+            assert_hints_match_walk(&every, c, "a tick");
+            last = c;
+            assert!(wake.is_none_or(|t| t >= c), "the twin overslept");
+            if wake == Some(c) && !twin.done() {
+                if c - 1 > synced {
+                    twin.fast_forward(Cycle(synced), c - 1 - synced);
+                    skipped += c - 1 - synced;
+                }
+                twin.tick(Cycle(c), |a| {
+                    present(&mut twin_mem.borrow_mut(), seed, c, a)
+                });
+                synced = c;
+                assert_hints_match_walk(&twin, c, "a tick");
+                wake = twin.next_event(Cycle(c)).map(Cycle::raw);
+            }
+        }
+        assert!(
+            every.done(),
+            "seed {seed}: the reference core never retired"
+        );
+        if last > synced {
+            twin.fast_forward(Cycle(synced), last - synced);
+        }
+        assert!(twin.done());
+        assert_same(&every, &twin, last);
+        skipped
+    }
+
+    #[test]
+    fn a_twin_ticked_at_its_wake_hints_matches_a_core_ticked_every_cycle() {
+        let skipped: u64 = (0..60).map(run).sum();
+        assert!(skipped > 10_000, "the twin skipped only {skipped} cycles");
     }
 }

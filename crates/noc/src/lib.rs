@@ -23,7 +23,13 @@
 //! let mut net: Network<&'static str> = Network::new(&cfg.noc, 4, 2, 2);
 //! net.inject(Cycle(0), 0, 1, 0, 34, "a full cache line");
 //! // Nothing arrives before serialization + traversal completes.
-//! assert!(net.deliver(Cycle(1)).is_empty());
+//! let mut arrived = Vec::new();
+//! net.deliver(Cycle(1), &mut arrived);
+//! assert!(arrived.is_empty());
+//! // Then the packet pops out of its destination port.
+//! let at = net.next_event().expect("in flight");
+//! net.deliver(at, &mut arrived);
+//! assert_eq!(arrived, vec![(1, "a full cache line")]);
 //! ```
 
 pub mod energy;

@@ -7,37 +7,30 @@
 //! (cores and L2 partitions interleaved over a near-square grid).
 //! Per-(src,dst) FIFO delivery holds in both cases, which every protocol
 //! in this suite relies on.
+//!
+//! Ejection-port serialization makes delivery cycles non-decreasing per
+//! destination in injection order, so in-flight packets wait in one FIFO
+//! *lane* per destination, and delivery merges the lane heads by
+//! `(delivery cycle, injection order)`.
 
 use rcc_chaos::{PerturbPoint, Site};
 use rcc_common::config::{NocParams, NocTopology};
 use rcc_common::snap::StateDigest;
 use rcc_common::time::Cycle;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-/// A packet in flight (internal).
+/// A packet in flight in its destination's lane (internal).
 struct InFlight<T> {
     deliver_at: u64,
     /// Monotonic tiebreaker so equal-time deliveries keep injection order.
     order: u64,
-    dst: usize,
     payload: T,
 }
 
-impl<T> PartialEq for InFlight<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deliver_at, self.order) == (other.deliver_at, other.order)
-    }
-}
-impl<T> Eq for InFlight<T> {}
-impl<T> PartialOrd for InFlight<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for InFlight<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.order).cmp(&(other.deliver_at, other.order))
+impl<T> InFlight<T> {
+    /// The delivery order across lanes.
+    fn key(&self) -> (u64, u64) {
+        (self.deliver_at, self.order)
     }
 }
 
@@ -88,7 +81,9 @@ pub struct Network<T> {
     num_vcs: usize,
     src_free_at: Vec<u64>,
     dst_free_at: Vec<u64>,
-    in_flight: BinaryHeap<Reverse<InFlight<T>>>,
+    /// One FIFO per destination, ordered by delivery cycle (ejection
+    /// serialization never lets a later packet overtake).
+    lanes: Vec<VecDeque<InFlight<T>>>,
     next_order: u64,
     /// Chaos hook: adds bounded jitter to a packet's traversal latency
     /// (`Site::NocTraversal`). Applied *before* ejection-port
@@ -130,7 +125,7 @@ impl<T> Network<T> {
             num_vcs,
             src_free_at: vec![0; num_srcs],
             dst_free_at: vec![0; num_dsts],
-            in_flight: BinaryHeap::new(),
+            lanes: (0..num_dsts).map(|_| VecDeque::new()).collect(),
             next_order: 0,
             chaos: None,
             flits_injected: 0,
@@ -183,39 +178,50 @@ impl<T> Network<T> {
         self.flit_hops += flits * hops;
         self.packets_injected += 1;
         self.total_packet_latency += delivered - now.raw();
-        self.in_flight.push(Reverse(InFlight {
+        self.lanes[dst].push_back(InFlight {
             deliver_at: delivered,
             order: self.next_order,
-            dst,
             payload,
-        }));
+        });
         self.next_order += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
     }
 
-    /// Removes and returns all packets whose delivery time has arrived,
-    /// as `(dst, payload)` pairs in delivery order.
-    pub fn deliver(&mut self, now: Cycle) -> Vec<(usize, T)> {
-        let mut out = Vec::new();
-        while let Some(Reverse(head)) = self.in_flight.peek() {
-            if head.deliver_at > now.raw() {
-                break;
+    /// Moves every packet whose delivery time has arrived into `out`
+    /// (appended, so a caller can reuse one buffer), as `(dst, payload)`
+    /// pairs in delivery order: by delivery cycle, then injection order.
+    pub fn deliver(&mut self, now: Cycle, out: &mut Vec<(usize, T)>) {
+        let now = now.raw();
+        loop {
+            let mut best: Option<(usize, (u64, u64))> = None;
+            for (dst, lane) in self.lanes.iter().enumerate() {
+                if let Some(head) = lane.front() {
+                    if head.deliver_at <= now && best.is_none_or(|(_, key)| head.key() < key) {
+                        best = Some((dst, head.key()));
+                    }
+                }
             }
-            let Reverse(p) = self.in_flight.pop().expect("peeked");
-            out.push((p.dst, p.payload));
+            let Some((dst, _)) = best else {
+                return;
+            };
+            let p = self.lanes[dst].pop_front().expect("a lane head");
+            out.push((dst, p.payload));
         }
-        out
     }
 
     /// Earliest pending delivery time, if any (lets the simulator skip
     /// idle cycles).
     pub fn next_event(&self) -> Option<Cycle> {
-        self.in_flight.peek().map(|Reverse(p)| Cycle(p.deliver_at))
+        self.lanes
+            .iter()
+            .filter_map(|lane| lane.front().map(|p| p.deliver_at))
+            .min()
+            .map(Cycle)
     }
 
     /// Packets currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.lanes.iter().map(VecDeque::len).sum()
     }
 
     /// High-water mark of packets simultaneously in flight — the
@@ -226,7 +232,7 @@ impl<T> Network<T> {
 
     /// Whether nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.in_flight.is_empty()
+        self.lanes.iter().all(VecDeque::is_empty)
     }
 
     /// Total flits injected so far.
@@ -267,17 +273,18 @@ impl<T> Network<T> {
         d.write_debug(&self.src_free_at);
         d.write_debug(&self.dst_free_at);
         d.write_u64(self.next_order);
-        // The heap's internal layout depends on its push/pop history, so
-        // fold the packets order-independently: the digest reflects the
-        // *set* of in-flight packets, not the heap's array order.
+        // Fold the packets order-independently: the digest reflects the
+        // *set* of in-flight packets, not how they are queued.
         let mut acc: u64 = 0;
-        for Reverse(p) in &self.in_flight {
-            let mut e = StateDigest::new();
-            e.write_u64(p.deliver_at);
-            e.write_u64(p.order);
-            e.write_u64(p.dst as u64);
-            e.write_debug(&p.payload);
-            acc ^= e.finish();
+        for (dst, lane) in self.lanes.iter().enumerate() {
+            for p in lane {
+                let mut e = StateDigest::new();
+                e.write_u64(p.deliver_at);
+                e.write_u64(p.order);
+                e.write_u64(dst as u64);
+                e.write_debug(&p.payload);
+                acc ^= e.finish();
+            }
         }
         d.write_u64(acc);
         if let Some(c) = &self.chaos {
@@ -296,6 +303,13 @@ mod tests {
     use super::*;
     use rcc_common::config::GpuConfig;
 
+    /// Every packet due by `now`, in delivery order.
+    fn delivered<T>(n: &mut Network<T>, now: Cycle) -> Vec<(usize, T)> {
+        let mut out = Vec::new();
+        n.deliver(now, &mut out);
+        out
+    }
+
     fn net() -> Network<u32> {
         // small(): 2 core cycles/flit, traversal 6 NoC cycles = 12 core.
         Network::new(&GpuConfig::small().noc, 4, 2, 2)
@@ -306,8 +320,8 @@ mod tests {
         let mut n = net();
         n.inject(Cycle(0), 0, 1, 0, 2, 7);
         // 2 flits × 2 + 12 + 2 flits × 2 = 20.
-        assert!(n.deliver(Cycle(19)).is_empty());
-        let got = n.deliver(Cycle(20));
+        assert!(delivered(&mut n, Cycle(19)).is_empty());
+        let got = delivered(&mut n, Cycle(20));
         assert_eq!(got, vec![(1, 7)]);
         assert!(n.is_empty());
     }
@@ -319,7 +333,7 @@ mod tests {
         n.inject(Cycle(0), 0, 1, 0, 10, 2);
         // Second packet starts only after the first's 20 cycles of flits.
         let first = n.next_event().unwrap();
-        let all = n.deliver(Cycle(1000));
+        let all = delivered(&mut n, Cycle(1000));
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].1, 1);
         assert_eq!(all[1].1, 2);
@@ -333,7 +347,7 @@ mod tests {
         n.inject(Cycle(0), 1, 1, 0, 4, 2);
         // Both delivered at the same zero-load time (no shared port).
         let t = 4 * 2 + 12 + 4 * 2;
-        let got = n.deliver(Cycle(t));
+        let got = delivered(&mut n, Cycle(t));
         assert_eq!(got.len(), 2);
     }
 
@@ -343,8 +357,12 @@ mod tests {
         n.inject(Cycle(0), 0, 0, 0, 4, 1);
         n.inject(Cycle(0), 1, 0, 0, 4, 2);
         let t = 4 * 2 + 12 + 4 * 2;
-        assert_eq!(n.deliver(Cycle(t)).len(), 1, "ejection port serializes");
-        assert_eq!(n.deliver(Cycle(t + 8)).len(), 1);
+        assert_eq!(
+            delivered(&mut n, Cycle(t)).len(),
+            1,
+            "ejection port serializes"
+        );
+        assert_eq!(delivered(&mut n, Cycle(t + 8)).len(), 1);
     }
 
     #[test]
@@ -353,7 +371,7 @@ mod tests {
         for i in 0..10 {
             n.inject(Cycle(i), 2, 1, (i % 2) as usize, 3, i as u32);
         }
-        let got = n.deliver(Cycle(100_000));
+        let got = delivered(&mut n, Cycle(100_000));
         let vals: Vec<u32> = got.into_iter().map(|(_, v)| v).collect();
         assert_eq!(vals, (0..10).collect::<Vec<u32>>());
     }
@@ -367,7 +385,7 @@ mod tests {
         assert_eq!(n.packets_injected(), 2);
         assert!(n.mean_latency() > 0.0);
         assert_eq!(n.in_flight(), 2);
-        n.deliver(Cycle(100_000));
+        delivered(&mut n, Cycle(100_000));
         assert!(n.is_empty());
     }
 
@@ -406,8 +424,7 @@ mod tests {
         for i in 0..10 {
             n.inject(Cycle(i), 1, 3, 0, 3, i as u32);
         }
-        let got: Vec<u32> = n
-            .deliver(Cycle(1_000_000))
+        let got: Vec<u32> = delivered(&mut n, Cycle(1_000_000))
             .into_iter()
             .map(|(_, v)| v)
             .collect();
@@ -430,8 +447,7 @@ mod tests {
         // Jitter only delays: first delivery is no earlier than clean.
         assert!(jittered.next_event().unwrap() >= clean.next_event().unwrap());
         // Per-(src,dst) FIFO still holds under jitter.
-        let vals: Vec<u32> = jittered
-            .deliver(Cycle(100_000))
+        let vals: Vec<u32> = delivered(&mut jittered, Cycle(100_000))
             .into_iter()
             .map(|(_, v)| v)
             .collect();
@@ -443,8 +459,8 @@ mod tests {
         let mut n = net();
         n.inject(Cycle(1000), 0, 0, 0, 1, 1);
         let t = 1000 + 2 + 12 + 2;
-        assert!(n.deliver(Cycle(t - 1)).is_empty());
-        assert_eq!(n.deliver(Cycle(t)).len(), 1);
+        assert!(delivered(&mut n, Cycle(t - 1)).is_empty());
+        assert_eq!(delivered(&mut n, Cycle(t)).len(), 1);
     }
 
     mod properties {
@@ -469,16 +485,16 @@ mod tests {
                     now += gap;
                     n.inject(Cycle(now), src, dst, 0, flits, (src, dst, i));
                 }
-                let delivered = n.deliver(Cycle(u64::MAX / 2));
+                let got = delivered(&mut n, Cycle(u64::MAX / 2));
                 prop_assert!(n.is_empty());
-                prop_assert_eq!(delivered.len(), pkts.len());
+                prop_assert_eq!(got.len(), pkts.len());
                 prop_assert_eq!(n.packets_injected(), pkts.len() as u64);
                 let total_flits: u64 = pkts.iter().map(|p| p.2).sum();
                 prop_assert_eq!(n.flits_injected(), total_flits);
                 // FIFO per (src, dst): sequence numbers increase.
                 for s in 0..4 {
                     for d in 0..2 {
-                        let seqs: Vec<usize> = delivered
+                        let seqs: Vec<usize> = got
                             .iter()
                             .filter(|(port, (ps, pd, _))| *port == d && *ps == s && *pd == d)
                             .map(|(_, (_, _, i))| *i)
@@ -501,8 +517,8 @@ mod tests {
                 let earliest = n.next_event().expect("one packet in flight");
                 // Serialization happens twice (injection + ejection port).
                 prop_assert!(earliest.raw() >= start + 2 * flits);
-                prop_assert!(n.deliver(Cycle(earliest.raw() - 1)).is_empty());
-                let got = n.deliver(earliest);
+                prop_assert!(delivered(&mut n, Cycle(earliest.raw() - 1)).is_empty());
+                let got = delivered(&mut n, earliest);
                 prop_assert_eq!(got, vec![(1usize, 9u8)]);
             }
 
@@ -518,8 +534,8 @@ mod tests {
                 for (i, &(src, dst, flits)) in pkts.iter().enumerate() {
                     n.inject(Cycle(0), src, dst, 0, flits, i);
                 }
-                let delivered = n.deliver(Cycle(u64::MAX / 2));
-                prop_assert_eq!(delivered.len(), pkts.len());
+                let got = delivered(&mut n, Cycle(u64::MAX / 2));
+                prop_assert_eq!(got.len(), pkts.len());
                 let total_flits: u64 = pkts.iter().map(|p| p.2).sum();
                 // A 16+8-node mesh has a small diameter; hops per flit lie
                 // within [1, 16].

@@ -253,9 +253,12 @@ pub struct System<P: Protocol> {
     /// The access each core's last executed reject re-presented; the
     /// spin engages only on two consecutive rejects of the same access.
     spin_access: Vec<Option<Access>>,
-    /// Reusable outbox buffers (capacity persists across cycles).
+    /// Reusable outbox and network-delivery buffers (capacity persists
+    /// across cycles).
     scratch_l1: L1Outbox,
     scratch_l2: L2Outbox,
+    scratch_resp: Vec<(usize, RespMsg)>,
+    scratch_req: Vec<(usize, ReqMsg)>,
     /// Chaos hook for the L2 delay pipes (the pipes live in the system,
     /// not in a component crate, so the system samples for them).
     chaos_pipe: Option<Perturber>,
@@ -354,6 +357,8 @@ impl<P: Protocol> System<P> {
             spin_access: vec![None; cfg.num_cores],
             scratch_l1: L1Outbox::new(),
             scratch_l2: L2Outbox::new(),
+            scratch_resp: Vec::new(),
+            scratch_req: Vec::new(),
             chaos_pipe: None,
             chaos_access: None,
             chaos_fired: Arc::new(AtomicU64::new(0)),
@@ -1231,7 +1236,9 @@ impl<P: Protocol> System<P> {
 
         // 1. Response network → L1s.
         if self.sched.take_due(self.comp_resp(), n) {
-            for (dst, resp) in self.resp_net.deliver(cycle) {
+            let mut arrived = std::mem::take(&mut self.scratch_resp);
+            self.resp_net.deliver(cycle, &mut arrived);
+            for (dst, resp) in arrived.drain(..) {
                 let mut out = std::mem::take(&mut self.scratch_l1);
                 self.l1s[dst].handle_resp(cycle, resp, &mut out);
                 self.process_l1_out(dst, &mut out, n);
@@ -1254,6 +1261,7 @@ impl<P: Protocol> System<P> {
                     self.sched.arm_min(self.comp_l1(dst), c.raw().max(n));
                 }
             }
+            self.scratch_resp = arrived;
             self.arm_resp_from_state();
         }
         self.charge(&mut mark, SimPhase::L1);
@@ -1261,7 +1269,9 @@ impl<P: Protocol> System<P> {
         // 2. Request network → bank inboxes (flush acks are intercepted
         //    by the rollover coordinator).
         if self.sched.take_due(self.comp_req(), n) {
-            for (dst, req) in self.req_net.deliver(cycle) {
+            let mut arrived = std::mem::take(&mut self.scratch_req);
+            self.req_net.deliver(cycle, &mut arrived);
+            for (dst, req) in arrived.drain(..) {
                 if matches!(req.payload, ReqPayload::FlushAck) {
                     if let RolloverState::Flushing { acks_outstanding } = &mut self.rollover {
                         *acks_outstanding -= 1;
@@ -1271,6 +1281,7 @@ impl<P: Protocol> System<P> {
                 self.l2_inbox[dst].push_back(req);
                 self.sched.arm_min(self.comp_inbox(dst), n);
             }
+            self.scratch_req = arrived;
             self.arm_req_from_state();
         }
         self.charge(&mut mark, SimPhase::Noc);
