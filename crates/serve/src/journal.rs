@@ -1,17 +1,19 @@
 //! The `RCCJ` write-ahead journal: crash durability for the service.
 //!
 //! Every job lifecycle transition — submitted, started, parked (the
-//! boundary's cycle and state digest), finished, failed, quarantined,
-//! and the clean-shutdown drain marker — is appended to a single
-//! journal file and fsync'd before the transition is considered to have
-//! happened. On startup [`Journal::open`] replays the file and the
-//! server rebuilds its job table and priority queue from the records
-//! alone, so a `kill -9` at any instant loses at most the in-flight
-//! quantum: a parked job's checkpoint is rebuilt from its `Submitted`
-//! spec and the journaled `(cycle, state_digest)`, replayed, verified
-//! digest for digest, and finishes bit-identical to an uninterrupted
-//! run. `Preempted` records, which embed full `RCCK` bytes, are what
-//! earlier builds wrote: they still replay, and nothing writes them now.
+//! boundary's cycle and state digest), retried after a crash, finished,
+//! failed, quarantined, and the clean-shutdown drain marker — is
+//! appended to a single journal file and fsync'd before the transition
+//! is considered to have happened. A record is the only way a job's
+//! durable state changes: the server applies each one it appends, and on
+//! startup [`Journal::open`] replays the file and the server applies the
+//! same records in order to rebuild its job table and priority queue.
+//! So a `kill -9` at any instant loses at most the in-flight quantum: a
+//! parked job's checkpoint is rebuilt from its `Submitted` spec and the
+//! journaled `(cycle, state_digest)`, replayed, verified digest for
+//! digest, and finishes bit-identical to an uninterrupted run.
+//! `Preempted` records, which embed full `RCCK` bytes, are what earlier
+//! builds wrote: they still replay, and nothing writes them now.
 //!
 //! ## Format
 //!
@@ -136,6 +138,15 @@ pub enum Record {
         cycle: u64,
         /// `System::state_digest` of the machine at `cycle`.
         state_digest: u64,
+    },
+    /// A crash (a panic or a wedged worker) consumed an attempt and the
+    /// job waits out its retry backoff. The crash that spends the last
+    /// attempt is journaled as [`Record::Quarantined`] instead.
+    Retried {
+        /// Job id.
+        id: u64,
+        /// Attempts consumed so far (the retry runs attempt `attempts`).
+        attempts: u32,
     },
     /// Terminal: finished with a result summary.
     Finished {
@@ -330,6 +341,11 @@ impl Record {
                 w.u64(*cycle);
                 w.u64(*state_digest);
             }
+            Record::Retried { id, attempts } => {
+                w.u8(9);
+                w.u64(*id);
+                w.u32(*attempts);
+            }
         }
         w.into_bytes()
     }
@@ -381,6 +397,10 @@ impl Record {
                     cycle: r.u64()?,
                     state_digest: r.u64()?,
                 },
+                9 => Record::Retried {
+                    id: r.u64()?,
+                    attempts: r.u32()?,
+                },
                 other => {
                     return Err(rcc_common::snap::SnapError(format!(
                         "unknown record tag {other}"
@@ -400,6 +420,7 @@ impl Record {
             | Record::Started { id, .. }
             | Record::Preempted { id, .. }
             | Record::Parked { id, .. }
+            | Record::Retried { id, .. }
             | Record::Finished { id, .. }
             | Record::Failed { id, .. }
             | Record::Quarantined { id, .. } => Some(*id),
@@ -407,7 +428,8 @@ impl Record {
         }
     }
 
-    /// True for records that end a job's lifecycle.
+    /// True for records that end a job's lifecycle (a `Retried` job
+    /// runs again).
     pub fn is_terminal(&self) -> bool {
         matches!(
             self,
@@ -715,6 +737,7 @@ mod tests {
                 cycle: 60_000,
                 state_digest: 0x0123_4567_89ab_cdef,
             },
+            Record::Retried { id: 0, attempts: 1 },
             Record::Finished {
                 id: 0,
                 slices: 2,

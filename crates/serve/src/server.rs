@@ -10,13 +10,13 @@
 //! its `(cycle, state_digest)` equals the checkpoint's, which proves
 //! every journaled checkpoint describes the machine that actually ran.
 //! Replay from cycle 0 ([`SliceRun::resume`]) is the recovery path
-//! only: a crash retry, a wedged worker, or a restart that rebuilt the
-//! job from the journal. Either way preemption is invisible in the
-//! results, and a corrupted snapshot surfaces as a typed `checkpoint`
-//! failure on that job, never a wedged worker. Trace jobs
-//! (`record_trace`) are preempted like every other job: the recorder
-//! rides the parked machine, a replay re-records from cycle 0, and the
-//! trace is written when the run finishes.
+//! only: a crash retry, a wedged worker, or a restart, each from the
+//! boundary the journal last parked the job at. Either way preemption
+//! is invisible in the results, and a corrupted snapshot surfaces as a
+//! typed `checkpoint` failure on that job, never a wedged worker. Trace
+//! jobs (`record_trace`) are preempted like every other job: the
+//! recorder rides the parked machine, a replay re-records from cycle 0,
+//! and the trace is written when the run finishes.
 //!
 //! A parked run costs one live `System` per preempted job, about 0.5 MB
 //! on the 8-core small machine at standard scale (0.4–0.8 MB measured
@@ -27,18 +27,23 @@
 //!
 //! ## Durability
 //!
-//! With [`ServerConfig::journal`] set, every lifecycle transition is
-//! appended to the `RCCJ` write-ahead journal **before** it takes
-//! effect in memory (submitted, started, parked — by reference, as the
-//! boundary's cycle and state digest — finished, failed, quarantined,
-//! drained). [`Server::start`] replays the journal, rebuilds the job
-//! table and priority queue, rebuilds each parked job's checkpoint from
-//! its submitted spec, resumes it by digest-verified replay, and
-//! re-persists any terminal artifact the crash swallowed — so a
-//! `kill -9` loses at most the in-flight quantum and recovered results
-//! are bit-identical to an uninterrupted run. Journals that embed full
-//! `RCCK` checkpoints (`Preempted`, written by earlier builds) still
-//! replay.
+//! A job's durable state is its record (terminal state, slices,
+//! preemptions, attempts, summary and error), its dedup entry and the
+//! boundary it last parked at. One function, `apply`, changes it, and
+//! only from a journal [`Record`]: the live path builds the record,
+//! appends it to the `RCCJ` write-ahead journal (with
+//! [`ServerConfig::journal`] set), then applies it, so the journal never
+//! lags memory. [`Server::start`] applies every journaled record in
+//! order through the same function and requeues each non-terminal job:
+//! recovery is the live path fed from the journal. A parked job's
+//! checkpoint is rebuilt from its submitted spec at the journaled
+//! `(cycle, state_digest)` by the slice that next replays it, after a
+//! restart, a crash or a wedge alike. Start-up also re-persists any
+//! terminal artifact the crash swallowed, so a `kill -9` loses at most
+//! the in-flight quantum and recovered results are bit-identical to an
+//! uninterrupted run. Journals that embed full `RCCK` checkpoints
+//! (`Preempted`, written by earlier builds) still replay: the record
+//! stands for its boundary's cycle and digest.
 //!
 //! ## Supervision
 //!
@@ -48,9 +53,10 @@
 //! ([`ServerConfig::wedge_timeout_ms`]) abandons wedged workers and
 //! spawns replacements. Crash-style failures (`panic`, `hang`) are
 //! retried with deterministic exponential backoff up to
-//! [`ServerConfig::max_attempts`], then quarantined with the last panic
-//! payload or hang dump attached; deterministic simulation failures
-//! fail immediately — retrying a deadlock reproduces it.
+//! [`ServerConfig::max_attempts`], each consumed attempt journaled
+//! (`Retried`) before the retry runs, then quarantined with the last
+//! panic payload or hang dump attached; deterministic simulation
+//! failures fail immediately — retrying a deadlock reproduces it.
 //!
 //! ## Degradation
 //!
@@ -242,13 +248,15 @@ impl ProgressEvent {
 struct Job {
     record: JobRecord,
     spec: JobSpec,
-    /// The journaled description of the parked run: where the next
-    /// slice goes on from, and what a replay rebuilds when `run` is gone.
-    ck: Option<Box<Checkpoint>>,
-    /// The live machine parked between quanta. The next slice continues
-    /// it after checking it against `ck`; `None` after a crash, a wedge
-    /// or a restart, when the next slice replays `ck` instead.
-    run: Option<SliceRun>,
+    /// The boundary `(cycle, state_digest)` the journal last parked the
+    /// job at. A replay goes on from here: a crash retry, a wedge retry
+    /// or a restart. Durable, like `record`: only [`apply`] writes it.
+    parked: Option<(u64, u64)>,
+    /// The live machine parked between quanta and the checkpoint
+    /// `next_slice` handed back for it. The next slice continues it after
+    /// checking it against that checkpoint; `None` after a crash, a wedge
+    /// or a restart, when the next slice replays `parked` instead.
+    live: Option<(SliceRun, Box<Checkpoint>)>,
     /// Fault injection: corrupt the next snapshot this job parks on.
     corrupt_next: bool,
     events: Vec<ProgressEvent>,
@@ -286,10 +294,12 @@ struct State {
     journal: Option<Journal>,
     journal_errors: u64,
     store_errors: u64,
-    /// Jobs not yet terminal.
-    active: usize,
     shutdown: bool,
     addr: Option<SocketAddr>,
+    /// Every record the live path committed, with the durable state
+    /// right after it: what the journal-prefix property test replays.
+    #[cfg(test)]
+    committed: Vec<(Record, tests::Durable)>,
 }
 
 struct Inner {
@@ -323,8 +333,8 @@ pub struct Server {
 struct Task {
     id: usize,
     spec: JobSpec,
-    ck: Option<Box<Checkpoint>>,
-    run: Option<SliceRun>,
+    parked: Option<(u64, u64)>,
+    live: Option<(SliceRun, Box<Checkpoint>)>,
     attempt: u32,
     epoch: u64,
     abandon: Arc<AtomicBool>,
@@ -346,25 +356,146 @@ fn retryable(err: &JobError) -> bool {
     matches!(err.kind, "panic" | "hang")
 }
 
-/// Appends to the journal when one is configured. An append failure
-/// degrades durability (counted), never in-memory correctness.
-fn journal_append(st: &mut State, rec: &Record) -> Result<(), String> {
-    let Some(j) = st.journal.as_mut() else {
+/// The one way a job's durable state changes: its record (terminal
+/// state, slices, preemptions, attempts, summary and error), its dedup
+/// entry and the boundary it last parked at. The live path journals a
+/// record, then applies it ([`commit`]); recovery applies every
+/// journaled record in order. Fails closed where a guess would diverge
+/// from what ran: a `Submitted` id out of order, a record for an unknown
+/// job, a spec that no longer parses, an undecodable legacy checkpoint.
+fn apply(st: &mut State, rec: &Record) -> Result<(), String> {
+    if let Record::Submitted {
+        id,
+        priority,
+        spec_json,
+        dedup_key,
+    } = rec
+    {
+        let next = st.jobs.len() as u64;
+        if *id != next {
+            return Err(format!("job {id} submitted out of order (expected {next})"));
+        }
+        let spec = JobSpec::parse(spec_json)
+            .map_err(|e| format!("job {id} spec rejected: {}", e.detail))?;
+        if let Some(k) = dedup_key {
+            st.dedup.insert(k.clone(), *id);
+        }
+        st.jobs.push(Job {
+            record: JobRecord {
+                id: *id,
+                state: JobState::Queued,
+                spec_json: spec_json.clone(),
+                priority: *priority,
+                slices: 0,
+                preemptions: 0,
+                attempts: 0,
+                dedup_key: dedup_key.clone(),
+                summary: None,
+                error: None,
+            },
+            spec,
+            parked: None,
+            live: None,
+            corrupt_next: false,
+            events: Vec::new(),
+            epoch: 0,
+            attempt_started: false,
+        });
+        return Ok(());
+    }
+    let Some(id) = rec.job_id() else {
         return Ok(());
     };
-    match j.append(rec) {
-        Ok(_) => Ok(()),
-        Err(e) => {
-            st.journal_errors += 1;
-            Err(e.to_string())
+    let len = st.jobs.len();
+    let job = st
+        .jobs
+        .get_mut(id as usize)
+        .ok_or_else(|| format!("record for unknown job {id} ({len} submitted)"))?;
+    let r = &mut job.record;
+    match rec {
+        Record::Submitted { .. } | Record::Drained => {}
+        // Earlier builds journaled no crash: a retry's `Started` carried
+        // the attempts consumed, so it still raises them.
+        Record::Started { attempt, .. } => r.attempts = r.attempts.max(*attempt),
+        Record::Retried { attempts, .. } => r.attempts = *attempts,
+        Record::Preempted {
+            slices,
+            preemptions,
+            checkpoint,
+            ..
+        } => {
+            let ck =
+                Checkpoint::decode(checkpoint).map_err(|e| format!("job {id} checkpoint: {e}"))?;
+            (r.slices, r.preemptions) = (*slices, *preemptions);
+            job.parked = Some((ck.cycle, ck.state_digest));
+        }
+        Record::Parked {
+            slices,
+            preemptions,
+            cycle,
+            state_digest,
+            ..
+        } => {
+            (r.slices, r.preemptions) = (*slices, *preemptions);
+            job.parked = Some((*cycle, *state_digest));
+        }
+        Record::Finished {
+            slices,
+            preemptions,
+            summary,
+            ..
+        } => {
+            (r.state, r.slices, r.preemptions) = (JobState::Done, *slices, *preemptions);
+            r.summary = Some(summary.clone());
+        }
+        Record::Failed {
+            slices,
+            preemptions,
+            error,
+            ..
+        } => {
+            (r.state, r.slices, r.preemptions) = (JobState::Failed, *slices, *preemptions);
+            r.error = Some(error.clone());
+        }
+        Record::Quarantined {
+            attempts, error, ..
+        } => {
+            (r.state, r.attempts) = (JobState::Quarantined, *attempts);
+            r.error = Some(error.clone());
         }
     }
+    Ok(())
+}
+
+/// The live path's one way to change a job's durable state: journal
+/// `rec` (when a journal is configured), apply it, and persist the
+/// artifact of a terminal record. A failed append degrades durability
+/// (counted), never in-memory correctness, so the record still applies.
+/// The exception is `Submitted`: a job the journal never saw would
+/// silently vanish on restart, so admission fails closed with the error.
+fn commit(st: &mut State, inner: &Inner, rec: Record) -> Result<(), String> {
+    if let Some(Err(e)) = st.journal.as_mut().map(|j| j.append(&rec)) {
+        st.journal_errors += 1;
+        if matches!(rec, Record::Submitted { .. }) {
+            return Err(e.to_string());
+        }
+    }
+    apply(st, &rec)?;
+    if let Some(id) = rec.job_id().filter(|_| rec.is_terminal()) {
+        persist_record(st, &inner.store, id as usize);
+    }
+    #[cfg(test)]
+    {
+        let durable = tests::durable(st);
+        st.committed.push((rec, durable));
+    }
+    Ok(())
 }
 
 /// Persists a terminal job's artifact, counting (not propagating)
 /// failures: the journal/in-memory record stays authoritative.
-fn persist_record(st: &mut State, inner: &Inner, id: usize) {
-    if let Err(e) = inner.store.persist(&st.jobs[id].record) {
+fn persist_record(st: &mut State, store: &Store, id: usize) {
+    if let Err(e) = store.persist(&st.jobs[id].record) {
         st.store_errors += 1;
         eprintln!("rcc-serve: artifact for job {id} not persisted: {e}");
     }
@@ -390,66 +521,40 @@ fn promote_deferred(st: &mut State) -> Option<Instant> {
     earliest
 }
 
-/// A crashed attempt (panic or wedge): consume a retry, defer behind a
-/// deterministic exponential backoff, or quarantine once the budget is
-/// spent. The crashed attempt's live run is gone; `ck_back` restores the
-/// checkpoint it was resuming from, so a retry rebuilds the machine by
-/// replay and runs the exact same slice.
-fn handle_crash(
-    st: &mut State,
-    inner: &Inner,
-    id: usize,
-    err: JobError,
-    ck_back: Option<Box<Checkpoint>>,
-) {
-    let attempts = {
-        let job = &mut st.jobs[id];
-        job.record.attempts += 1;
-        job.attempt_started = false;
-        job.record.attempts
-    };
-    if attempts >= inner.max_attempts.max(1) {
-        {
-            let job = &mut st.jobs[id];
-            job.record.state = JobState::Quarantined;
-            job.record.error = Some(err.clone());
-            job.ck = None;
-        }
-        let _ = journal_append(
+/// A crashed attempt (panic or wedge) consumes a retry: the job is
+/// deferred behind a deterministic exponential backoff, or quarantined
+/// once the budget is spent, and either way the crash is journaled
+/// before it takes effect. The crashed attempt's live run is gone; the
+/// retry replays the job's journaled boundary, exactly as a restart
+/// would, and runs the exact same slice.
+fn handle_crash(st: &mut State, inner: &Inner, id: usize, error: JobError) {
+    let attempts = st.jobs[id].record.attempts + 1;
+    st.jobs[id].attempt_started = false;
+    let id64 = id as u64;
+    if attempts >= inner.max_attempts {
+        let _ = commit(
             st,
-            &Record::Quarantined {
-                id: id as u64,
+            inner,
+            Record::Quarantined {
+                id: id64,
                 attempts,
-                error: err,
+                error,
             },
         );
-        persist_record(st, inner, id);
-        st.active -= 1;
     } else {
+        let _ = commit(st, inner, Record::Retried { id: id64, attempts });
+        st.jobs[id].record.state = JobState::Queued;
         let delay = (inner.backoff_ms << (attempts - 1).min(6)).clamp(1, 5_000);
-        let job = &mut st.jobs[id];
-        job.ck = ck_back;
-        job.record.state = JobState::Queued;
         st.deferred
             .push((Instant::now() + Duration::from_millis(delay), id));
         inner.work.notify_all();
     }
 }
 
-/// Sets a job's host-side run options: this server's preemption
-/// quantum and, for a trace job, where the recording goes. RCCK carries
-/// neither, so a fresh start and a checkpoint replayed from the journal
-/// both take them from here.
-fn host_options(opts: &mut SimOptions, spec: &JobSpec, id: u64, store: &Store, quantum: u64) {
-    opts.quantum = quantum;
-    if spec.record_trace {
-        opts.record_trace = store.trace_path(id);
-    }
-}
-
 /// What job `id` runs on: its spec's inputs under this server's host
-/// options. A fresh start and a checkpoint rebuilt from a `Parked`
-/// record both come from here.
+/// options, the preemption quantum and, for a trace job, where the
+/// recording goes. RCCK carries neither, so a fresh start and a replay
+/// of the journaled boundary both take them from here.
 fn job_inputs(
     spec: &JobSpec,
     id: u64,
@@ -457,7 +562,10 @@ fn job_inputs(
     quantum: u64,
 ) -> (ProtocolKind, GpuConfig, Workload, SimOptions) {
     let (kind, cfg, wl, mut opts) = spec.inputs();
-    host_options(&mut opts, spec, id, store, quantum);
+    opts.quantum = quantum;
+    if spec.record_trace {
+        opts.record_trace = store.trace_path(id);
+    }
     (kind, cfg, wl, opts)
 }
 
@@ -479,7 +587,7 @@ fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
             ));
         }
     }
-    let parked = task.run.take();
+    let live = task.live.take();
     let res = catch_unwind(AssertUnwindSafe(|| -> Result<QuantumOutcome, SimError> {
         if let Some(inj) = &inner.injector {
             if matches!(
@@ -492,19 +600,29 @@ fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
                 );
             }
         }
-        let mut run = match (&task.ck, parked) {
+        let mut run = match live {
             // The usual case: go on with the machine that ran the last
             // slice, once it is proven to be the journaled one.
-            (Some(ck), Some(run)) => {
-                run.verify(ck)?;
+            Some((run, ck)) => {
+                run.verify(&ck)?;
                 run
             }
-            // Recovery (crash retry or restart): rebuild by replay.
-            (Some(ck), None) => SliceRun::resume(ck)?,
-            (None, _) => {
+            None => {
                 let (kind, cfg, wl, opts) =
                     job_inputs(&task.spec, task.id as u64, &inner.store, inner.quantum);
-                SliceRun::start(kind, &cfg, wl, &opts)
+                match task.parked {
+                    // Recovery (a crash or wedge retry, or a restart):
+                    // rebuild the journaled boundary and replay to it.
+                    Some((cycle, state_digest)) => SliceRun::resume(&Checkpoint {
+                        kind,
+                        cfg,
+                        workload: Arc::new(wl),
+                        opts,
+                        cycle,
+                        state_digest,
+                    })?,
+                    None => SliceRun::start(kind, &cfg, wl, &opts),
+                }
             }
         };
         Ok(match run.next_slice()? {
@@ -540,45 +658,32 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
                 }
                 let next_due = promote_deferred(&mut st);
                 if let Some(id) = st.sched.pop() {
-                    let (spec, ck, run, attempt, epoch, need_start) = {
-                        let job = &mut st.jobs[id];
-                        job.record.state = JobState::Running;
-                        let need = !job.attempt_started;
-                        job.attempt_started = true;
-                        (
-                            job.spec.clone(),
-                            job.ck.take(),
-                            job.run.take(),
-                            job.record.attempts,
-                            job.epoch,
-                            need,
-                        )
+                    let job = &mut st.jobs[id];
+                    job.record.state = JobState::Running;
+                    let first = !std::mem::replace(&mut job.attempt_started, true);
+                    let task = Task {
+                        id,
+                        spec: job.spec.clone(),
+                        parked: job.parked,
+                        live: job.live.take(),
+                        attempt: job.record.attempts,
+                        epoch: job.epoch,
+                        abandon: Arc::new(AtomicBool::new(false)),
                     };
-                    if need_start {
-                        let _ = journal_append(
-                            &mut st,
-                            &Record::Started {
-                                id: id as u64,
-                                attempt,
-                            },
-                        );
+                    if first {
+                        let started = Record::Started {
+                            id: id as u64,
+                            attempt: task.attempt,
+                        };
+                        let _ = commit(&mut st, inner, started);
                     }
-                    let abandon = Arc::new(AtomicBool::new(false));
                     st.workers[slot].busy = Some(Busy {
                         job: id,
-                        epoch,
+                        epoch: task.epoch,
                         since: Instant::now(),
-                        abandon: Arc::clone(&abandon),
+                        abandon: Arc::clone(&task.abandon),
                     });
-                    break Task {
-                        id,
-                        spec,
-                        ck,
-                        run,
-                        attempt,
-                        epoch,
-                        abandon,
-                    };
+                    break task;
                 }
                 st = match next_due {
                     Some(due) => {
@@ -604,96 +709,72 @@ fn worker_loop(inner: &Inner, slot: usize, my_gen: u64) {
             return;
         }
         st.workers[slot].busy = None;
-        if st.jobs[task.id].epoch != task.epoch {
+        let id = task.id;
+        if st.jobs[id].epoch != task.epoch {
             inner.change.notify_all();
             continue;
         }
-        let priority = st.jobs[task.id].record.priority;
+        // The quantum that just ran is one more slice.
+        let (slices, preemptions) = {
+            let r = &st.jobs[id].record;
+            (r.slices + 1, r.preemptions)
+        };
+        let id64 = id as u64;
         match outcome {
             QuantumOutcome::Finished(m) => {
                 let summary = ResultSummary::from_metrics(&m);
-                let (slices, preemptions) = {
-                    let job = &mut st.jobs[task.id];
-                    job.record.slices += 1;
-                    job.record.summary = Some(summary.clone());
-                    job.record.state = JobState::Done;
-                    (job.record.slices, job.record.preemptions)
+                let rec = Record::Finished {
+                    id: id64,
+                    slices,
+                    preemptions,
+                    summary,
                 };
-                let _ = journal_append(
-                    &mut st,
-                    &Record::Finished {
-                        id: task.id as u64,
-                        slices,
-                        preemptions,
-                        summary,
-                    },
-                );
-                persist_record(&mut st, inner, task.id);
-                st.active -= 1;
+                let _ = commit(&mut st, inner, rec);
             }
             QuantumOutcome::Failed(err) if retryable(&err) => {
-                handle_crash(&mut st, inner, task.id, err, task.ck.take());
+                handle_crash(&mut st, inner, id, err);
             }
-            QuantumOutcome::Failed(err) => {
-                let (slices, preemptions) = {
-                    let job = &mut st.jobs[task.id];
-                    job.record.slices += 1;
-                    job.record.state = JobState::Failed;
-                    job.record.error = Some(err.clone());
-                    (job.record.slices, job.record.preemptions)
+            QuantumOutcome::Failed(error) => {
+                let rec = Record::Failed {
+                    id: id64,
+                    slices,
+                    preemptions,
+                    error,
                 };
-                let _ = journal_append(
-                    &mut st,
-                    &Record::Failed {
-                        id: task.id as u64,
-                        slices,
-                        preemptions,
-                        error: err,
-                    },
-                );
-                persist_record(&mut st, inner, task.id);
-                st.active -= 1;
+                let _ = commit(&mut st, inner, rec);
             }
             QuantumOutcome::Preempted {
                 mut ck,
                 progress,
                 run,
             } => {
-                let (slices, preemptions) = {
-                    let job = &mut st.jobs[task.id];
-                    if std::mem::take(&mut job.corrupt_next) {
-                        ck.state_digest ^= 0xdead_beef_dead_beef;
-                    }
-                    job.record.slices += 1;
-                    job.record.preemptions += 1;
-                    job.events.push(ProgressEvent {
-                        job: task.id as u64,
-                        slice: job.record.slices,
-                        cycle: progress.cycle,
-                        issued: progress.issued,
-                        mem_ops: progress.mem_ops,
-                        samples: progress.samples,
-                    });
-                    (job.record.slices, job.record.preemptions)
-                };
+                if std::mem::take(&mut st.jobs[id].corrupt_next) {
+                    ck.state_digest ^= 0xdead_beef_dead_beef;
+                }
                 // Journal the parked state before exposing it: on-disk
                 // never lags what a restart would need. The spec is
                 // already journaled, so the boundary is enough.
-                let _ = journal_append(
-                    &mut st,
-                    &Record::Parked {
-                        id: task.id as u64,
-                        slices,
-                        preemptions,
-                        cycle: ck.cycle,
-                        state_digest: ck.state_digest,
-                    },
-                );
-                let job = &mut st.jobs[task.id];
-                job.ck = Some(ck);
-                job.run = Some(*run);
+                let rec = Record::Parked {
+                    id: id64,
+                    slices,
+                    preemptions: preemptions + 1,
+                    cycle: ck.cycle,
+                    state_digest: ck.state_digest,
+                };
+                let _ = commit(&mut st, inner, rec);
+                let job = &mut st.jobs[id];
+                job.events.push(ProgressEvent {
+                    job: id64,
+                    slice: slices,
+                    cycle: progress.cycle,
+                    issued: progress.issued,
+                    mem_ops: progress.mem_ops,
+                    samples: progress.samples,
+                });
+                job.live = Some((*run, ck));
                 job.record.state = JobState::Queued;
-                st.sched.push(priority, task.id);
+                let priority = job.record.priority;
+                st.sched.push(priority, id);
                 inner.work.notify_one();
             }
         }
@@ -743,10 +824,9 @@ fn supervisor_loop(inner: &Arc<Inner>, timeout: Duration) {
                     "{{\"kind\": \"wedge\", \"worker\": {slot}, \"waited_ms\": {waited}, \
                      \"attempt\": {attempt}}}"
                 ));
-                // The abandoned thread owns the live run and the
-                // checkpoint it was resuming; a retry restarts the job
-                // from scratch.
-                handle_crash(&mut st, inner, id, err, None);
+                // The abandoned thread owns the live run; a retry
+                // replays the job's journaled boundary.
+                handle_crash(&mut st, inner, id, err);
             }
             let inner2 = Arc::clone(inner);
             if let Ok(h) = std::thread::Builder::new()
@@ -763,167 +843,6 @@ fn supervisor_loop(inner: &Arc<Inner>, timeout: Duration) {
             .expect("server state poisoned")
             .0;
     }
-}
-
-fn job_mut(st: &mut State, id: u64) -> Result<&mut Job, String> {
-    let len = st.jobs.len();
-    st.jobs
-        .get_mut(id as usize)
-        .ok_or_else(|| format!("journal replay: record for unknown job {id} ({len} submitted)"))
-}
-
-/// Rebuilds the job table from replayed journal records. Fails closed
-/// on semantic inconsistency (out-of-order ids, invalid specs,
-/// undecodable checkpoints): guessing would diverge from what ran.
-fn rebuild_from_journal(
-    st: &mut State,
-    records: &[Record],
-    store: &Store,
-    quantum: u64,
-) -> Result<(), String> {
-    // The last boundary each job parked at by reference: its checkpoint
-    // is built from the spec once, after the last record, not per record.
-    let mut parked: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for rec in records {
-        match rec {
-            Record::Submitted {
-                id,
-                priority,
-                spec_json,
-                dedup_key,
-            } => {
-                let next = st.jobs.len() as u64;
-                if *id != next {
-                    return Err(format!(
-                        "journal replay: job {id} submitted out of order (expected {next})"
-                    ));
-                }
-                let spec = JobSpec::parse(spec_json)
-                    .map_err(|e| format!("journal replay: job {id} spec rejected: {}", e.detail))?;
-                st.jobs.push(Job {
-                    record: JobRecord {
-                        id: *id,
-                        state: JobState::Queued,
-                        spec_json: spec_json.clone(),
-                        priority: *priority,
-                        slices: 0,
-                        preemptions: 0,
-                        attempts: 0,
-                        dedup_key: dedup_key.clone(),
-                        summary: None,
-                        error: None,
-                    },
-                    spec,
-                    ck: None,
-                    run: None,
-                    corrupt_next: false,
-                    events: Vec::new(),
-                    epoch: 0,
-                    attempt_started: false,
-                });
-                if let Some(k) = dedup_key {
-                    st.dedup.insert(k.clone(), *id);
-                }
-            }
-            Record::Started { id, attempt } => {
-                let job = job_mut(st, *id)?;
-                job.record.attempts = (*attempt).max(job.record.attempts);
-            }
-            Record::Preempted {
-                id,
-                slices,
-                preemptions,
-                checkpoint,
-            } => {
-                let mut ck = Checkpoint::decode(checkpoint)
-                    .map_err(|e| format!("journal replay: job {id} checkpoint: {e}"))?;
-                let job = job_mut(st, *id)?;
-                host_options(&mut ck.opts, &job.spec, *id, store, quantum);
-                job.ck = Some(Box::new(ck));
-                job.record.slices = *slices;
-                job.record.preemptions = *preemptions;
-                parked.remove(id);
-            }
-            Record::Parked {
-                id,
-                slices,
-                preemptions,
-                cycle,
-                state_digest,
-            } => {
-                let job = job_mut(st, *id)?;
-                job.ck = None;
-                job.record.slices = *slices;
-                job.record.preemptions = *preemptions;
-                parked.insert(*id, (*cycle, *state_digest));
-            }
-            Record::Finished {
-                id,
-                slices,
-                preemptions,
-                summary,
-            } => {
-                let job = job_mut(st, *id)?;
-                job.record.state = JobState::Done;
-                job.record.slices = *slices;
-                job.record.preemptions = *preemptions;
-                job.record.summary = Some(summary.clone());
-                job.ck = None;
-            }
-            Record::Failed {
-                id,
-                slices,
-                preemptions,
-                error,
-            } => {
-                let job = job_mut(st, *id)?;
-                job.record.state = JobState::Failed;
-                job.record.slices = *slices;
-                job.record.preemptions = *preemptions;
-                job.record.error = Some(error.clone());
-                job.ck = None;
-            }
-            Record::Quarantined {
-                id,
-                attempts,
-                error,
-            } => {
-                let job = job_mut(st, *id)?;
-                job.record.state = JobState::Quarantined;
-                job.record.attempts = *attempts;
-                job.record.error = Some(error.clone());
-                job.ck = None;
-            }
-            Record::Drained => {}
-        }
-    }
-    // Requeue every non-terminal job in id order: preempted ones resume
-    // from their journaled checkpoint, the rest start fresh.
-    for idx in 0..st.jobs.len() {
-        let (priority, terminal) = {
-            let j = &st.jobs[idx];
-            (j.record.priority, j.record.state.terminal())
-        };
-        if terminal {
-            continue;
-        }
-        if let Some(&(cycle, state_digest)) = parked.get(&(idx as u64)) {
-            let job = &mut st.jobs[idx];
-            let (kind, cfg, wl, opts) = job_inputs(&job.spec, idx as u64, store, quantum);
-            job.ck = Some(Box::new(Checkpoint {
-                kind,
-                cfg,
-                workload: Arc::new(wl),
-                opts,
-                cycle,
-                state_digest,
-            }));
-        }
-        st.jobs[idx].record.state = JobState::Queued;
-        st.sched.push(priority, idx);
-        st.active += 1;
-    }
-    Ok(())
 }
 
 /// Releases a TCP connection slot on scope exit (even if the handler
@@ -973,11 +892,27 @@ impl Server {
             journal,
             journal_errors: 0,
             store_errors: 0,
-            active: 0,
             shutdown: false,
             addr: None,
+            #[cfg(test)]
+            committed: Vec::new(),
         };
-        rebuild_from_journal(&mut st, &replayed, &store, cfg.quantum)?;
+        // Recovery is the live path fed from the journal: apply every
+        // record, then requeue each non-terminal job in id order (a parked
+        // one replays its journaled boundary, the rest start fresh) and
+        // re-persist any terminal artifact a crash swallowed: the journal
+        // has the result, the results dir may not.
+        for rec in &replayed {
+            apply(&mut st, rec).map_err(|e| format!("journal replay: {e}"))?;
+        }
+        for id in 0..st.jobs.len() {
+            let record = &st.jobs[id].record;
+            if !record.state.terminal() {
+                st.sched.push(record.priority, id);
+            } else if store.artifact_path(id as u64).is_some_and(|p| !p.exists()) {
+                persist_record(&mut st, &store, id);
+            }
+        }
         let shed_queue = if cfg.shed_queue > 0 {
             cfg.shed_queue
         } else if cfg.max_queue > 0 {
@@ -1002,24 +937,6 @@ impl Server {
             conn_done: Condvar::new(),
             handles: Mutex::new(Vec::new()),
         });
-        {
-            // Re-persist any terminal artifact a crash swallowed: the
-            // journal has the result, the results dir may not.
-            let mut st = inner.state.lock().expect("server state poisoned");
-            for id in 0..st.jobs.len() {
-                if !st.jobs[id].record.state.terminal() {
-                    continue;
-                }
-                let missing = inner
-                    .store
-                    .artifact_path(id as u64)
-                    .map(|p| !p.exists())
-                    .unwrap_or(false);
-                if missing {
-                    persist_record(&mut st, &inner, id);
-                }
-            }
-        }
         let mut handles = Vec::new();
         for i in 0..workers {
             let inner2 = Arc::clone(&inner);
@@ -1122,49 +1039,19 @@ impl Server {
             };
         }
         let id = st.jobs.len() as u64;
-        if let Err(e) = journal_append(
-            &mut st,
-            &Record::Submitted {
-                id,
-                priority: spec.priority,
-                spec_json: spec_json.clone(),
-                dedup_key: spec.dedup_key.clone(),
-            },
-        ) {
-            // Fail closed at admission: a job the journal never saw
-            // would silently vanish on restart.
+        let submitted = Record::Submitted {
+            id,
+            priority: spec.priority,
+            spec_json,
+            dedup_key: spec.dedup_key,
+        };
+        if let Err(e) = commit(&mut st, &self.inner, submitted) {
             return Submission::Rejected {
                 kind: "journal".into(),
                 detail: format!("not admitted: {e}"),
             };
         }
-        let idx = st.jobs.len();
-        st.sched.push(spec.priority, idx);
-        if let Some(key) = &spec.dedup_key {
-            st.dedup.insert(key.clone(), id);
-        }
-        st.jobs.push(Job {
-            record: JobRecord {
-                id,
-                state: JobState::Queued,
-                spec_json,
-                priority: spec.priority,
-                slices: 0,
-                preemptions: 0,
-                attempts: 0,
-                dedup_key: spec.dedup_key.clone(),
-                summary: None,
-                error: None,
-            },
-            spec,
-            ck: None,
-            run: None,
-            corrupt_next: false,
-            events: Vec::new(),
-            epoch: 0,
-            attempt_started: false,
-        });
-        st.active += 1;
+        st.sched.push(spec.priority, id as usize);
         self.inner.work.notify_one();
         Submission::Accepted {
             id,
@@ -1199,7 +1086,7 @@ impl Server {
     /// Blocks until no job is queued or running.
     pub fn wait_idle(&self) {
         let mut st = self.inner.state.lock().expect("server state poisoned");
-        while st.active > 0 {
+        while st.jobs.iter().any(|j| !j.record.state.terminal()) {
             let (guard, _) = self
                 .inner
                 .change
@@ -1225,7 +1112,7 @@ impl Server {
                 return false;
             }
             if job.record.state == JobState::Queued {
-                if let Some(ck) = &mut job.ck {
+                if let Some((_, ck)) = &mut job.live {
                     ck.state_digest ^= 0xdead_beef_dead_beef;
                     return true;
                 }
@@ -1318,7 +1205,7 @@ impl Server {
         let manifest = self.inner.store.write_manifest(&records);
         if manifest.is_ok() {
             let mut st = self.inner.state.lock().expect("server state poisoned");
-            let _ = journal_append(&mut st, &Record::Drained);
+            let _ = commit(&mut st, &self.inner, Record::Drained);
         }
         manifest.map(|_| ())
     }
@@ -1543,3 +1430,6 @@ pub fn record_json(rec: &JobRecord) -> String {
 /// that a quick job finishes in one slice, short enough that a
 /// full-scale run yields many times.
 pub const DEFAULT_QUANTUM: u64 = 50_000;
+
+#[cfg(test)]
+mod tests;

@@ -190,7 +190,7 @@ fn one_line(json: &str) -> String {
 }
 
 /// Everything the service knows about one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job id (dense, assigned at accept time).
     pub id: u64,

@@ -109,6 +109,7 @@ fn arb_record() -> impl Strategy<Value = Record> {
                 state_digest
             }
         ),
+        (0u64..500, 1u32..8).prop_map(|(id, attempts)| Record::Retried { id, attempts }),
         (0u64..500, 0u64..100, 0u64..100, arb_summary()).prop_map(
             |(id, slices, preemptions, summary)| Record::Finished {
                 id,

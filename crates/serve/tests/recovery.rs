@@ -117,7 +117,7 @@ fn kill9_soak_300_jobs_exactly_once_and_byte_identical() {
             seed: SEED + phases as u64,
             kill_at: vec![durable as u64 + 80],
             // Ids 13, 114, 215 panic on every attempt (crash-loop →
-            // quarantine, persisting across kills via Started records);
+            // quarantine, persisting across kills via Retried records);
             // ids 11, 108, 205 panic once and recover on retry.
             panic_jobs: StrideRule {
                 stride: 101,
@@ -234,7 +234,7 @@ fn kill9_soak_300_jobs_exactly_once_and_byte_identical() {
         assert!(rec.state.terminal());
         if i % 101 == 13 {
             // Crash-looping jobs quarantine with their forensics, and
-            // the attempt count survives the kills via Started records.
+            // the attempt count survives the kills via Retried records.
             assert_eq!(rec.state, JobState::Quarantined, "job {i}");
             assert_eq!(rec.attempts, 3, "job {i}");
             let err = rec.error.expect("quarantined job carries its error");
