@@ -22,10 +22,11 @@
 //! Flags: `--seeds N` (default 64; `--quick` defaults to 8), `--jobs N`,
 //! `--out PATH` (default `BENCH_chaos.json`).
 
+use rcc_bench::cli::{Args, UsageError};
+use rcc_bench::pool;
 use rcc_bench::report::{
     check_schema, schemas, BenchRow, CanarySummary, ChaosReport, FailedJobRow, ViolationRow,
 };
-use rcc_bench::{parse_jobs, pool};
 use rcc_chaos::{ChaosProfile, ChaosSpec};
 use rcc_common::GpuConfig;
 use rcc_core::ProtocolKind;
@@ -34,6 +35,7 @@ use rcc_sim::runner::{try_simulate, SimOptions};
 use rcc_sim::SimError;
 use rcc_workloads::{litmus, Benchmark, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
 
 const KINDS: [ProtocolKind; 3] = [
     ProtocolKind::RccSc,
@@ -104,22 +106,17 @@ fn run_pass<J: Send, T: Send>(
         .collect()
 }
 
-fn main() -> std::process::ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seeds = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse::<u64>().ok())
-        .unwrap_or(if quick { 8 } else { 64 });
-    let jobs = parse_jobs(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_chaos.json".to_string());
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    run(&argv).unwrap_or_else(|e| e.report())
+}
+
+fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
+    let args = Args::parse(argv, &["--quick, --seeds N, --jobs N, --out PATH"])?;
+    let quick = args.has("--quick");
+    let seeds = args.value("--seeds")?.unwrap_or(if quick { 8 } else { 64 });
+    let jobs = args.value("--jobs")?.map_or(1, pool::resolve_jobs);
+    let out_path = args.get("--out").unwrap_or("BENCH_chaos.json");
 
     // Correctness sweep, not a performance experiment: the small machine
     // exercises every protocol path and keeps the grid tractable.
@@ -285,13 +282,13 @@ fn main() -> std::process::ExitCode {
         failed_jobs,
     };
     let json = report.to_json();
-    if let Err(e) = check_schema(&out_path, schemas::BENCH_CHAOS, &json) {
+    if let Err(e) = check_schema(out_path, schemas::BENCH_CHAOS, &json) {
         eprintln!("{e}");
-        return std::process::ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
-        return std::process::ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("wrote {out_path}");
 
@@ -307,8 +304,8 @@ fn main() -> std::process::ExitCode {
             report.violations.len(),
             report.failed_jobs.len(),
         );
-        return std::process::ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("chaos sweep: ok");
-    std::process::ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -22,6 +22,7 @@
 //! `obs_trace.json`), `--series-out PATH` (default `obs_series.csv`; a
 //! `.json` sibling is always written next to it).
 
+use rcc_bench::cli::{Args, UsageError};
 use rcc_bench::report::{check_schema, schemas};
 use rcc_common::GpuConfig;
 use rcc_core::ProtocolKind;
@@ -29,6 +30,7 @@ use rcc_obs::{track, ObsConfig, SimPhase};
 use rcc_sim::litmus::run_litmus_observed;
 use rcc_sim::runner::{simulate, SimOptions};
 use rcc_workloads::{litmus, Benchmark, Scale};
+use std::process::ExitCode;
 
 const KINDS: [ProtocolKind; 3] = [
     ProtocolKind::RccSc,
@@ -36,18 +38,18 @@ const KINDS: [ProtocolKind; 3] = [
     ProtocolKind::TcWeak,
 ];
 
-fn main() -> std::process::ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let sample_every = flag("--sample-every")
-        .and_then(|n| n.parse::<u64>().ok())
-        .unwrap_or(64);
-    let trace_out = flag("--trace-out").unwrap_or_else(|| "obs_trace.json".to_string());
-    let series_out = flag("--series-out").unwrap_or_else(|| "obs_series.csv".to_string());
+const FLAGS: &str = "--sample-every N, --trace-out PATH, --series-out PATH";
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    run(&argv).unwrap_or_else(|e| e.report())
+}
+
+fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
+    let args = Args::parse(argv, &[FLAGS])?;
+    let sample_every = args.value("--sample-every")?.unwrap_or(64);
+    let trace_out = args.get("--trace-out").unwrap_or("obs_trace.json");
+    let series_out = args.get("--series-out").unwrap_or("obs_series.csv");
     let mut failures: Vec<String> = Vec::new();
 
     // Pass 1: observed litmus sweep.
@@ -139,7 +141,7 @@ fn main() -> std::process::ExitCode {
     let series_json = report.series.to_json();
     let bench_trace = report.trace.to_chrome_json();
     for (name, schema, doc) in [
-        (trace_out.as_str(), schemas::TRACE, &mp_trace),
+        (trace_out, schemas::TRACE, &mp_trace),
         ("benchmark trace", schemas::TRACE, &bench_trace),
         ("series", schemas::TIMESERIES, &series_json),
     ] {
@@ -155,26 +157,26 @@ fn main() -> std::process::ExitCode {
                 .trim_end_matches(".json")
         );
         for (path, body) in [
-            (&trace_out, &mp_trace),
+            (trace_out, &mp_trace),
             (&series_json_path, &series_json),
-            (&series_out, &report.series.to_csv()),
+            (series_out, &report.series.to_csv()),
         ] {
             if let Err(e) = std::fs::write(path, body) {
                 eprintln!("cannot write {path}: {e}");
-                return std::process::ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             println!("wrote {path}");
         }
     }
 
-    if failures.is_empty() {
+    Ok(if failures.is_empty() {
         println!("obs smoke: ok");
-        std::process::ExitCode::SUCCESS
+        ExitCode::SUCCESS
     } else {
         for f in &failures {
             eprintln!("FAILED: {f}");
         }
         eprintln!("obs smoke: {} failure(s)", failures.len());
-        std::process::ExitCode::FAILURE
-    }
+        ExitCode::FAILURE
+    })
 }

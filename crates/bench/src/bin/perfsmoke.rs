@@ -54,147 +54,148 @@ fn run_grid(
 }
 
 fn main() -> std::process::ExitCode {
-    let h = Harness::from_args();
-    // Default to one worker per core: this binary exists to measure the
-    // parallel harness, not to be conservative.
-    let jobs = if h.jobs > 1 {
-        h.jobs
-    } else {
-        pool::resolve_jobs(0)
-    };
-    banner(
-        "Perf smoke",
-        "engine wall-clock: baseline vs FF + job pool",
-        &h,
-    );
-
-    let workloads: Vec<Workload> = Benchmark::ALL.map(|b| h.workload(b)).to_vec();
-    let mut base_opts = h.opts.clone();
-    base_opts.fast_forward = false;
-    base_opts.profile = true;
-    let mut opt_opts = h.opts.clone();
-    opt_opts.profile = true;
-    let (baseline, baseline_s) = run_grid(&h, &workloads, &base_opts, 1);
-    let (optimized, optimized_s) = run_grid(&h, &workloads, &opt_opts, jobs);
-
-    let mut diverged = 0;
-    for ((b, _), (o, _)) in baseline.iter().zip(&optimized) {
-        if !b.same_simulated_results(o) {
-            eprintln!(
-                "DIVERGENCE: {} on {} differs between baseline and fast-forward",
-                b.kind, b.workload
-            );
-            diverged += 1;
-        }
-    }
-
-    let speedup = baseline_s / optimized_s.max(1e-9);
-    println!(
-        "\n{:8} {:>14} {:>14} {:>12} {:>10}",
-        "protocol", "sim cycles", "sim cyc/s", "skipped", "skip%"
-    );
-    let mut rows = Vec::new();
-    for kind in ProtocolKind::ALL {
-        let runs: Vec<_> = optimized.iter().filter(|(m, _)| m.kind == kind).collect();
-        let cycles: u64 = runs.iter().map(|(m, _)| m.cycles).sum();
-        let skipped: u64 = runs.iter().map(|(m, _)| m.skipped_cycles).sum();
-        let skip_ratio = skipped as f64 / cycles.max(1) as f64;
-        let wall: f64 = runs.iter().map(|(_, s)| s).sum();
-        let rate = cycles as f64 / wall.max(1e-9);
-        println!(
-            "{:8} {:>14} {:>14.0} {:>12} {:>9.1}%",
-            kind.label(),
-            cycles,
-            rate,
-            skipped,
-            100.0 * skip_ratio
+    Harness::main(|h| {
+        // Default to one worker per core: this binary exists to measure the
+        // parallel harness, not to be conservative.
+        let jobs = if h.flags.jobs > 1 {
+            h.flags.jobs
+        } else {
+            pool::resolve_jobs(0)
+        };
+        banner(
+            "Perf smoke",
+            "engine wall-clock: baseline vs FF + job pool",
+            h,
         );
-        rows.push(ProtocolRow {
-            protocol: kind.label().to_string(),
-            sim_cycles: cycles,
-            sim_cycles_per_sec: rate,
-            skipped_cycles: skipped,
-            skip_ratio,
-        });
-    }
 
-    // Calendar-queue telemetry, merged over every run of the optimized
-    // pass: how much event traffic the scheduler carried and how deep the
-    // queue got.
-    let posted: u64 = optimized.iter().map(|(m, _)| m.sched.events_posted).sum();
-    let cancelled: u64 = optimized
-        .iter()
-        .map(|(m, _)| m.sched.events_cancelled)
-        .sum();
-    let nruns = optimized.len().max(1) as f64;
-    let p50_mean = optimized
-        .iter()
-        .map(|(m, _)| m.sched.queue_depth_p50)
-        .sum::<u64>() as f64
-        / nruns;
-    let depth_max = optimized
-        .iter()
-        .map(|(m, _)| m.sched.queue_depth_max)
-        .max()
-        .unwrap_or(0);
-    let scheduler = SchedSummary {
-        events_posted: posted,
-        events_cancelled: cancelled,
-        cancel_ratio: cancelled as f64 / posted.max(1) as f64,
-        queue_depth_p50_mean: p50_mean,
-        queue_depth_max: depth_max,
-    };
-    println!(
-        "\nscheduler: {posted} events posted, {cancelled} cancelled ({:.1}%), \
-         queue depth p50 {p50_mean:.1} / max {depth_max}",
-        100.0 * scheduler.cancel_ratio
-    );
+        let workloads: Vec<Workload> = Benchmark::ALL.map(|b| h.workload(b)).to_vec();
+        let mut base_opts = h.flags.opts.clone();
+        base_opts.fast_forward = false;
+        base_opts.profile = true;
+        let mut opt_opts = h.flags.opts.clone();
+        opt_opts.profile = true;
+        let (baseline, baseline_s) = run_grid(h, &workloads, &base_opts, 1);
+        let (optimized, optimized_s) = run_grid(h, &workloads, &opt_opts, jobs);
 
-    // Where the optimized pass's wall-clock actually went, merged over
-    // every run.
-    let mut profile = SimProfile::new();
-    for (m, _) in &optimized {
-        if let Some(p) = &m.profile {
-            profile.merge(p);
+        let mut diverged = 0;
+        for ((b, _), (o, _)) in baseline.iter().zip(&optimized) {
+            if !b.same_simulated_results(o) {
+                eprintln!(
+                    "DIVERGENCE: {} on {} differs between baseline and fast-forward",
+                    b.kind, b.workload
+                );
+                diverged += 1;
+            }
         }
-    }
-    print!("\nself-profile ({} steps):", profile.steps);
-    for ph in SimPhase::ALL {
-        print!(" {} {:.1}%", ph.label(), 100.0 * profile.share(ph));
-    }
-    println!();
 
-    println!(
+        let speedup = baseline_s / optimized_s.max(1e-9);
+        println!(
+            "\n{:8} {:>14} {:>14} {:>12} {:>10}",
+            "protocol", "sim cycles", "sim cyc/s", "skipped", "skip%"
+        );
+        let mut rows = Vec::new();
+        for kind in ProtocolKind::ALL {
+            let runs: Vec<_> = optimized.iter().filter(|(m, _)| m.kind == kind).collect();
+            let cycles: u64 = runs.iter().map(|(m, _)| m.cycles).sum();
+            let skipped: u64 = runs.iter().map(|(m, _)| m.skipped_cycles).sum();
+            let skip_ratio = skipped as f64 / cycles.max(1) as f64;
+            let wall: f64 = runs.iter().map(|(_, s)| s).sum();
+            let rate = cycles as f64 / wall.max(1e-9);
+            println!(
+                "{:8} {:>14} {:>14.0} {:>12} {:>9.1}%",
+                kind.label(),
+                cycles,
+                rate,
+                skipped,
+                100.0 * skip_ratio
+            );
+            rows.push(ProtocolRow {
+                protocol: kind.label().to_string(),
+                sim_cycles: cycles,
+                sim_cycles_per_sec: rate,
+                skipped_cycles: skipped,
+                skip_ratio,
+            });
+        }
+
+        // Calendar-queue telemetry, merged over every run of the optimized
+        // pass: how much event traffic the scheduler carried and how deep the
+        // queue got.
+        let posted: u64 = optimized.iter().map(|(m, _)| m.sched.events_posted).sum();
+        let cancelled: u64 = optimized
+            .iter()
+            .map(|(m, _)| m.sched.events_cancelled)
+            .sum();
+        let nruns = optimized.len().max(1) as f64;
+        let p50_mean = optimized
+            .iter()
+            .map(|(m, _)| m.sched.queue_depth_p50)
+            .sum::<u64>() as f64
+            / nruns;
+        let depth_max = optimized
+            .iter()
+            .map(|(m, _)| m.sched.queue_depth_max)
+            .max()
+            .unwrap_or(0);
+        let scheduler = SchedSummary {
+            events_posted: posted,
+            events_cancelled: cancelled,
+            cancel_ratio: cancelled as f64 / posted.max(1) as f64,
+            queue_depth_p50_mean: p50_mean,
+            queue_depth_max: depth_max,
+        };
+        println!(
+            "\nscheduler: {posted} events posted, {cancelled} cancelled ({:.1}%), \
+         queue depth p50 {p50_mean:.1} / max {depth_max}",
+            100.0 * scheduler.cancel_ratio
+        );
+
+        // Where the optimized pass's wall-clock actually went, merged over
+        // every run.
+        let mut profile = SimProfile::new();
+        for (m, _) in &optimized {
+            if let Some(p) = &m.profile {
+                profile.merge(p);
+            }
+        }
+        print!("\nself-profile ({} steps):", profile.steps);
+        for ph in SimPhase::ALL {
+            print!(" {} {:.1}%", ph.label(), 100.0 * profile.share(ph));
+        }
+        println!();
+
+        println!(
         "\nbaseline (no FF, sequential): {baseline_s:.2}s   optimized (FF, {jobs} jobs): {optimized_s:.2}s   speedup {speedup:.2}x"
     );
-    println!(
-        "determinism: {}",
-        if diverged == 0 { "ok" } else { "FAILED" }
-    );
+        println!(
+            "determinism: {}",
+            if diverged == 0 { "ok" } else { "FAILED" }
+        );
 
-    let report = SimReport {
-        baseline_wall_s: baseline_s,
-        optimized_wall_s: optimized_s,
-        speedup,
-        jobs,
-        runs: optimized.len(),
-        deterministic: diverged == 0,
-        protocols: rows,
-        scheduler,
-        self_profile: profile,
-    };
-    let json = report.to_json();
-    if let Err(e) = check_schema("BENCH_sim.json", schemas::BENCH_SIM, &json) {
-        eprintln!("{e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write("BENCH_sim.json", &json) {
-        eprintln!("cannot write BENCH_sim.json: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    println!("wrote BENCH_sim.json");
-    if diverged > 0 {
-        return std::process::ExitCode::FAILURE;
-    }
-    std::process::ExitCode::SUCCESS
+        let report = SimReport {
+            baseline_wall_s: baseline_s,
+            optimized_wall_s: optimized_s,
+            speedup,
+            jobs,
+            runs: optimized.len(),
+            deterministic: diverged == 0,
+            protocols: rows,
+            scheduler,
+            self_profile: profile,
+        };
+        let json = report.to_json();
+        if let Err(e) = check_schema("BENCH_sim.json", schemas::BENCH_SIM, &json) {
+            eprintln!("{e}");
+            return std::process::ExitCode::FAILURE;
+        }
+        if let Err(e) = std::fs::write("BENCH_sim.json", &json) {
+            eprintln!("cannot write BENCH_sim.json: {e}");
+            return std::process::ExitCode::FAILURE;
+        }
+        println!("wrote BENCH_sim.json");
+        if diverged > 0 {
+            return std::process::ExitCode::FAILURE;
+        }
+        std::process::ExitCode::SUCCESS
+    })
 }

@@ -19,47 +19,48 @@ const KINDS: [ProtocolKind; 5] = [
     ProtocolKind::IdealSc,
 ];
 
-fn main() {
-    let h = Harness::from_args();
-    banner("Sweep", "speedup vs resident warps per core (bh + dlb)", &h);
+fn main() -> std::process::ExitCode {
+    Harness::main(|h| {
+        banner("Sweep", "speedup vs resident warps per core (bh + dlb)", h);
 
-    // Flatten the whole grid into one job list; the pool returns results
-    // in submission order, so the printed rows are identical to a
-    // sequential run regardless of --jobs.
-    let warp_points = [4usize, 8, 16, 32, 48];
-    let mut grid = Vec::new();
-    for bench in [Benchmark::Bh, Benchmark::Dlb] {
-        for warps in warp_points {
-            for kind in KINDS {
-                grid.push((bench, warps, kind));
+        // Flatten the whole grid into one job list; the pool returns results
+        // in submission order, so the printed rows are identical to a
+        // sequential run regardless of --jobs.
+        let warp_points = [4usize, 8, 16, 32, 48];
+        let mut grid = Vec::new();
+        for bench in [Benchmark::Bh, Benchmark::Dlb] {
+            for warps in warp_points {
+                for kind in KINDS {
+                    grid.push((bench, warps, kind));
+                }
             }
         }
-    }
-    let results = pool::run_indexed(grid, h.jobs, |(bench, warps, kind)| {
-        let scale = Scale {
-            warps_per_core: warps,
-            warps_per_workgroup: 4.min(warps),
-            iters: h.scale.iters,
-        };
-        let wl = bench.generate(&h.cfg, &scale, SEED);
-        simulate(kind, &h.cfg, &wl, &h.opts)
-    });
+        let results = pool::run_indexed(grid, h.flags.jobs, |(bench, warps, kind)| {
+            let scale = Scale {
+                warps_per_core: warps,
+                warps_per_workgroup: 4.min(warps),
+                iters: h.scale.iters,
+            };
+            let wl = bench.generate(&h.cfg, &scale, SEED);
+            simulate(kind, &h.cfg, &wl, &h.flags.opts)
+        });
 
-    let mut rows = results.chunks_exact(KINDS.len());
-    for bench in [Benchmark::Bh, Benchmark::Dlb] {
-        println!("\n{}:", bench.name());
-        println!(
-            "{:>6} {:>10} {:>8} {:>8} {:>8} {:>8}",
-            "warps", "MESI-cyc", "TCS", "TCW", "RCC", "IDEAL"
-        );
-        for warps in warp_points {
-            let row = rows.next().expect("one row per (bench, warps)");
-            let base = &row[0];
-            print!("{:>6} {:>10}", warps, base.cycles);
-            for m in &row[1..] {
-                print!(" {:>8.3}", m.speedup_over(base));
+        let mut rows = results.chunks_exact(KINDS.len());
+        for bench in [Benchmark::Bh, Benchmark::Dlb] {
+            println!("\n{}:", bench.name());
+            println!(
+                "{:>6} {:>10} {:>8} {:>8} {:>8} {:>8}",
+                "warps", "MESI-cyc", "TCS", "TCW", "RCC", "IDEAL"
+            );
+            for warps in warp_points {
+                let row = rows.next().expect("one row per (bench, warps)");
+                let base = &row[0];
+                print!("{:>6} {:>10}", warps, base.cycles);
+                for m in &row[1..] {
+                    print!(" {:>8.3}", m.speedup_over(base));
+                }
+                println!();
             }
-            println!();
         }
-    }
+    })
 }

@@ -7,6 +7,7 @@
 //! [`check_schema`], so a drifting field fails in CI rather than in a
 //! downstream notebook.
 
+use rcc_obs::json::escape;
 use rcc_obs::{schema, SimPhase, SimProfile};
 use std::fmt::Write as _;
 
@@ -299,25 +300,6 @@ pub struct ChaosReport {
     pub failed_jobs: Vec<FailedJobRow>,
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl ChaosReport {
     /// Serializes in the `schemas/bench_chaos.schema.json` shape.
     pub fn to_json(&self) -> String {
@@ -376,10 +358,10 @@ impl ChaosReport {
             let _ = write!(
                 out,
                 "    {{\"pass\": \"{}\", \"index\": {}, \"attempts\": {}, \"reason\": \"{}\"}}",
-                esc(&j.pass),
+                escape(&j.pass),
                 j.index,
                 j.attempts,
-                esc(&j.reason)
+                escape(&j.reason)
             );
             out.push_str(if i + 1 < self.failed_jobs.len() {
                 ",\n"

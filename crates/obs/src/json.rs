@@ -1,4 +1,5 @@
-//! A small dependency-free JSON parser.
+//! A small dependency-free JSON parser, and the one string escaper the
+//! workspace's hand-written JSON emitters share.
 //!
 //! The workspace deliberately has no registry dependencies, so the schema
 //! tests and the trace/series validators parse JSON with this module
@@ -102,6 +103,23 @@ impl JsonValue {
     }
 }
 
+/// Escapes `s` for the inside of a JSON string literal: quotes,
+/// backslashes and every control character (RFC 8259 section 7).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Parses a complete JSON document; trailing garbage is an error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
@@ -202,6 +220,7 @@ impl Parser<'_> {
                     }
                     _ => return Err(self.err("bad escape")),
                 },
+                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(b) if b < 0x80 => out.push(b as char),
                 Some(b) => {
                     // Re-decode the multi-byte UTF-8 sequence that starts
@@ -311,6 +330,16 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escaping_survives_a_round_trip() {
+        let nasty = "he said \"hi\"\\\n\tctrl:\u{1}\r";
+        let doc = format!("{{\"s\": \"{}\"}}", escape(nasty));
+        assert_eq!(
+            parse(&doc).unwrap().get("s").and_then(JsonValue::as_str),
+            Some(nasty)
+        );
+    }
 
     #[test]
     fn parses_scalars() {

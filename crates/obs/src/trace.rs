@@ -7,6 +7,7 @@
 //! track ids via [`track`] so traces from different runs line up, and
 //! RCC's logical clocks appear as counter tracks per L2 bank.
 
+use crate::json::escape;
 use std::fmt::Write as _;
 
 /// Stable track-id (tid) layout. One process (`pid` 1) with one thread
@@ -270,22 +271,6 @@ impl TraceBuffer {
         out.push_str("\n]}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn fmt_f64(v: f64) -> String {

@@ -27,6 +27,8 @@
 //!   --max-conns        concurrent TCP connection cap (default 64)
 //!   --no-fsync         skip per-record journal fsync (tests only)
 //!
+//! An unknown flag or a malformed value exits 2.
+//!
 //! Speak line-delimited JSON to the printed address:
 //!   {"cmd": "submit", "spec": {...}}   -> {"ok": true, "job": N}
 //!   {"cmd": "status", "job": N}
@@ -35,82 +37,71 @@
 //!   {"cmd": "shutdown"}
 //! ```
 
+use rcc_bench::cli::{self, Args, UsageError};
 use rcc_serve::server::{
     DEFAULT_BACKOFF_MS, DEFAULT_MAX_ATTEMPTS, DEFAULT_MAX_CONNS, DEFAULT_QUANTUM,
 };
 use rcc_serve::{Server, ServerConfig};
 use std::process::ExitCode;
 
+const FLAGS: &str = "--addr HOST:PORT, --workers N, --quantum CYCLES, --aging N, \
+    --results-dir PATH, --journal PATH, --max-queue N, --shed-queue N, --max-attempts N, \
+    --backoff-ms MS, --wedge-timeout-ms MS, --max-conns N, --no-fsync, --help, -h";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "{}",
-            include_str!("main.rs")
-                .lines()
-                .skip(2)
-                .take(34)
-                .map(|l| l.trim_start_matches("//!").strip_prefix(' ').unwrap_or(""))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        return ExitCode::SUCCESS;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match Args::parse(&argv, &[FLAGS]).and_then(|args| serve(&args)) {
+        Ok(code) => code,
+        Err(e) => e.report(),
+    }
+}
+
+/// Runs the service the flags ask for; a malformed flag is the only
+/// error, every other failure is an exit status.
+fn serve(args: &Args) -> Result<ExitCode, UsageError> {
+    if args.has("--help") || args.has("-h") {
+        println!("{}", cli::usage(include_str!("main.rs")));
+        return Ok(ExitCode::SUCCESS);
     }
     let cfg = ServerConfig {
-        workers: get("--workers").and_then(|s| s.parse().ok()).unwrap_or(2),
-        quantum: get("--quantum")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_QUANTUM),
-        aging: get("--aging").and_then(|s| s.parse().ok()).unwrap_or(4),
-        results_dir: get("--results-dir").map(Into::into),
-        journal: get("--journal").map(Into::into),
-        fsync: !args.iter().any(|a| a == "--no-fsync"),
-        max_queue: get("--max-queue").and_then(|s| s.parse().ok()).unwrap_or(0),
-        shed_queue: get("--shed-queue")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
-        max_attempts: get("--max-attempts")
-            .and_then(|s| s.parse().ok())
+        workers: args.value("--workers")?.unwrap_or(2),
+        quantum: args.value("--quantum")?.unwrap_or(DEFAULT_QUANTUM),
+        aging: args.value("--aging")?.unwrap_or(4),
+        results_dir: args.get("--results-dir").map(Into::into),
+        journal: args.get("--journal").map(Into::into),
+        fsync: !args.has("--no-fsync"),
+        max_queue: args.value("--max-queue")?.unwrap_or(0),
+        shed_queue: args.value("--shed-queue")?.unwrap_or(0),
+        max_attempts: args
+            .value("--max-attempts")?
             .unwrap_or(DEFAULT_MAX_ATTEMPTS),
-        backoff_ms: get("--backoff-ms")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_BACKOFF_MS),
-        wedge_timeout_ms: get("--wedge-timeout-ms")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
-        max_conns: get("--max-conns")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_MAX_CONNS),
+        backoff_ms: args.value("--backoff-ms")?.unwrap_or(DEFAULT_BACKOFF_MS),
+        wedge_timeout_ms: args.value("--wedge-timeout-ms")?.unwrap_or(0),
+        max_conns: args.value("--max-conns")?.unwrap_or(DEFAULT_MAX_CONNS),
         faults: None,
     };
-    let addr = get("--addr").unwrap_or_else(|| "127.0.0.1:0".into());
     let server = match Server::start(cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    let local = match server.listen(&addr) {
+    let local = match server.listen(args.get("--addr").unwrap_or("127.0.0.1:0")) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
             let _ = server.shutdown();
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!("listening on {local}");
     server.wait_for_shutdown_request();
-    match server.shutdown() {
+    Ok(match server.shutdown() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }

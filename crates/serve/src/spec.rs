@@ -382,7 +382,7 @@ impl JobSpec {
                     s,
                     "{{\"kind\": \"litmus\", \"name\": \"{}\", \"cores\": {cores}, \
                      \"seed\": {seed}}}",
-                    crate::wire::esc(name)
+                    rcc_obs::json::escape(name)
                 );
             }
             WorkloadSpec::Hang => s.push_str("{\"kind\": \"hang\"}"),
@@ -407,7 +407,7 @@ impl JobSpec {
         }
         s.push('}');
         if let Some(key) = &self.dedup_key {
-            let _ = write!(s, ", \"dedup_key\": \"{}\"", crate::wire::esc(key));
+            let _ = write!(s, ", \"dedup_key\": \"{}\"", rcc_obs::json::escape(key));
         }
         s.push('}');
         s

@@ -13,8 +13,8 @@
 //! the same spec; service-side scheduling facts (slices, preemptions)
 //! live outside it, since they legitimately differ run to run.
 
-use crate::wire::esc;
 use rcc_chaos::service::ServiceInjector;
+use rcc_obs::json::escape;
 use rcc_sim::{RunMetrics, SimError};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -104,8 +104,8 @@ impl ResultSummary {
             "{{\"protocol\": \"{}\", \"workload\": \"{}\", \"cycles\": {}, \
              \"issued\": {}, \"mem_ops\": {}, \"sc_violations\": {}, \
              \"metrics_digest\": \"{:016x}\"}}",
-            esc(&self.protocol),
-            esc(&self.workload),
+            escape(&self.protocol),
+            escape(&self.workload),
             self.cycles,
             self.issued,
             self.mem_ops,
@@ -164,8 +164,8 @@ impl JobError {
     pub fn to_json(&self) -> String {
         let mut s = format!(
             "{{\"kind\": \"{}\", \"detail\": \"{}\"",
-            esc(self.kind),
-            esc(&self.detail)
+            escape(self.kind),
+            escape(&self.detail)
         );
         if let Some(dump) = &self.hang_dump {
             // Journals written before dumps were stored on one line

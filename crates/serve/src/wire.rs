@@ -9,7 +9,7 @@
 //! this layer with corrupted frames in the same style as the trace
 //! codec's fail-closed suite.
 
-use rcc_obs::json::JsonValue;
+use rcc_obs::json::{escape, JsonValue};
 use std::io::{self, BufRead};
 
 /// Hard cap on a request frame, newline included. Large enough for any
@@ -149,31 +149,12 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     })
 }
 
-/// Escapes a string for embedding in a JSON literal.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The error-response line for a wire-level rejection.
 pub fn error_line(kind: &str, detail: &str) -> String {
     format!(
         "{{\"ok\": false, \"error\": {{\"kind\": \"{}\", \"detail\": \"{}\"}}}}",
-        esc(kind),
-        esc(detail)
+        escape(kind),
+        escape(detail)
     )
 }
 
@@ -206,13 +187,5 @@ mod tests {
         let second = read_frame(&mut r).unwrap().unwrap().unwrap();
         assert_eq!(parse_request(&second), Ok(Request::List));
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn escaping_survives_a_round_trip() {
-        let nasty = "he said \"hi\"\\\n\tctrl:\u{1}";
-        let doc = format!("{{\"s\": \"{}\"}}", esc(nasty));
-        let v = rcc_obs::json::parse(&doc).expect("escaped doc parses");
-        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some(nasty));
     }
 }

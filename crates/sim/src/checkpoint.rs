@@ -38,6 +38,7 @@ use rcc_common::ids::WorkgroupId;
 use rcc_common::snap::{SnapError, SnapReader, SnapWriter};
 use rcc_core::ProtocolKind;
 use rcc_gpu::{MemOp, WarpProgram, MAX_WARPS_PER_CORE};
+use rcc_obs::json::escape;
 use rcc_workloads::{Sharing, Workload};
 use std::sync::Arc;
 
@@ -418,7 +419,7 @@ impl Checkpoint {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"version\": {VERSION},");
         let _ = writeln!(out, "  \"protocol\": \"{}\",", self.kind.label());
-        let _ = writeln!(out, "  \"workload\": \"{}\",", self.workload.name);
+        let _ = writeln!(out, "  \"workload\": \"{}\",", escape(self.workload.name));
         let _ = writeln!(out, "  \"cycle\": {},", self.cycle);
         let _ = writeln!(out, "  \"state_digest\": \"{:016x}\",", self.state_digest);
         let _ = writeln!(out, "  \"fast_forward\": {},", self.opts.fast_forward);

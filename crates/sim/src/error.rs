@@ -15,6 +15,7 @@
 
 use rcc_core::ProtocolKind;
 use rcc_gpu::WarpState;
+use rcc_obs::json::escape;
 use std::fmt;
 
 /// The result of a fallible simulation entry point.
@@ -193,10 +194,6 @@ pub struct BlockedWarp {
     pub state: WarpState,
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn opt_u64(v: Option<u64>) -> String {
     v.map_or("null".to_string(), |x| x.to_string())
 }
@@ -206,27 +203,27 @@ impl HangDump {
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"protocol\": \"{}\",", esc(&self.protocol));
-        let _ = writeln!(out, "  \"workload\": \"{}\",", esc(&self.workload));
+        let _ = writeln!(out, "  \"protocol\": \"{}\",", escape(&self.protocol));
+        let _ = writeln!(out, "  \"workload\": \"{}\",", escape(&self.workload));
         let _ = writeln!(out, "  \"cycle\": {},", self.cycle);
         let _ = writeln!(out, "  \"last_progress\": {},", self.last_progress);
         let _ = writeln!(out, "  \"watchdog_cycles\": {},", self.watchdog_cycles);
         let _ = writeln!(out, "  \"mem_pending\": {},", self.mem_pending);
-        let _ = writeln!(out, "  \"rollover\": \"{}\",", esc(&self.rollover));
+        let _ = writeln!(out, "  \"rollover\": \"{}\",", escape(&self.rollover));
         let _ = writeln!(out, "  \"state_digest\": \"{:016x}\",", self.state_digest);
         let _ = writeln!(
             out,
             "  \"checkpoint\": {},",
             self.checkpoint
                 .as_ref()
-                .map_or("null".to_string(), |p| format!("\"{}\"", esc(p)))
+                .map_or("null".to_string(), |p| format!("\"{}\"", escape(p)))
         );
         out.push_str("  \"components\": [\n");
         for (i, c) in self.components.iter().enumerate() {
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"pending\": {}, \"next_event\": {}}}",
-                esc(&c.name),
+                escape(&c.name),
                 c.pending,
                 opt_u64(c.next_event)
             );
@@ -248,12 +245,12 @@ impl HangDump {
                 b.core,
                 w.warp,
                 w.pc,
-                esc(&w.micro),
+                escape(&w.micro),
                 w.at_fence,
                 opt_u64(w.waiting_local),
                 w.stalled_op
                     .as_ref()
-                    .map_or("null".to_string(), |o| format!("\"{}\"", esc(o)))
+                    .map_or("null".to_string(), |o| format!("\"{}\"", escape(o)))
             );
             for (j, o) in w.outstanding.iter().enumerate() {
                 let _ = write!(
@@ -261,7 +258,7 @@ impl HangDump {
                     "{}{{\"addr\": {}, \"class\": \"{}\", \"issued\": {}}}",
                     if j > 0 { ", " } else { "" },
                     o.addr,
-                    esc(&o.class),
+                    escape(&o.class),
                     o.issued
                 );
             }
@@ -275,9 +272,81 @@ impl HangDump {
         out.push_str("  ],\n");
         out.push_str("  \"suspects\": [");
         for (i, s) in self.suspects.iter().enumerate() {
-            let _ = write!(out, "{}\"{}\"", if i > 0 { ", " } else { "" }, esc(s));
+            let _ = write!(out, "{}\"{}\"", if i > 0 { ", " } else { "" }, escape(s));
         }
         out.push_str("]\n}\n");
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rcc_gpu::OutstandingAccess;
+
+    const SCHEMA: &str = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../schemas/hangdump.schema.json"
+    ));
+
+    /// A workload name can come from a binary trace file and the
+    /// checkpoint path from the command line: neither is bound to
+    /// printable characters.
+    #[test]
+    fn a_dump_with_control_characters_is_valid_json() {
+        let dump = HangDump {
+            protocol: "RCC-SC".into(),
+            workload: "tab\there\nnew\"line\\".into(),
+            cycle: 9,
+            last_progress: 1,
+            watchdog_cycles: 8,
+            mem_pending: 1,
+            rollover: "idle".into(),
+            state_digest: 0xabc,
+            components: vec![ComponentState {
+                name: "core0".into(),
+                pending: 1,
+                next_event: None,
+            }],
+            blocked_warps: vec![BlockedWarp {
+                core: 0,
+                state: WarpState {
+                    warp: 0,
+                    pc: 3,
+                    micro: "wait\r".into(),
+                    at_fence: false,
+                    waiting_local: Some(1),
+                    stalled_op: Some("ld\u{1}".into()),
+                    outstanding: vec![OutstandingAccess {
+                        addr: 64,
+                        class: "load".into(),
+                        issued: 2,
+                    }],
+                },
+            }],
+            suspects: vec!["core0".into()],
+            checkpoint: Some("runs/ck\tone\n.hang".into()),
+        };
+        let json = dump.to_json();
+        // RFC 8259 forbids raw control characters inside strings; the
+        // dump's only raw ones are the newlines that lay out its fields.
+        assert!(
+            !json.lines().any(|l| l.contains(char::is_control)),
+            "{json}"
+        );
+        let doc = rcc_obs::json::parse(&json).expect("the dump parses");
+        assert_eq!(
+            doc.get("workload").and_then(|w| w.as_str()),
+            Some(dump.workload.as_str())
+        );
+        assert_eq!(
+            doc.get("checkpoint").and_then(|c| c.as_str()),
+            dump.checkpoint.as_deref()
+        );
+        assert_eq!(
+            rcc_obs::schema::validate_text(SCHEMA, &json),
+            Ok(Vec::new()),
+            "{json}"
+        );
     }
 }

@@ -34,7 +34,7 @@
 
 use rcc_common::snap::{SnapError, SnapReader, SnapWriter, StateDigest};
 use rcc_gpu::op::MemOp;
-use rcc_gpu::WarpProgram;
+use rcc_gpu::{WarpProgram, MAX_WARPS_PER_CORE};
 use rcc_workloads::custom::ParseTraceError;
 use rcc_workloads::{Sharing, Workload};
 use std::fmt;
@@ -230,6 +230,13 @@ impl Trace {
                 self.num_cores()
             )));
         }
+        // The core model has a fixed number of warp slots; the text
+        // parser and checkpoint decoder enforce the same bound.
+        let most = self.warps.iter().map(Vec::len).max().unwrap_or(0);
+        if most > MAX_WARPS_PER_CORE {
+            let msg = format!("{most} warps on one core (at most {MAX_WARPS_PER_CORE})");
+            return Err(TraceError::Mismatch(msg));
+        }
         Ok(())
     }
 
@@ -241,7 +248,7 @@ impl Trace {
     /// # Errors
     ///
     /// [`TraceError::Mismatch`] if the trace spans more cores than the
-    /// machine has.
+    /// machine has, or more warps on a core than a core holds.
     pub fn to_workload(&self, num_cores: usize) -> Result<Workload, TraceError> {
         self.check_fits(num_cores)?;
         Ok(Workload {
@@ -262,7 +269,7 @@ impl Trace {
     /// # Errors
     ///
     /// [`TraceError::Mismatch`] if the trace spans more cores than the
-    /// machine has.
+    /// machine has, or more warps on a core than a core holds.
     pub fn to_workload_timed(&self, num_cores: usize) -> Result<Workload, TraceError> {
         self.check_fits(num_cores)?;
         Ok(Workload {
@@ -609,6 +616,18 @@ mod tests {
     fn oversized_trace_is_a_mismatch() {
         let t = sample();
         assert!(matches!(t.to_workload(1), Err(TraceError::Mismatch(_))));
+        let mut crowded = sample();
+        crowded.warps[1] = vec![crowded.warps[1][0].clone(); MAX_WARPS_PER_CORE + 1];
+        assert!(matches!(
+            crowded.to_workload(2),
+            Err(TraceError::Mismatch(_))
+        ));
+        assert!(matches!(
+            crowded.to_workload_timed(2),
+            Err(TraceError::Mismatch(_))
+        ));
+        crowded.warps[1].pop();
+        assert!(crowded.to_workload(2).is_ok(), "a full core still fits");
     }
 
     #[test]

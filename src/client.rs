@@ -11,6 +11,7 @@
 //! the spec carries a `dedup_key` — the key makes resubmission
 //! idempotent, so a reconnect can never double-run a job.
 
+use rcc_bench::cli::{Args, UsageError};
 use rcc_repro::obs::json::{self, JsonValue};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -20,17 +21,10 @@ use std::time::Duration;
 const RETRY_BASE_MS: u64 = 100;
 const RETRY_CAP_MS: u64 = 5_000;
 
-fn get(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn retries(args: &[String]) -> u32 {
-    get(args, "--retries")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5)
-}
+/// The flags every subcommand takes, and those only some take.
+const COMMON: &str = "--addr HOST:PORT, --retries N";
+const SUBMIT: &str = "--spec JSON, --file PATH, --watch";
+const JOB: &str = "--job N";
 
 /// Deterministic exponential backoff, capped: 100, 200, 400, ... 5000.
 fn backoff_ms(attempt: u32) -> u64 {
@@ -68,15 +62,19 @@ impl Conn {
     }
 }
 
+/// Where the service is, and how often to retry it.
+struct Service {
+    addr: String,
+    retries: u32,
+}
+
 /// Connect, retrying with backoff — the service may be mid-restart.
-fn connect_with_backoff(args: &[String]) -> Result<Conn, String> {
-    let addr = get(args, "--addr").ok_or("missing --addr HOST:PORT")?;
-    let max = retries(args);
+fn connect_with_backoff(svc: &Service) -> Result<Conn, String> {
     let mut attempt = 0u32;
     loop {
-        match Conn::open(&addr) {
+        match Conn::open(&svc.addr) {
             Ok(conn) => return Ok(conn),
-            Err(e) if attempt < max => {
+            Err(e) if attempt < svc.retries => {
                 let wait = backoff_ms(attempt);
                 eprintln!("{e}; retrying in {wait}ms");
                 std::thread::sleep(Duration::from_millis(wait));
@@ -110,30 +108,23 @@ fn overload_hint(resp: &str) -> Option<u64> {
     }
 }
 
-fn job_arg(args: &[String]) -> Result<u64, String> {
-    get(args, "--job")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| "missing --job N".into())
-}
-
 /// Streams watch output for `job` until the final status line; returns
 /// success iff the job finished `done`. A dropped connection (the
 /// service crashed or was restarted under us) reconnects with backoff
 /// and re-issues the watch — recovery replays terminal state from the
 /// journal, so the answer survives the crash.
-fn stream_watch(conn: &mut Conn, args: &[String], job: u64) -> Result<bool, String> {
-    let max = retries(args);
+fn stream_watch(conn: &mut Conn, svc: &Service, job: u64) -> Result<bool, String> {
     let mut attempt = 0u32;
     conn.send_line(&format!("{{\"cmd\": \"watch\", \"job\": {job}}}"))?;
     loop {
         let line = match conn.read_line() {
             Ok(line) => line,
-            Err(e) if attempt < max => {
+            Err(e) if attempt < svc.retries => {
                 let wait = backoff_ms(attempt);
                 eprintln!("{e}; re-watching job {job} in {wait}ms");
                 std::thread::sleep(Duration::from_millis(wait));
                 attempt += 1;
-                *conn = connect_with_backoff(args)?;
+                *conn = connect_with_backoff(svc)?;
                 conn.send_line(&format!("{{\"cmd\": \"watch\", \"job\": {job}}}"))?;
                 continue;
             }
@@ -156,16 +147,15 @@ fn stream_watch(conn: &mut Conn, args: &[String], job: u64) -> Result<bool, Stri
 /// spec carries a `dedup_key` — retrying dropped connections, since the
 /// key makes resubmission idempotent. Returns `(conn, response)` so a
 /// follow-up watch reuses the connection that got the accept.
-fn submit_with_retry(args: &[String], spec: &str) -> Result<(Conn, String), String> {
+fn submit_with_retry(svc: &Service, spec: &str) -> Result<(Conn, String), String> {
     let idempotent = spec.contains("dedup_key");
     let line = format!("{{\"cmd\": \"submit\", \"spec\": {spec}}}");
-    let max = retries(args);
     let mut attempt = 0u32;
     loop {
-        let mut conn = connect_with_backoff(args)?;
+        let mut conn = connect_with_backoff(svc)?;
         let resp = match conn.send_line(&line).and_then(|()| conn.read_line()) {
             Ok(resp) => resp,
-            Err(e) if idempotent && attempt < max => {
+            Err(e) if idempotent && attempt < svc.retries => {
                 let wait = backoff_ms(attempt);
                 eprintln!("{e}; resubmitting (dedup_key makes it safe) in {wait}ms");
                 std::thread::sleep(Duration::from_millis(wait));
@@ -175,7 +165,7 @@ fn submit_with_retry(args: &[String], spec: &str) -> Result<(Conn, String), Stri
             Err(e) => return Err(e),
         };
         if let Some(hint) = overload_hint(&resp) {
-            if attempt < max {
+            if attempt < svc.retries {
                 eprintln!("server overloaded; retrying in {hint}ms");
                 std::thread::sleep(Duration::from_millis(hint));
                 attempt += 1;
@@ -186,17 +176,47 @@ fn submit_with_retry(args: &[String], spec: &str) -> Result<(Conn, String), Stri
     }
 }
 
+/// One parsed subcommand.
+enum Command {
+    Submit(String, bool),
+    Status(u64),
+    Watch(u64),
+}
+
+/// Reads a subcommand's flags; `--file` is read here, so an unreadable
+/// spec file is a usage error like a malformed flag.
+fn parse(cmd: &str, argv: &[String]) -> Result<(Service, Command), UsageError> {
+    let args = Args::parse(argv, &[COMMON, if cmd == "submit" { SUBMIT } else { JOB }])?;
+    let need = |what: &str| UsageError(format!("need {what}"));
+    let addr = args.get("--addr").ok_or_else(|| need("--addr HOST:PORT"))?;
+    let svc = Service {
+        addr: addr.to_string(),
+        retries: args.value("--retries")?.unwrap_or(5),
+    };
+    let file = args.value_with("--file", |path| std::fs::read_to_string(path))?;
+    let command = match (cmd, args.get("--spec"), file) {
+        ("submit", Some(spec), None) => Command::Submit(spec.to_string(), args.has("--watch")),
+        ("submit", None, Some(spec)) => Command::Submit(spec, args.has("--watch")),
+        ("submit", ..) => return Err(need("exactly one of --spec JSON or --file PATH")),
+        _ => match (cmd, args.value("--job")?.ok_or_else(|| need("--job N"))?) {
+            ("status", job) => Command::Status(job),
+            (_, job) => Command::Watch(job),
+        },
+    };
+    Ok((svc, command))
+}
+
 /// Entry point for `submit` / `status` / `watch`. `cmd` is the
-/// subcommand name, `args` everything after it.
-pub fn run(cmd: &str, args: &[String]) -> ExitCode {
-    match run_inner(cmd, args) {
-        Ok(ok) => {
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+/// subcommand name, `argv` everything after it. A malformed command line
+/// exits 2.
+pub fn run(cmd: &str, argv: &[String]) -> ExitCode {
+    let outcome = match parse(cmd, argv) {
+        Ok((svc, command)) => execute(&svc, command),
+        Err(e) => return e.report(),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -204,45 +224,35 @@ pub fn run(cmd: &str, args: &[String]) -> ExitCode {
     }
 }
 
-fn run_inner(cmd: &str, args: &[String]) -> Result<bool, String> {
-    match cmd {
-        "submit" => {
-            let spec = match (get(args, "--spec"), get(args, "--file")) {
-                (Some(s), None) => s,
-                (None, Some(path)) => {
-                    std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?
-                }
-                _ => return Err("need exactly one of --spec JSON or --file PATH".into()),
-            };
+fn execute(svc: &Service, command: Command) -> Result<bool, String> {
+    match command {
+        Command::Submit(spec, watch) => {
             // One request per line: the spec must collapse to one line.
             let spec: String = spec.split_whitespace().collect::<Vec<_>>().join(" ");
-            let (mut conn, resp) = submit_with_retry(args, &spec)?;
+            let (mut conn, resp) = submit_with_retry(svc, &spec)?;
             println!("{resp}");
             if !is_ok(&resp) {
                 return Ok(false);
             }
-            if args.iter().any(|a| a == "--watch") {
+            if watch {
                 let job = json::parse(&resp)
                     .ok()
                     .and_then(|v| v.get("job").and_then(JsonValue::as_u64))
                     .ok_or("response carried no job id")?;
-                return stream_watch(&mut conn, args, job);
+                return stream_watch(&mut conn, svc, job);
             }
             Ok(true)
         }
-        "status" => {
-            let job = job_arg(args)?;
-            let mut conn = connect_with_backoff(args)?;
+        Command::Status(job) => {
+            let mut conn = connect_with_backoff(svc)?;
             conn.send_line(&format!("{{\"cmd\": \"status\", \"job\": {job}}}"))?;
             let resp = conn.read_line()?;
             println!("{resp}");
             Ok(is_ok(&resp))
         }
-        "watch" => {
-            let job = job_arg(args)?;
-            let mut conn = connect_with_backoff(args)?;
-            stream_watch(&mut conn, args, job)
+        Command::Watch(job) => {
+            let mut conn = connect_with_backoff(svc)?;
+            stream_watch(&mut conn, svc, job)
         }
-        _ => Err(format!("unknown subcommand {cmd}")),
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! USAGE: rcc-repro [--protocol P] [--bench B] [--machine M] [--scale S]
-//!                  [--seed N] [--check] [--csv] [--all] [--jobs N]
+//!                  [--seed N] [--check] [--csv] [--all] [RUN FLAGS]
 //!
 //!   --protocol  mesi | mesi-wb | tcs | tcw | rcc | rcc-wo | ideal  (default rcc)
 //!   --bench     bh|bfs|cl|dlb|stn|vpr|hsp|kmn|lps|ndl|sr|lud  (default dlb)
@@ -15,31 +15,11 @@
 //!   --no-ff     every-cycle due policy: run every component every cycle
 //!               instead of only at wake events (same results, slower)
 //!   --csv       print one CSV row instead of the report
-//!   --all       run every protocol on the chosen benchmark
-//!   --jobs N    run --all protocols on N worker threads (0 = one per
-//!               core); output is identical to a sequential run
-//!   --sample-every N    record a metrics time-series sample every N
-//!               cycles (defaults to 256 when --series-out is given)
-//!   --trace-out PATH    write a Chrome/Perfetto trace of the run
-//!   --series-out PATH   write the sampled series (.csv, or .json by
-//!               extension); under --all, exports cover --protocol's run
-//!   --profile   attach the self-profiler; print per-phase wall-clock
-//!   --checkpoint PATH   write periodic snapshots here; on a watchdog
-//!               deadlock an auto-checkpoint lands at PATH.hang; under
-//!               --all, covers --protocol's run
-//!   --checkpoint-every N  snapshot period in cycles: the run goes in
-//!               slices of N cycles and saves each boundary (default
-//!               1000000 when --checkpoint is given)
-//!   --resume PATH       replay a snapshot (protocol, benchmark, and
-//!               options come from the snapshot; results are
-//!               bit-identical to the uninterrupted run)
+//!   --all       run every protocol on the chosen benchmark (--jobs N
+//!               spreads them over N threads; output is identical)
 //!   --hang-dump PATH    write the forensic hang-dump JSON here if the
 //!               watchdog fires (default PATH of --checkpoint plus
 //!               .hangdump.json, when --checkpoint is given)
-//!   --record-trace PATH write the run's memory-access trace (RCCT
-//!               binary + manifest); under --all, covers --protocol's run
-//!   --replay-trace PATH re-execute a recorded or hand-authored trace
-//!               (binary or text; inspect with the rcc-trace tool)
 //!
 //! SUBCOMMANDS (clients for the rcc-serve batch service):
 //!   rcc-repro submit --addr HOST:PORT (--spec JSON | --file PATH) [--watch]
@@ -50,20 +30,25 @@
 //! watches retry with exponential backoff, overloaded replies honor the
 //! server's retry-after hint, and a submit whose spec carries a
 //! dedup_key is resubmitted safely after a dropped connection.
+//!
+//! An unknown flag or a malformed value exits 2. The run flags below are
+//! shared with the figure binaries.
 //! ```
 
+use rcc_bench::cli::{self, Args, RunFlags, UsageError, RUN_FLAGS};
+use rcc_bench::report::{check_schema, schemas};
 use rcc_repro::coherence::ProtocolKind;
 use rcc_repro::common::GpuConfig;
-use rcc_repro::sim::runner::{resume, try_simulate, SimOptions};
+use rcc_repro::sim::runner::{resume, try_simulate};
 use rcc_repro::sim::{RunMetrics, SimError};
 use rcc_repro::workloads::{Benchmark, Scale};
 use std::process::ExitCode;
 
 mod client;
 
-fn parse_bench(s: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| b.name() == s)
-}
+/// The driver's own flags; [`RUN_FLAGS`] come on top.
+const FLAGS: &str = "--protocol P, --bench B, --machine M, --scale S, --seed N, \
+    --trace-file PATH, --hang-dump PATH, --mesh, --check, --no-ff, --csv, --all, --help, -h";
 
 fn csv_header() -> &'static str {
     "protocol,bench,cycles,ipc,mem_ops,sc_stall_cycles,fence_stall_cycles,\
@@ -157,10 +142,7 @@ fn report_failure(e: &SimError, hang_dump: Option<&str>) {
         return;
     };
     let json = dump.to_json();
-    let schema_ok =
-        rcc_repro::obs::schema::validate_text(rcc_bench::report::schemas::HANGDUMP, &json)
-            .map(|errs| errs.is_empty())
-            .unwrap_or(false);
+    let schema_ok = check_schema(path, schemas::HANGDUMP, &json).is_ok();
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!(
             "hang-dump written: {path}{}",
@@ -186,91 +168,58 @@ fn print_result(m: &RunMetrics, csv: bool, first: bool) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    if let Some(cmd) = args.first() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(cmd) = argv.first() {
         if matches!(cmd.as_str(), "submit" | "status" | "watch") {
-            return client::run(cmd, &args[1..]);
+            return client::run(cmd, &argv[1..]);
         }
     }
-    if has("--help") || has("-h") {
-        println!(
-            "{}",
-            include_str!("main.rs")
-                .lines()
-                .skip(3)
-                .take_while(|l| !l.starts_with("//! ```"))
-                .map(|l| l.trim_start_matches("//!").strip_prefix(' ').unwrap_or(""))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        return ExitCode::SUCCESS;
-    }
+    run(&argv).unwrap_or_else(|e| e.report())
+}
 
-    let Some(kind) =
-        ProtocolKind::from_cli_name(&get("--protocol").unwrap_or_else(|| "rcc".into()))
-    else {
-        eprintln!("unknown protocol (try mesi|tcs|tcw|rcc|rcc-wo|ideal)");
-        return ExitCode::FAILURE;
-    };
-    let Some(bench) = parse_bench(&get("--bench").unwrap_or_else(|| "dlb".into())) else {
-        eprintln!(
-            "unknown benchmark (try one of: {})",
-            Benchmark::ALL.map(|b| b.name()).join(" ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let mut cfg = match get("--machine").as_deref() {
-        None | Some("gtx480") => GpuConfig::gtx480(),
-        Some("small") => GpuConfig::small(),
-        Some(other) => {
-            eprintln!("unknown machine {other} (gtx480|small)");
-            return ExitCode::FAILURE;
-        }
-    };
-    if has("--mesh") {
+/// The driver proper: parses `argv`, runs, and prints. A command line it
+/// cannot act on is the only error; run failures are exit statuses.
+fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
+    let args = Args::parse(argv, &[FLAGS, RUN_FLAGS])?;
+    if args.has("--help") || args.has("-h") {
+        let help = [cli::usage(include_str!("main.rs")), cli::run_flags_usage()];
+        println!("{}", help.join("\n\n"));
+        return Ok(ExitCode::SUCCESS);
+    }
+    let kind = args
+        .value_with("--protocol", |s| {
+            ProtocolKind::from_cli_name(s).ok_or("try mesi|mesi-wb|tcs|tcw|rcc|rcc-wo|ideal")
+        })?
+        .unwrap_or(ProtocolKind::RccSc);
+    let benches = Benchmark::ALL.map(|b| (b.name(), b));
+    let bench = args.choice("--bench", &benches)?.unwrap_or(Benchmark::Dlb);
+    let machines = [
+        ("gtx480", GpuConfig::gtx480()),
+        ("small", GpuConfig::small()),
+    ];
+    let mut cfg = args
+        .choice("--machine", &machines)?
+        .unwrap_or_else(GpuConfig::gtx480);
+    if args.has("--mesh") {
         cfg.noc.topology = rcc_repro::common::config::NocTopology::Mesh;
     }
-    let scale = match get("--scale").as_deref() {
-        Some("quick") => Scale::quick(),
-        None | Some("standard") => Scale::standard(),
-        Some("full") => Scale::full(),
-        Some(other) => {
-            eprintln!("unknown scale {other} (quick|standard|full)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let seed: u64 = get("--seed").and_then(|s| s.parse().ok()).unwrap_or(7);
-    let mut opts = if has("--check") {
-        SimOptions::checked()
-    } else {
-        SimOptions::fast()
-    };
-    if has("--no-ff") {
-        opts.fast_forward = false;
-    }
-    opts.profile = has("--profile");
-    let trace_out = get("--trace-out");
-    let series_out = get("--series-out");
-    opts.trace = trace_out.is_some();
-    opts.sample_every = get("--sample-every")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(if series_out.is_some() { 256 } else { 0 });
-    opts.checkpoint = get("--checkpoint");
-    opts.quantum = get("--checkpoint-every")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(if opts.checkpoint.is_some() {
-            1_000_000
-        } else {
-            0
-        });
-    opts.record_trace = get("--record-trace");
-    let hang_dump = get("--hang-dump").or_else(|| {
+    let scales = [
+        ("quick", Scale::quick()),
+        ("standard", Scale::standard()),
+        ("full", Scale::full()),
+    ];
+    let scale = args
+        .choice("--scale", &scales)?
+        .unwrap_or_else(Scale::standard);
+    let seed = args.value("--seed")?.unwrap_or(7);
+    let csv = args.has("--csv");
+    let flags = RunFlags::parse(&args, cfg.num_cores)?;
+    let mut opts = flags.opts.clone();
+    opts.check_sc = args.has("--check");
+    opts.fast_forward = !args.has("--no-ff");
+    opts.checkpoint = flags.checkpoint.clone();
+    opts.record_trace = flags.record_trace.clone();
+    let hang_dump = args.get("--hang-dump").map(String::from).or_else(|| {
         opts.checkpoint
             .as_ref()
             .map(|p| format!("{p}.hangdump.json"))
@@ -278,55 +227,47 @@ fn main() -> ExitCode {
 
     // A resumed run carries its own protocol, workload, and options in
     // the snapshot; everything above except output flags is ignored.
-    if let Some(path) = get("--resume") {
-        return match resume(&path) {
+    if let Some(path) = &flags.resume {
+        return Ok(match resume(path) {
             Ok(m) => {
-                if has("--csv") {
+                if csv {
                     println!("{}", csv_header());
                 }
-                print_result(&m, has("--csv"), true);
+                print_result(&m, csv, true);
                 ExitCode::SUCCESS
             }
             Err(e) => {
                 report_failure(&e, hang_dump.as_deref());
                 ExitCode::FAILURE
             }
-        };
+        });
     }
 
-    let wl = if let Some(path) = get("--replay-trace") {
-        // Binary (RCCT) or text — same sniff the rcc-trace tool uses.
-        match rcc_trace::Trace::load_any(&path).and_then(|t| t.to_workload(cfg.num_cores)) {
-            Ok(wl) => wl,
-            Err(e) => {
-                eprintln!("cannot replay {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if let Some(path) = get("--trace-file") {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match rcc_repro::workloads::custom::parse_trace(&text, cfg.num_cores) {
+    let wl = if let Some(wl) = &flags.replay {
+        wl.clone()
+    } else if let Some(path) = args.get("--trace-file") {
+        let parsed = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| {
+                rcc_repro::workloads::custom::parse_trace(&text, cfg.num_cores)
+                    .map_err(|e| e.to_string())
+            });
+        match parsed {
             Ok(wl) => wl,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
         bench.generate(&cfg, &scale, seed)
     };
-    let kinds: Vec<ProtocolKind> = if has("--all") {
+    let kinds: Vec<ProtocolKind> = if args.has("--all") {
         ProtocolKind::ALL.to_vec()
     } else {
         vec![kind]
     };
-    if has("--csv") {
+    if csv {
         println!("{}", csv_header());
     }
     // The protocol runs are independent, so --all can spread them over a
@@ -334,8 +275,7 @@ fn main() -> ExitCode {
     // report/CSV output byte-identical to a sequential run.
     // A failed protocol (deadlock, budget, invariant) reports as a typed
     // error and flips the exit code; the other jobs still complete.
-    let jobs = rcc_bench::parse_jobs(&args);
-    let results = rcc_bench::pool::run_indexed(kinds, jobs, |k| {
+    let results = rcc_bench::pool::run_indexed(kinds, flags.jobs, |k| {
         // Like the observation exports, a trace or checkpoint under --all
         // covers the --protocol selection: the other runs must not race
         // on the path.
@@ -349,61 +289,31 @@ fn main() -> ExitCode {
     let mut failed = false;
     for (i, r) in results.iter().enumerate() {
         match r {
-            Ok(m) => print_result(m, has("--csv"), i == 0),
+            Ok(m) => print_result(m, csv, i == 0),
             Err(e) => {
                 failed = true;
                 report_failure(e, hang_dump.as_deref());
             }
         }
     }
+    if failed {
+        return Ok(ExitCode::FAILURE);
+    }
     // Under --all every run carries an observation, but the export slots
     // hold one run each — the --protocol selection picks whose.
-    if (trace_out.is_some() || series_out.is_some()) && !failed {
-        let chosen = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .find(|m| m.kind == kind)
-            .expect("selected protocol was run");
-        let Some(obs) = &chosen.obs else {
-            eprintln!("internal error: observed run carried no observation");
-            return ExitCode::FAILURE;
-        };
-        for (path, body, what) in [
-            (
-                &trace_out,
-                trace_out.as_ref().map(|_| obs.trace.to_chrome_json()),
-                format!("{} trace events", obs.trace.len()),
-            ),
-            (
-                &series_out,
-                series_out.as_ref().map(|p| {
-                    if p.ends_with(".json") {
-                        obs.series.to_json()
-                    } else {
-                        obs.series.to_csv()
-                    }
-                }),
-                format!("{} sampled rows", obs.series.rows()),
-            ),
-        ] {
-            let (Some(path), Some(body)) = (path, body) else {
-                continue;
-            };
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path} ({what})");
-        }
+    let chosen = results
+        .iter()
+        .flatten()
+        .find(|m| m.kind == kind)
+        .expect("selected protocol was run");
+    if let Err(e) = flags.dump_observation(chosen) {
+        eprintln!("{e}");
+        return Ok(ExitCode::FAILURE);
     }
-    if let (Some(path), false) = (&opts.record_trace, failed) {
+    if let Some(path) = &opts.record_trace {
         // stderr, like the checkpoint notices: `--csv | tail -1` must
         // still see the data row as the last line of stdout.
         eprintln!("wrote {path} (memory-access trace; replay with --replay-trace)");
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(ExitCode::SUCCESS)
 }
