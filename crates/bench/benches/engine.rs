@@ -45,13 +45,14 @@ fn engine_fast_forward(c: &mut Criterion) {
     }
 }
 
-// The queue's three hot operations, at a realistic component count
-// (gtx480: 15 cores + 15 L1s + 2 NoC directions + banks/pipes/DRAM
-// + rollover ≈ 64). A set-arm over an armed slot is the cancel path
-// (one slot write that supersedes the old wake); `next_wake` is a
-// linear minimum over the flat slot array.
+// The queue's three hot operations, at the GTX 480's slot count (16
+// cores + 16 L1s + 2 NoC directions + 8 × (bank, inbox, delay pipe,
+// DRAM channel) + rollover = 67). A set-arm over an armed slot is the
+// cancel path (the slot moves between wheel buckets); `pop` is a run
+// loop's step: `next_wake`, `advance_to` the wake, then a phase-style
+// visit of the due set.
 fn event_queue_ops(c: &mut Criterion) {
-    const COMPS: usize = 64;
+    const COMPS: usize = 67;
     let mut group = c.benchmark_group("sched/queue");
     // Deterministic wake pattern; an LCG stands in for arrival jitter.
     let lcg = |s: &mut u64| {
@@ -66,6 +67,7 @@ fn event_queue_ops(c: &mut Criterion) {
         let mut now = 0u64;
         b.iter(|| {
             now += 1;
+            q.advance_to(now);
             for comp in 0..COMPS {
                 q.arm_min(comp, now + 1 + lcg(&mut seed) % 512);
             }
@@ -77,6 +79,7 @@ fn event_queue_ops(c: &mut Criterion) {
         let mut now = 0u64;
         b.iter(|| {
             now += 1;
+            q.advance_to(now);
             for comp in 0..COMPS {
                 q.arm_at(comp, now + 1 + lcg(&mut seed) % 512);
                 q.arm_at(comp, now + 1 + lcg(&mut seed) % 512);
@@ -86,17 +89,22 @@ fn event_queue_ops(c: &mut Criterion) {
     group.bench_function("pop", |b| {
         let mut q = EventQueue::new(COMPS);
         let mut seed = 7u64;
+        let mut now = 0u64;
         b.iter(|| {
             for comp in 0..COMPS {
-                q.arm_at(comp, 1 + lcg(&mut seed) % 512);
+                q.arm_at(comp, now + 1 + lcg(&mut seed) % 512);
             }
             let mut sum = 0u64;
-            while let Some(w) = q.next_wake() {
-                sum += w;
+            while let Some(wake) = q.next_wake() {
+                sum += wake;
+                now = wake;
+                q.advance_to(now);
                 // Retire every component due at the popped horizon so
                 // the drain terminates.
-                for comp in 0..COMPS {
-                    q.take_due(comp, w);
+                let mut from = 0;
+                while let Some(comp) = q.first_due(from, COMPS) {
+                    q.take_due(comp);
+                    from = comp + 1;
                 }
             }
             sum

@@ -3,13 +3,14 @@
 //! (Section III-E), renewal on/off, predictor on/off, and the livelock
 //! bump interval.
 
-use rcc_bench::{banner, gmean_or_one, pool, Harness};
+use rcc_bench::{banner, gmean_or_one, pool, Harness, PER_RUN_OUTPUTS};
 use rcc_core::ProtocolKind;
 use rcc_sim::runner::simulate;
 use rcc_workloads::Benchmark;
 
 fn main() -> std::process::ExitCode {
-    Harness::main(|h| {
+    // Every sweep point is another machine variant, outside `Harness::run`.
+    Harness::main_except(PER_RUN_OUTPUTS, |h| {
         banner("Ablations", "RCC design-choice sweeps", h);
         let benches: Vec<Benchmark> = Benchmark::inter_workgroup();
         let workloads: Vec<_> = benches.iter().map(|b| (b.name(), h.workload(*b))).collect();
@@ -17,7 +18,7 @@ fn main() -> std::process::ExitCode {
         let run_with = |mutate: &dyn Fn(&mut rcc_common::GpuConfig)| -> Vec<f64> {
             let mut cfg = h.cfg.clone();
             mutate(&mut cfg);
-            pool::run_indexed(workloads.iter().collect(), h.flags.jobs, |(_, wl)| {
+            pool::run_indexed(workloads.iter().collect(), h.flags.jobs(), |(_, wl)| {
                 simulate(ProtocolKind::RccSc, &cfg, wl, &h.flags.opts).cycles as f64
             })
         };

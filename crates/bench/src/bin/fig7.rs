@@ -4,13 +4,14 @@
 //! Right: expired-read reduction with (+P) and without (-P) the per-block
 //! lease predictor.
 
-use rcc_bench::{banner, pct, pool, Harness};
+use rcc_bench::{banner, pct, pool, Harness, PER_RUN_OUTPUTS};
 use rcc_core::ProtocolKind;
 use rcc_sim::runner::simulate;
 use rcc_workloads::Benchmark;
 
 fn main() -> std::process::ExitCode {
-    Harness::main(|h| {
+    // Each benchmark runs on three machine variants, outside `Harness::run`.
+    Harness::main_except(PER_RUN_OUTPUTS, |h| {
         banner(
             "Figure 7",
             "renewal traffic savings and predictor effect (RCC)",
@@ -33,7 +34,7 @@ fn main() -> std::process::ExitCode {
             .into_iter()
             .flat_map(|b| (0..cfgs.len()).map(move |v| (b, v)))
             .collect();
-        let runs = pool::run_indexed(grid, h.flags.jobs, |(bench, variant)| {
+        let runs = pool::run_indexed(grid, h.flags.jobs(), |(bench, variant)| {
             let wl = h.workload(bench);
             simulate(ProtocolKind::RccSc, cfgs[variant], &wl, &h.flags.opts)
         });

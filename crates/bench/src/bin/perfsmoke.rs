@@ -7,8 +7,9 @@
 //! 1. **baseline** — the every-cycle due policy (fast-forward off: every
 //!    component runs every cycle), one job at a time;
 //! 2. **optimized** — fast-forward on, grid spread over the job pool
-//!    (`--jobs N`; defaults to one worker per core here, unlike the
-//!    figure binaries, because the point is to measure the speedup).
+//!    (`--jobs N`, honoured as given; without it one worker per core
+//!    here, unlike the figure binaries, because the point is to measure
+//!    the speedup).
 //!
 //! Both passes must agree on every simulated metric — the engine
 //! invariant is that the due policy never changes results, only
@@ -19,10 +20,12 @@
 //! wall-clock attribution of the optimized pass lands in the report's
 //! `self_profile` section, so a perf PR can see *where* its time moved.
 //! The JSON is validated against `schemas/bench_sim.schema.json` before
-//! it is written.
+//! it is written. The passes are timed, so the run flags that write
+//! per-run files are usage errors here.
 
+use rcc_bench::cli::RunFlags;
 use rcc_bench::report::{check_schema, schemas, ProtocolRow, SchedSummary, SimReport};
-use rcc_bench::{banner, pool, Harness};
+use rcc_bench::{banner, pool, Harness, PER_RUN_OUTPUTS};
 use rcc_core::ProtocolKind;
 use rcc_obs::{SimPhase, SimProfile};
 use rcc_sim::runner::{simulate, SimOptions};
@@ -53,15 +56,16 @@ fn run_grid(
     (results, start.elapsed().as_secs_f64())
 }
 
+/// Workers for the optimized pass: `--jobs` as given, else one per core
+/// (this binary exists to measure the parallel harness, not to be
+/// conservative).
+fn optimized_jobs(flags: &RunFlags) -> usize {
+    flags.jobs.unwrap_or_else(|| pool::resolve_jobs(0))
+}
+
 fn main() -> std::process::ExitCode {
-    Harness::main(|h| {
-        // Default to one worker per core: this binary exists to measure the
-        // parallel harness, not to be conservative.
-        let jobs = if h.flags.jobs > 1 {
-            h.flags.jobs
-        } else {
-            pool::resolve_jobs(0)
-        };
+    Harness::main_except(PER_RUN_OUTPUTS, |h| {
+        let jobs = optimized_jobs(&h.flags);
         banner(
             "Perf smoke",
             "engine wall-clock: baseline vs FF + job pool",
@@ -198,4 +202,25 @@ fn main() -> std::process::ExitCode {
         }
         std::process::ExitCode::SUCCESS
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> RunFlags {
+        let argv: Vec<String> = args.iter().map(ToString::to_string).collect();
+        Harness::parse_except(&argv, PER_RUN_OUTPUTS)
+            .expect("valid command line")
+            .flags
+    }
+
+    #[test]
+    fn an_explicit_jobs_flag_is_honoured() {
+        assert_eq!(optimized_jobs(&flags(&["--quick", "--jobs", "1"])), 1);
+        assert_eq!(optimized_jobs(&flags(&["--quick", "--jobs", "3"])), 3);
+        let cores = pool::resolve_jobs(0);
+        assert_eq!(optimized_jobs(&flags(&["--quick", "--jobs", "0"])), cores);
+        assert_eq!(optimized_jobs(&flags(&["--quick"])), cores);
+    }
 }

@@ -6,7 +6,7 @@
 //! protocol gaps shrink as warps are added — and why the headline
 //! factors in EXPERIMENTS.md are sensitive to the chosen occupancy.
 
-use rcc_bench::{banner, pool, Harness, SEED};
+use rcc_bench::{banner, pool, Harness, PER_RUN_OUTPUTS, SEED};
 use rcc_core::ProtocolKind;
 use rcc_sim::runner::simulate;
 use rcc_workloads::{Benchmark, Scale};
@@ -20,7 +20,9 @@ const KINDS: [ProtocolKind; 5] = [
 ];
 
 fn main() -> std::process::ExitCode {
-    Harness::main(|h| {
+    // Each run generates its own workload at its occupancy, so there are
+    // no per-run files to name and no benchmark a trace could stand in for.
+    Harness::main_except(&[PER_RUN_OUTPUTS, &["--replay-trace"]].concat(), |h| {
         banner("Sweep", "speedup vs resident warps per core (bh + dlb)", h);
 
         // Flatten the whole grid into one job list; the pool returns results
@@ -35,7 +37,7 @@ fn main() -> std::process::ExitCode {
                 }
             }
         }
-        let results = pool::run_indexed(grid, h.flags.jobs, |(bench, warps, kind)| {
+        let results = pool::run_indexed(grid, h.flags.jobs(), |(bench, warps, kind)| {
             let scale = Scale {
                 warps_per_core: warps,
                 warps_per_workgroup: 4.min(warps),

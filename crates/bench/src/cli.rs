@@ -9,7 +9,8 @@
 //!   --profile           attach the self-profiler (host wall-clock per phase)
 //!   --sample-every N    sample metrics every N cycles (256 with --series-out)
 //!   --trace-out PATH    Chrome/Perfetto trace of rcc-repro's --protocol run
-//!   --series-out PATH   its sampled series (.csv, or .json by extension)
+//!   --series-out PATH   its sampled series (.csv, or .json by extension);
+//!                       figure binaries reject these two and --sample-every
 //!   --checkpoint PATH   periodic snapshots (PATH.hang on a deadlock) of
 //!                       rcc-repro's --protocol run, or of each figure-binary
 //!                       grid run at PATH-<protocol>-<workload>
@@ -17,6 +18,9 @@
 //!   --resume PATH       replay one snapshot instead of the experiment
 //!   --record-trace PATH record the memory-access trace (RCCT), with the
 //!                       paths of --checkpoint plus .rcct per grid run
+//!                       (fig7, ablate, sweep and perfsmoke build their own
+//!                       runs and reject --checkpoint, --checkpoint-every
+//!                       and --record-trace)
 //!   --replay-trace PATH run a trace (RCCT or text) in place of every benchmark
 //! ```
 
@@ -167,8 +171,9 @@ fn load_trace_workload(path: &str, num_cores: usize) -> Result<Workload, rcc_tra
 pub struct RunFlags {
     /// [`SimOptions::fast`] with every run flag but the two paths below.
     pub opts: SimOptions,
-    /// Worker threads for independent runs, resolved from `--jobs`.
-    pub jobs: usize,
+    /// Worker threads for independent runs, resolved from `--jobs`;
+    /// `None` when the flag was not given (see [`RunFlags::jobs`]).
+    pub jobs: Option<usize>,
     /// `--trace-out`: [`RunFlags::dump_observation`]'s Chrome trace.
     pub trace_out: Option<String>,
     /// `--series-out`: [`RunFlags::dump_observation`]'s sampled series.
@@ -206,7 +211,7 @@ impl RunFlags {
         };
         Ok(RunFlags {
             opts,
-            jobs: args.value("--jobs")?.map_or(1, pool::resolve_jobs),
+            jobs: args.value("--jobs")?.map(pool::resolve_jobs),
             trace_out,
             series_out,
             checkpoint,
@@ -214,6 +219,11 @@ impl RunFlags {
             replay: args.value_with("--replay-trace", |p| load_trace_workload(p, num_cores))?,
             resume: path("--resume"),
         })
+    }
+
+    /// Worker threads for independent runs: `--jobs`, or one.
+    pub fn jobs(&self) -> usize {
+        self.jobs.unwrap_or(1)
     }
 
     /// Writes one run's observation to the `--trace-out` and
@@ -284,9 +294,13 @@ mod tests {
     fn run_flags_read_chaos_and_jobs() {
         let parse = |a: &[&str]| RunFlags::parse(&Args::parse(&argv(a), &[RUN_FLAGS])?, 1);
         let flags = parse(&["--chaos", "seed=5,profile=heavy"]).expect("valid");
-        let spec = flags.opts.chaos.expect("armed");
+        let spec = flags.opts.chaos.as_ref().expect("armed");
         assert_eq!((spec.seed, spec.profile.name), (5, "heavy"));
-        assert_eq!(flags.jobs, 1);
+        assert_eq!((flags.jobs, flags.jobs()), (None, 1));
+        assert_eq!(parse(&["--jobs", "1"]).expect("valid").jobs, Some(1));
+        let series = parse(&["--series-out", "s.csv"]).expect("valid");
+        assert_eq!(series.opts.sample_every, 256);
+        assert!(!series.opts.trace);
         let bad = parse(&["--chaos", "profile=nope"]).expect_err("bad spec");
         assert!(bad.0.starts_with("--chaos \"profile=nope\""), "{bad}");
     }

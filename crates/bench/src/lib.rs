@@ -12,6 +12,10 @@
 //! `--quick` (small machine, tiny workloads), `--full` (48 warps per
 //! core), or by default the GTX 480 of Table III at 16 warps per core;
 //! plus the run flags it shares with `rcc-repro`, documented in [`cli`].
+//! No figure binary exports one run's observation, and a binary that
+//! builds its own runs writes no per-run files ([`PER_RUN_OUTPUTS`]):
+//! the flags that ask for those are usage errors (exit 2), not runs that
+//! pay for the output and write nothing.
 
 #![forbid(unsafe_code)]
 
@@ -31,6 +35,15 @@ use std::process::{ExitCode, Termination};
 /// Seed used by all figure runs (reproducibility).
 pub const SEED: u64 = 7;
 
+/// The run flags that export one run's observation. `rcc-repro` exports
+/// its `--protocol` run; a figure binary runs a grid and rejects them.
+const OBSERVATION_FLAGS: [&str; 3] = ["--trace-out", "--series-out", "--sample-every"];
+
+/// The run flags that write files per run. Only [`Harness::run`] names
+/// each run's files, so a binary that builds its own runs (another
+/// machine, scale or pass per run) rejects these.
+pub const PER_RUN_OUTPUTS: &[&str] = &["--checkpoint", "--checkpoint-every", "--record-trace"];
+
 /// Harness configuration derived from the command line.
 #[derive(Debug, Clone)]
 pub struct Harness {
@@ -46,7 +59,24 @@ pub struct Harness {
 impl Harness {
     /// Parses a figure binary's arguments (without the program name).
     pub fn parse(argv: &[String]) -> Result<Harness, UsageError> {
+        Self::parse_except(argv, &[])
+    }
+
+    /// [`Harness::parse`] for a binary that cannot act on the run flags
+    /// in `unsupported`: giving one is a usage error.
+    pub fn parse_except(argv: &[String], unsupported: &[&str]) -> Result<Harness, UsageError> {
         let args = Args::parse(argv, &["--quick, --full", RUN_FLAGS])?;
+        if let Some(flag) = OBSERVATION_FLAGS.iter().find(|f| args.has(f)) {
+            return Err(UsageError(format!(
+                "{flag}: a figure binary runs a grid and exports no single run's \
+                 observation (use rcc-repro --protocol P --bench B)"
+            )));
+        }
+        if let Some(flag) = unsupported.iter().find(|f| args.has(f)) {
+            return Err(UsageError(format!(
+                "{flag}: this binary builds its own runs and cannot honour it"
+            )));
+        }
         let (cfg, scale) = if args.has("--quick") {
             (GpuConfig::small(), Scale::quick())
         } else if args.has("--full") {
@@ -63,8 +93,17 @@ impl Harness {
     /// snapshot instead, exiting 1 on a typed failure (e.g. a `.hang`
     /// snapshot faithfully reproducing its deadlock).
     pub fn main<T: Termination>(body: impl FnOnce(&Harness) -> T) -> ExitCode {
+        Self::main_except(&[], body)
+    }
+
+    /// [`Harness::main`] for a binary that cannot act on the run flags in
+    /// `unsupported` (see [`Harness::parse_except`]).
+    pub fn main_except<T: Termination>(
+        unsupported: &[&str],
+        body: impl FnOnce(&Harness) -> T,
+    ) -> ExitCode {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let h = match Harness::parse(&argv) {
+        let h = match Harness::parse_except(&argv, unsupported) {
             Ok(h) => h,
             Err(e) => return e.report(),
         };
@@ -122,7 +161,7 @@ impl Harness {
     /// job regenerates its workload from the shared seed, so results
     /// match per-pair [`Harness::run`] calls exactly.
     pub fn run_pairs(&self, pairs: &[(ProtocolKind, Benchmark)]) -> Vec<RunMetrics> {
-        pool::run_indexed(pairs.to_vec(), self.flags.jobs, |(kind, bench)| {
+        pool::run_indexed(pairs.to_vec(), self.flags.jobs(), |(kind, bench)| {
             self.run(kind, bench)
         })
     }
@@ -180,7 +219,7 @@ mod tests {
         assert_eq!(h.cfg, GpuConfig::gtx480());
         assert_eq!(h.scale.iters, Scale::standard().iters);
         assert_eq!(h.scale.warps_per_core, Scale::standard().warps_per_core);
-        assert_eq!(h.flags.jobs, 1);
+        assert_eq!(h.flags.jobs(), 1);
         assert_eq!((h.flags.opts.quantum, h.flags.opts.sample_every), (0, 0));
     }
 
@@ -202,10 +241,7 @@ mod tests {
                 .quantum,
             5
         );
-        let series = parse(&["--series-out", "s.csv"]);
-        assert_eq!(series.flags.opts.sample_every, 256);
-        assert!(!series.flags.opts.trace);
-        assert_eq!(parse(&["--jobs", "0"]).flags.jobs, pool::resolve_jobs(0));
+        assert_eq!(parse(&["--jobs", "0"]).flags.jobs(), pool::resolve_jobs(0));
         let h = parse(&["--checkpoint", "ck", "--record-trace", "tr"]);
         // The shared options carry no path: runs that skip `opts_for`
         // must not all write one file.
@@ -221,10 +257,17 @@ mod tests {
             &["--sanitise"][..],
             &["--checkpoint-every", "5k"],
             &["--jobs"],
+            &["--trace-out", "t.json"],
+            &["--series-out", "s.csv"],
+            &["--sample-every", "64"],
         ] {
             let argv: Vec<String> = bad.iter().map(ToString::to_string).collect();
             assert!(Harness::parse(&argv).is_err(), "{bad:?} must not run");
         }
+        let argv: Vec<String> = ["--checkpoint", "ck"].map(String::from).to_vec();
+        assert!(Harness::parse(&argv).is_ok());
+        let err = Harness::parse_except(&argv, PER_RUN_OUTPUTS).expect_err("per-run output");
+        assert!(err.0.starts_with("--checkpoint:"), "{err}");
     }
 
     #[test]

@@ -27,7 +27,6 @@ struct Bank {
 }
 
 /// One GDDR channel with FR-FCFS scheduling.
-#[derive(Debug)]
 pub struct DramChannel {
     params: DramParams,
     queue: VecDeque<Request>,
@@ -38,6 +37,9 @@ pub struct DramChannel {
     any_act_ready: u64,
     /// Read completions scheduled but not yet reported.
     completions: Vec<(u64, LineAddr)>,
+    /// What [`Self::next_event`] answers (`u64::MAX` when idle):
+    /// recomputed by `tick`, lowered by `enqueue`.
+    horizon: u64,
     /// Chaos hook: stretches a serviced command's effective issue time
     /// (`Site::DramCommand`) and occasionally charges a refresh-like
     /// stall (`Site::DramRefresh`). Pure delays — every timing
@@ -61,6 +63,7 @@ impl DramChannel {
             bus_free: 0,
             any_act_ready: 0,
             completions: Vec::new(),
+            horizon: u64::MAX,
             chaos: None,
             reads: 0,
             writes: 0,
@@ -107,11 +110,13 @@ impl DramChannel {
         } else {
             self.reads += 1;
         }
-        self.queue.push_back(Request {
+        let req = Request {
             line,
             is_write,
             arrived: now.raw(),
-        });
+        };
+        self.horizon = self.horizon.min(self.issue_at(&req));
+        self.queue.push_back(req);
         self.peak_queue = self.peak_queue.max(self.queue.len());
     }
 
@@ -143,6 +148,7 @@ impl DramChannel {
                 true
             }
         });
+        self.horizon = self.scan_next_event();
         done
     }
 
@@ -239,23 +245,30 @@ impl DramChannel {
     /// `pick` succeeds at once when some queued request's row is open;
     /// otherwise at the earliest cycle some queued request's bank can
     /// precharge and activate. Bank timing changes only when a command
-    /// is serviced, so the hint stays exact until the next `tick` or
-    /// `enqueue`, after both of which the engine re-arms the channel.
+    /// is serviced, so the answer changes only in `tick`, which
+    /// recomputes it, and in `enqueue`, whose one new request can only
+    /// lower it; the engine re-arms the channel after both.
     pub fn next_event(&self) -> Option<Cycle> {
-        let issue = self
-            .queue
-            .iter()
-            .map(|req| {
-                let bank = &self.banks[self.bank_of(req.line)];
-                if bank.open_row == Some(self.row_of(req.line)) {
-                    0
-                } else {
-                    bank.pre_ready.max(bank.act_ready).max(self.any_act_ready)
-                }
-            })
-            .min();
-        let done = self.completions.iter().map(|(at, _)| *at).min();
-        issue.into_iter().chain(done).min().map(Cycle)
+        (self.horizon != u64::MAX).then_some(Cycle(self.horizon))
+    }
+
+    /// The first cycle `pick` could choose `req`: at once when its row
+    /// is open, else once its bank can precharge and activate.
+    fn issue_at(&self, req: &Request) -> u64 {
+        let bank = &self.banks[self.bank_of(req.line)];
+        if bank.open_row == Some(self.row_of(req.line)) {
+            0
+        } else {
+            bank.pre_ready.max(bank.act_ready).max(self.any_act_ready)
+        }
+    }
+
+    /// [`Self::next_event`] computed from scratch over the queue and the
+    /// scheduled completions (`u64::MAX` when idle).
+    fn scan_next_event(&self) -> u64 {
+        let issue = self.queue.iter().map(|req| self.issue_at(req));
+        let done = self.completions.iter().map(|(at, _)| *at);
+        issue.chain(done).min().unwrap_or(u64::MAX)
     }
 
     /// Reads serviced.
@@ -289,7 +302,8 @@ impl DramChannel {
 
     /// Folds the channel's full state — command queue, bank timing
     /// state, chaos stream, and statistics — into a cross-component
-    /// state digest.
+    /// state digest (its `Debug` text, which leaves out the cached
+    /// horizon).
     pub fn digest_state(&self, d: &mut rcc_common::snap::StateDigest) {
         d.write_debug(self);
     }
@@ -297,6 +311,29 @@ impl DramChannel {
     /// Peak queue occupancy.
     pub fn peak_queue(&self) -> usize {
         self.peak_queue
+    }
+}
+
+/// Hand-written to leave out `horizon`, which is derived from the other
+/// fields: the state digest hashes this text, which prints every other
+/// field in declaration order, as a derive would.
+impl std::fmt::Debug for DramChannel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DramChannel")
+            .field("params", &self.params)
+            .field("queue", &self.queue)
+            .field("banks", &self.banks)
+            .field("bus_free", &self.bus_free)
+            .field("any_act_ready", &self.any_act_ready)
+            .field("completions", &self.completions)
+            .field("chaos", &self.chaos)
+            .field("reads", &self.reads)
+            .field("writes", &self.writes)
+            .field("row_hits", &self.row_hits)
+            .field("row_misses", &self.row_misses)
+            .field("total_read_latency", &self.total_read_latency)
+            .field("peak_queue", &self.peak_queue)
+            .finish()
     }
 }
 
@@ -537,6 +574,42 @@ mod tests {
                 let done = run_until_done(&mut ch, 10_000_000);
                 prop_assert_eq!(done.len() as u64, hot_row_reqs + 1);
                 prop_assert!(done.iter().any(|&(_, l)| l == LineAddr(10_000)));
+            }
+
+            /// The cached horizon is the queue scan: after every
+            /// `enqueue` and every `tick`, at arbitrary cycles, with and
+            /// without chaos stretching serviced commands.
+            #[test]
+            fn next_event_equals_the_queue_scan(
+                steps in proptest::collection::vec((0u64..4096, 0u8..3, 0u64..50), 1..120),
+                chaos in any::<bool>(),
+            ) {
+                let cfg = GpuConfig::small();
+                let mut ch = DramChannel::new(&cfg.dram);
+                if chaos {
+                    use rcc_chaos::{ChaosProfile, ChaosSpec, Perturber};
+                    let spec = ChaosSpec::new(11, ChaosProfile::heavy());
+                    ch.set_chaos(Box::new(Perturber::standalone(&spec, 0)));
+                }
+                let scan = |ch: &DramChannel| {
+                    Some(ch.scan_next_event()).filter(|&c| c != u64::MAX).map(Cycle)
+                };
+                let mut now = 0u64;
+                for &(line, op, gap) in &steps {
+                    now += gap;
+                    if op == 0 {
+                        ch.tick(Cycle(now));
+                    } else {
+                        ch.enqueue(Cycle(now), LineAddr(line), op == 2);
+                    }
+                    prop_assert_eq!(ch.next_event(), scan(&ch), "at cycle {}", now);
+                }
+                while ch.pending() > 0 {
+                    now += 1;
+                    ch.tick(Cycle(now));
+                    prop_assert_eq!(ch.next_event(), scan(&ch), "at cycle {}", now);
+                }
+                prop_assert_eq!(ch.next_event(), None);
             }
         }
     }

@@ -11,7 +11,9 @@
 //! Ejection-port serialization makes delivery cycles non-decreasing per
 //! destination in injection order, so in-flight packets wait in one FIFO
 //! *lane* per destination, and delivery merges the lane heads by
-//! `(delivery cycle, injection order)`.
+//! `(delivery cycle, injection order)`. The network keeps its earliest
+//! lane-head delivery and its in-flight count current as it injects and
+//! delivers, so `next_event` and `in_flight` cost nothing.
 
 use rcc_chaos::{PerturbPoint, Site};
 use rcc_common::config::{NocParams, NocTopology};
@@ -84,6 +86,17 @@ pub struct Network<T> {
     /// One FIFO per destination, ordered by delivery cycle (ejection
     /// serialization never lets a later packet overtake).
     lanes: Vec<VecDeque<InFlight<T>>>,
+    /// Each lane's head delivery cycle (`u64::MAX` for an empty lane),
+    /// so a scan of the heads reads one small array.
+    head_at: Vec<u64>,
+    /// The earliest lane-head delivery cycle (`u64::MAX` when nothing is
+    /// in flight).
+    head_min: u64,
+    /// Packets in flight, over every lane.
+    in_flight: usize,
+    /// `deliver`'s due lane heads, `((delivery cycle, order), lane)`
+    /// (kept for its capacity; empty between calls).
+    due_heads: Vec<((u64, u64), usize)>,
     next_order: u64,
     /// Chaos hook: adds bounded jitter to a packet's traversal latency
     /// (`Site::NocTraversal`). Applied *before* ejection-port
@@ -126,6 +139,10 @@ impl<T> Network<T> {
             src_free_at: vec![0; num_srcs],
             dst_free_at: vec![0; num_dsts],
             lanes: (0..num_dsts).map(|_| VecDeque::new()).collect(),
+            head_at: vec![u64::MAX; num_dsts],
+            head_min: u64::MAX,
+            in_flight: 0,
+            due_heads: Vec::new(),
             next_order: 0,
             chaos: None,
             flits_injected: 0,
@@ -178,13 +195,20 @@ impl<T> Network<T> {
         self.flit_hops += flits * hops;
         self.packets_injected += 1;
         self.total_packet_latency += delivered - now.raw();
+        // A lane's deliveries never decrease, so only a packet entering
+        // an empty lane becomes its head.
+        if self.lanes[dst].is_empty() {
+            self.head_at[dst] = delivered;
+        }
         self.lanes[dst].push_back(InFlight {
             deliver_at: delivered,
             order: self.next_order,
             payload,
         });
         self.next_order += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
+        self.head_min = self.head_min.min(delivered);
+        self.in_flight += 1;
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
     }
 
     /// Moves every packet whose delivery time has arrived into `out`
@@ -192,36 +216,46 @@ impl<T> Network<T> {
     /// pairs in delivery order: by delivery cycle, then injection order.
     pub fn deliver(&mut self, now: Cycle, out: &mut Vec<(usize, T)>) {
         let now = now.raw();
-        loop {
-            let mut best: Option<(usize, (u64, u64))> = None;
-            for (dst, lane) in self.lanes.iter().enumerate() {
-                if let Some(head) = lane.front() {
-                    if head.deliver_at <= now && best.is_none_or(|(_, key)| head.key() < key) {
-                        best = Some((dst, head.key()));
-                    }
-                }
-            }
-            let Some((dst, _)) = best else {
-                return;
-            };
-            let p = self.lanes[dst].pop_front().expect("a lane head");
-            out.push((dst, p.payload));
+        if self.head_min > now {
+            return;
         }
+        // One scan collects the due lane heads and the earliest head
+        // that stays; the merge then pops the least due head and lets
+        // its lane's next packet join if that is due too.
+        let mut due = std::mem::take(&mut self.due_heads);
+        let mut later = u64::MAX;
+        for (dst, &at) in self.head_at.iter().enumerate() {
+            if at > now {
+                later = later.min(at);
+            } else if let Some(head) = self.lanes[dst].front() {
+                due.push((head.key(), dst));
+            }
+        }
+        while let Some(least) = (0..due.len()).min_by_key(|&i| due[i].0) {
+            let (_, dst) = due.swap_remove(least);
+            let p = self.lanes[dst].pop_front().expect("a due lane head");
+            out.push((dst, p.payload));
+            self.in_flight -= 1;
+            let next = self.lanes[dst].front();
+            self.head_at[dst] = next.map_or(u64::MAX, |head| head.deliver_at);
+            match next {
+                Some(head) if head.deliver_at <= now => due.push((head.key(), dst)),
+                _ => later = later.min(self.head_at[dst]),
+            }
+        }
+        self.head_min = later;
+        self.due_heads = due;
     }
 
     /// Earliest pending delivery time, if any (lets the simulator skip
     /// idle cycles).
     pub fn next_event(&self) -> Option<Cycle> {
-        self.lanes
-            .iter()
-            .filter_map(|lane| lane.front().map(|p| p.deliver_at))
-            .min()
-            .map(Cycle)
+        (self.head_min != u64::MAX).then_some(Cycle(self.head_min))
     }
 
     /// Packets currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.lanes.iter().map(VecDeque::len).sum()
+        self.in_flight
     }
 
     /// High-water mark of packets simultaneously in flight — the
@@ -232,7 +266,7 @@ impl<T> Network<T> {
 
     /// Whether nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
+        self.in_flight == 0
     }
 
     /// Total flits injected so far.

@@ -42,8 +42,7 @@ impl TimingModel {
 
 /// Delivers at `now` into `output` and checks the call against the
 /// `(delivery cycle, injection index, destination)` of every packet
-/// injected so far: it returns exactly the packets due by `now`, and
-/// `next_event` is then the earliest pending delivery.
+/// injected so far: it returns exactly the packets due by `now`.
 fn poll(
     net: &mut Network<usize>,
     now: u64,
@@ -53,12 +52,25 @@ fn poll(
     net.deliver(Cycle(now), output);
     let due = expected.iter().filter(|(at, _, _)| *at <= now).count();
     assert_eq!(output.len(), due, "delivered by cycle {now}");
-    let pending = expected
+}
+
+/// The network's cached answers equal a scan of the packets still in
+/// flight (injected, not yet in `output`): `next_event` is their
+/// earliest delivery and `in_flight` their count.
+fn check_in_flight(
+    net: &Network<usize>,
+    expected: &[(u64, usize, usize)],
+    output: &[(usize, usize)],
+) {
+    let delivered: std::collections::HashSet<usize> = output.iter().map(|&(_, i)| i).collect();
+    let pending: Vec<u64> = expected
         .iter()
+        .filter(|(_, i, _)| !delivered.contains(i))
         .map(|(at, _, _)| *at)
-        .filter(|at| *at > now)
-        .min();
-    assert_eq!(net.next_event(), pending.map(Cycle), "after cycle {now}");
+        .collect();
+    assert_eq!(net.next_event(), pending.iter().min().copied().map(Cycle));
+    assert_eq!(net.in_flight(), pending.len());
+    assert_eq!(net.is_empty(), pending.is_empty());
 }
 
 proptest! {
@@ -88,9 +100,10 @@ proptest! {
     /// Injections at random cycles to four destinations, interleaved with
     /// deliveries at random increasing cycles: the concatenated output is
     /// the packets sorted by (delivery cycle, injection index), each call
-    /// returns exactly the packets due by its cycle, and afterwards
-    /// `next_event` is the earliest pending delivery. With and without
-    /// chaos jitter, which perturbs the cross-destination order.
+    /// returns exactly the packets due by its cycle, and after every
+    /// injection and delivery `next_event` and `in_flight` equal a scan
+    /// of the packets in flight. With and without chaos jitter, which
+    /// perturbs the cross-destination order.
     #[test]
     fn deliveries_merge_by_cycle_then_injection_order(
         steps in prop::collection::vec(
@@ -130,9 +143,11 @@ proptest! {
                 expected.push((model.delivery_cycle(now, src, dst, flits), i, dst));
                 net.inject(Cycle(now), src, dst, 0, flits, i);
             }
+            check_in_flight(&net, &expected, &output);
         }
         let last = expected.iter().map(|(at, _, _)| *at).max().unwrap_or(now);
         poll(&mut net, last.max(now), &expected, &mut output);
+        check_in_flight(&net, &expected, &output);
         prop_assert!(net.is_empty());
         expected.sort_unstable();
         let order: Vec<(usize, usize)> = expected.iter().map(|&(_, i, dst)| (dst, i)).collect();

@@ -64,6 +64,7 @@ fn run_one<P: rcc_core::protocol::Protocol>(
         sys.set_observer(cfg.clone());
     }
     sys.enable_sanitizer();
+    sys.log_loads();
     sys.run_until(LITMUS_MAX_CYCLES)?;
     if !sys.done() {
         return Err(SimError::CyclesExceeded {
@@ -75,7 +76,7 @@ fn run_one<P: rcc_core::protocol::Protocol>(
     let mut values = Vec::with_capacity(litmus.probes.len());
     for p in &litmus.probes {
         let loads = sys.loads_of(p.core.index(), p.warp.index(), p.addr);
-        match loads.get(p.nth) {
+        match loads.and_then(|l| l.get(p.nth)) {
             Some(&v) => values.push(v),
             None => {
                 return Err(SimError::ProbeMissing {

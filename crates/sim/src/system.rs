@@ -83,7 +83,9 @@ struct Recorder {
     scoreboard: Option<Scoreboard>,
     sanitizer: Option<Sanitizer>,
     pending_vals: PendingVals,
-    load_log: LoadLog,
+    /// Every value each `(core, warp, word)` loaded, in program order;
+    /// `None` until [`System::log_loads`] asks for it.
+    load_log: Option<LoadLog>,
     epoch_base: u64,
     max_ts_seen: u64,
     completions: u64,
@@ -151,10 +153,11 @@ impl Recorder {
         };
         let store_value = match c.kind {
             CompletionKind::LoadDone { value } => {
-                self.load_log
-                    .entry((core, c.warp.index(), c.addr))
-                    .or_default()
-                    .push(value);
+                if let Some(log) = &mut self.load_log {
+                    log.entry((core, c.warp.index(), c.addr))
+                        .or_default()
+                        .push(value);
+                }
                 None
             }
             CompletionKind::StoreDone => match pop() {
@@ -331,7 +334,7 @@ impl<P: Protocol> System<P> {
                 scoreboard: check_sc.then(Scoreboard::new),
                 sanitizer: None,
                 pending_vals: FxHashMap::default(),
-                load_log: FxHashMap::default(),
+                load_log: None,
                 epoch_base: 0,
                 max_ts_seen: 0,
                 completions: 0,
@@ -566,13 +569,19 @@ impl<P: Protocol> System<P> {
         self.cores.iter().all(Core::done)
     }
 
-    /// All values each `(core, warp)` loaded from `addr`, in program
-    /// order — used by the litmus harness.
-    pub fn loads_of(&self, core: usize, warp: usize, addr: WordAddr) -> &[u64] {
-        self.recorder
-            .load_log
-            .get(&(core, warp, addr))
-            .map_or(&[], Vec::as_slice)
+    /// Starts logging every loaded value per `(core, warp, word)` for
+    /// [`System::loads_of`] (off by default: only the litmus harness and
+    /// tests read it). Call before the run starts.
+    pub fn log_loads(&mut self) {
+        self.recorder.load_log.get_or_insert_with(LoadLog::default);
+    }
+
+    /// All values `(core, warp)` loaded from `addr`, in program order.
+    /// `None` when [`System::log_loads`] was never called, so a missing
+    /// log cannot pass for a warp that loaded nothing.
+    pub fn loads_of(&self, core: usize, warp: usize, addr: WordAddr) -> Option<&[u64]> {
+        let log = self.recorder.load_log.as_ref()?;
+        Some(log.get(&(core, warp, addr)).map_or(&[], Vec::as_slice))
     }
 
     /// Records one message of `class` in the traffic totals and returns
@@ -748,11 +757,12 @@ impl<P: Protocol> System<P> {
     // ------------------------------------------------------------------
     // Event-driven engine: calendar-queue component slots.
     //
-    // Fixed id layout (also the tie-break order inside the queue):
-    // cores | L1s | req net | resp net | L2 banks | bank inboxes |
-    // L2 delay pipes | DRAM channels | rollover coordinator. Execution
-    // order within a cycle is the fixed phase order of `execute_cycle`,
-    // so the layout only has to be *stable*, not meaningful.
+    // Fixed id layout: cores | L1s | req net | resp net | L2 banks |
+    // bank inboxes | L2 delay pipes | DRAM channels | rollover
+    // coordinator. Execution order within a cycle is the fixed phase
+    // order of `execute_cycle`, so the layout only has to be *stable*
+    // and keep each kind's slots contiguous: a phase visits its due
+    // components as one range of the queue's due set.
     // ------------------------------------------------------------------
 
     #[inline]
@@ -941,7 +951,7 @@ impl<P: Protocol> System<P> {
     fn prime_sched(&mut self) {
         let now = self.cycle.raw();
         let floor = now + 1;
-        self.sched.reset();
+        self.sched.reset(now);
         self.spin_state.fill(SpinState::Idle);
         for i in 0..self.cores.len() {
             self.synced_to[i] = now;
@@ -1222,8 +1232,9 @@ impl<P: Protocol> System<P> {
     fn execute_cycle(&mut self) -> Result<(), SimError> {
         let cycle = self.cycle;
         let n = cycle.raw();
+        self.sched.advance_to(n);
         if !self.ff_enabled {
-            self.sched.due_all(n);
+            self.sched.due_all();
         }
         let mut mark = None;
         if let Some(p) = &mut self.profile {
@@ -1235,7 +1246,7 @@ impl<P: Protocol> System<P> {
         }
 
         // 1. Response network → L1s.
-        if self.sched.take_due(self.comp_resp(), n) {
+        if self.sched.take_due(self.comp_resp()) {
             let mut arrived = std::mem::take(&mut self.scratch_resp);
             self.resp_net.deliver(cycle, &mut arrived);
             for (dst, resp) in arrived.drain(..) {
@@ -1268,7 +1279,7 @@ impl<P: Protocol> System<P> {
 
         // 2. Request network → bank inboxes (flush acks are intercepted
         //    by the rollover coordinator).
-        if self.sched.take_due(self.comp_req(), n) {
+        if self.sched.take_due(self.comp_req()) {
             let mut arrived = std::mem::take(&mut self.scratch_req);
             self.req_net.deliver(cycle, &mut arrived);
             for (dst, req) in arrived.drain(..) {
@@ -1286,13 +1297,16 @@ impl<P: Protocol> System<P> {
         }
         self.charge(&mut mark, SimPhase::Noc);
 
-        // 3. L2 banks: tick, then serve one request per cycle.
-        for p in 0..self.l2s.len() {
-            let bank_due = self.sched.take_due(self.comp_bank(p), n);
-            let inbox_due = self.sched.take_due(self.comp_inbox(p), n);
-            if !bank_due && !inbox_due {
-                continue;
-            }
+        // 3. L2 banks: tick, then serve one request per cycle. Each
+        //    phase visits only its due components, in ascending order,
+        //    re-reading the live due set after each one.
+        let nparts = self.l2s.len();
+        let (banks, inboxes) = (self.comp_bank(0), self.comp_inbox(0));
+        let mut from = 0;
+        while let Some(p) = self.sched.first_due_pair(banks, inboxes, from, nparts) {
+            from = p + 1;
+            let bank_due = self.sched.take_due(banks + p);
+            let inbox_due = self.sched.take_due(inboxes + p);
             let mut out = std::mem::take(&mut self.scratch_l2);
             if bank_due {
                 self.l2s[p].tick(cycle, &mut out);
@@ -1319,10 +1333,12 @@ impl<P: Protocol> System<P> {
 
         // 4. L2 delay pipes → response network.
         let mut resp_injected = false;
-        for p in 0..self.l2_delay.len() {
-            if !self.sched.take_due(self.comp_pipe(p), n) {
-                continue;
-            }
+        let pipes = self.comp_pipe(0);
+        let mut from = pipes;
+        while let Some(slot) = self.sched.first_due(from, pipes + nparts) {
+            from = slot + 1;
+            self.sched.take_due(slot);
+            let p = slot - pipes;
             while let Some((ready, _)) = self.l2_delay[p].front() {
                 if *ready > n {
                     break;
@@ -1343,10 +1359,12 @@ impl<P: Protocol> System<P> {
         self.charge(&mut mark, SimPhase::Noc);
 
         // 5. DRAM.
-        for p in 0..self.drams.len() {
-            if !self.sched.take_due(self.comp_dram(p), n) {
-                continue;
-            }
+        let drams = self.comp_dram(0);
+        let mut from = drams;
+        while let Some(slot) = self.sched.first_due(from, drams + nparts) {
+            from = slot + 1;
+            self.sched.take_due(slot);
+            let p = slot - drams;
             let lines = self.drams[p].tick(cycle);
             let touched = !lines.is_empty();
             for line in lines {
@@ -1369,7 +1387,7 @@ impl<P: Protocol> System<P> {
         //    a transition is due with nothing else armed; that wake, if
         //    due, is consumed here). Only a transition can make the next
         //    one due, so only a transition re-arms the slot.
-        self.sched.take_due(self.comp_rollover(), n);
+        self.sched.take_due(self.comp_rollover());
         if self.advance_rollover() {
             self.arm_rollover_from_state(n + 1);
         }
@@ -1377,12 +1395,12 @@ impl<P: Protocol> System<P> {
 
         // 7. Cores + L1 ticks (paused while a rollover is in progress).
         let issuing = self.rollover == RolloverState::Idle;
-        for i in 0..self.cores.len() {
-            let l1_due = self.sched.take_due(self.comp_l1(i), n);
-            let core_due = self.sched.take_due(self.comp_core(i), n);
-            if !l1_due && !core_due {
-                continue;
-            }
+        let (ncores, l1s, cores) = (self.cores.len(), self.comp_l1(0), self.comp_core(0));
+        let mut from = 0;
+        while let Some(i) = self.sched.first_due_pair(l1s, cores, from, ncores) {
+            from = i + 1;
+            let l1_due = self.sched.take_due(l1s + i);
+            let core_due = self.sched.take_due(cores + i);
             let mut out = std::mem::take(&mut self.scratch_l1);
             if l1_due {
                 self.l1s[i].tick(cycle, &mut out);

@@ -286,6 +286,22 @@ fn event_driven_matches_every_cycle_policy_state_on_benchmarks() {
 }
 
 #[test]
+fn event_driven_matches_every_cycle_policy_beyond_128_slots() {
+    // 60 cores on the GTX 480's eight partitions: 2·60 + 2 + 4·8 + 1 =
+    // 155 queue slots, so the wheel's bitsets span three words, the L1
+    // slots (60..120) cross the first word boundary and the bank slots
+    // (122..130) the second.
+    let cfg = GpuConfig {
+        num_cores: 60,
+        ..GpuConfig::gtx480()
+    };
+    let wl = Benchmark::Dlb.generate(&cfg, &Scale::quick(), 7);
+    for kind in KINDS {
+        lockstep_digests(kind, &cfg, &wl, 2500, &format!("{kind}/dlb-60core"));
+    }
+}
+
+#[test]
 fn fast_forward_passes_sc_checking() {
     // The litmus matrix runs elsewhere; here, pin that the SC scoreboard
     // and sanitizer both hold under fast-forward on a real workload.

@@ -56,9 +56,12 @@ fn check_mutex(kind: ProtocolKind) {
     // Run via the concrete system to reach the load log.
     rcc_core::with_protocol!(kind, &cfg, |p| {
         let mut sys = System::new(&p, &cfg, &wl, false);
+        sys.log_loads();
         sys.run_until(u64::MAX).expect("mutex run fails");
         for (core, warp, token) in &tokens {
-            let loads = sys.loads_of(*core, *warp, shared);
+            let loads = sys
+                .loads_of(*core, *warp, shared)
+                .expect("the load log is on");
             assert_eq!(loads.len(), 6, "{kind}: every section read back");
             for v in loads {
                 assert_eq!(
@@ -99,4 +102,35 @@ fn mutual_exclusion_rcc_wo() {
 #[test]
 fn mutual_exclusion_mesi_wb() {
     check_mutex(ProtocolKind::MesiWb);
+}
+
+#[test]
+fn the_load_log_answers_only_once_asked_for() {
+    // A system that never logged must not pass for one whose warps
+    // loaded nothing: the harnesses above would then check no value.
+    let cfg = GpuConfig::small();
+    let (wl, tokens) = mutex_workload(&cfg, 1);
+    let shared = LineAddr(1).word(0);
+    let (core, warp, _) = tokens[0];
+    rcc_core::with_protocol!(ProtocolKind::RccSc, &cfg, |p| {
+        let mut sys = System::new(&p, &cfg, &wl, false);
+        sys.run_until(u64::MAX).expect("mutex run fails");
+        assert_eq!(sys.loads_of(core, warp, shared), None);
+        let mut logged = System::new(&p, &cfg, &wl, false);
+        logged.log_loads();
+        logged.run_until(u64::MAX).expect("mutex run fails");
+        assert_eq!(
+            logged.loads_of(core, warp, shared).map(<[u64]>::len),
+            Some(1)
+        );
+        assert_eq!(
+            logged.loads_of(core, warp, LineAddr(9).word(0)),
+            Some(&[][..])
+        );
+        assert!(
+            logged.metrics().same_simulated_results(&sys.metrics()),
+            "logging only watches"
+        );
+        assert_eq!(logged.state_digest(), sys.state_digest());
+    })
 }

@@ -275,7 +275,7 @@ fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     // report/CSV output byte-identical to a sequential run.
     // A failed protocol (deadlock, budget, invariant) reports as a typed
     // error and flips the exit code; the other jobs still complete.
-    let results = rcc_bench::pool::run_indexed(kinds, flags.jobs, |k| {
+    let results = rcc_bench::pool::run_indexed(kinds, flags.jobs(), |k| {
         // Like the observation exports, a trace or checkpoint under --all
         // covers the --protocol selection: the other runs must not race
         // on the path.

@@ -1,6 +1,7 @@
 //! `rcc-repro` reads its flags through the shared parser: the run flags
 //! it documents take effect, and a command line it cannot act on fails
-//! with exit 2 instead of running with defaults.
+//! with exit 2 instead of running with defaults. The figure binaries'
+//! parser rejects the run flags a figure binary cannot honour.
 
 use std::process::{Command, Output};
 
@@ -69,4 +70,27 @@ fn a_trace_with_too_many_warps_on_a_core_is_a_typed_error() {
         stderr.contains("trace mismatch") && stderr.contains("65 warps"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_figure_binary_rejects_the_run_flags_it_cannot_honour() {
+    let argv = |a: &[&str]| a.iter().map(ToString::to_string).collect::<Vec<_>>();
+    // `fig6 --quick --trace-out t.json`: fig6 runs a grid, so there is no
+    // single run whose observation the flag could export.
+    let err = rcc_bench::Harness::parse(&argv(&["--quick", "--trace-out", "t.json"]))
+        .expect_err("--trace-out must not run a grid");
+    assert!(err.0.starts_with("--trace-out"), "{err}");
+    // `fig7 --quick --checkpoint ck7 --checkpoint-every 2000`: fig7 runs
+    // three machine variants per benchmark, outside `Harness::run`.
+    let fig7 = argv(&[
+        "--quick",
+        "--checkpoint",
+        "ck7",
+        "--checkpoint-every",
+        "2000",
+    ]);
+    let err = rcc_bench::Harness::parse_except(&fig7, rcc_bench::PER_RUN_OUTPUTS)
+        .expect_err("fig7 writes no per-run checkpoint");
+    assert!(err.0.starts_with("--checkpoint"), "{err}");
+    assert!(rcc_bench::Harness::parse(&fig7).is_ok(), "fig6 writes them");
 }
