@@ -85,7 +85,7 @@ fn run_pass<J: Send, T: Send>(
 ) -> Vec<Option<T>> {
     let outcomes = pool::run_indexed(jobs, threads, |job| {
         catch_unwind(AssertUnwindSafe(|| f(job)))
-            .map_err(|payload| pool::panic_reason(payload.as_ref()))
+            .map_err(|payload| rcc_common::unwind::panic_reason(payload.as_ref()))
             .and_then(|r| r.map_err(|e| e.to_string()))
     });
     outcomes

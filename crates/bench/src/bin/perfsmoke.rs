@@ -64,7 +64,7 @@ fn optimized_jobs(flags: &RunFlags) -> usize {
 }
 
 fn main() -> std::process::ExitCode {
-    Harness::main_except(PER_RUN_OUTPUTS, |h| {
+    Harness::main_profiled(PER_RUN_OUTPUTS, |h| {
         let jobs = optimized_jobs(&h.flags);
         banner(
             "Perf smoke",

@@ -6,7 +6,8 @@
 //!   --sanitize          check every run with the rcc-verify SC sanitizer
 //!   --chaos seed=N,profile=P  seeded perturbation: light|heavy|reorder|canary
 //!   --jobs N            worker threads (0 = one per core; output unchanged)
-//!   --profile           attach the self-profiler (host wall-clock per phase)
+//!   --profile           attach the self-profiler (host wall-clock per phase);
+//!                       of the figure binaries only perfsmoke prints it
 //!   --sample-every N    sample metrics every N cycles (256 with --series-out)
 //!   --trace-out PATH    Chrome/Perfetto trace of rcc-repro's --protocol run
 //!   --series-out PATH   its sampled series (.csv, or .json by extension);

@@ -12,10 +12,11 @@
 //! `--quick` (small machine, tiny workloads), `--full` (48 warps per
 //! core), or by default the GTX 480 of Table III at 16 warps per core;
 //! plus the run flags it shares with `rcc-repro`, documented in [`cli`].
-//! No figure binary exports one run's observation, and a binary that
-//! builds its own runs writes no per-run files ([`PER_RUN_OUTPUTS`]):
-//! the flags that ask for those are usage errors (exit 2), not runs that
-//! pay for the output and write nothing.
+//! No figure binary exports one run's observation, only `perfsmoke`
+//! prints the self-profile, and a binary that builds its own runs writes
+//! no per-run files ([`PER_RUN_OUTPUTS`]): the flags that ask for those
+//! are usage errors (exit 2), not runs that pay for the output and write
+//! nothing.
 
 #![forbid(unsafe_code)]
 
@@ -65,7 +66,24 @@ impl Harness {
     /// [`Harness::parse`] for a binary that cannot act on the run flags
     /// in `unsupported`: giving one is a usage error.
     pub fn parse_except(argv: &[String], unsupported: &[&str]) -> Result<Harness, UsageError> {
+        Self::parse_with(argv, unsupported, false)
+    }
+
+    /// Parses the command line of a binary that prints the self-profile
+    /// if `profiled`; any other rejects `--profile`.
+    fn parse_with(
+        argv: &[String],
+        unsupported: &[&str],
+        profiled: bool,
+    ) -> Result<Harness, UsageError> {
         let args = Args::parse(argv, &["--quick, --full", RUN_FLAGS])?;
+        if !profiled && args.has("--profile") {
+            return Err(UsageError(
+                "--profile: this binary prints no self-profile (perfsmoke prints \
+                 the grid's, rcc-repro --protocol P one run's)"
+                    .into(),
+            ));
+        }
         if let Some(flag) = OBSERVATION_FLAGS.iter().find(|f| args.has(f)) {
             return Err(UsageError(format!(
                 "{flag}: a figure binary runs a grid and exports no single run's \
@@ -102,8 +120,25 @@ impl Harness {
         unsupported: &[&str],
         body: impl FnOnce(&Harness) -> T,
     ) -> ExitCode {
+        Self::main_with(unsupported, false, body)
+    }
+
+    /// [`Harness::main_except`] for a binary that prints the
+    /// self-profile, and so takes `--profile`.
+    pub fn main_profiled<T: Termination>(
+        unsupported: &[&str],
+        body: impl FnOnce(&Harness) -> T,
+    ) -> ExitCode {
+        Self::main_with(unsupported, true, body)
+    }
+
+    fn main_with<T: Termination>(
+        unsupported: &[&str],
+        profiled: bool,
+        body: impl FnOnce(&Harness) -> T,
+    ) -> ExitCode {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let h = match Harness::parse_except(&argv, unsupported) {
+        let h = match Harness::parse_with(&argv, unsupported, profiled) {
             Ok(h) => h,
             Err(e) => return e.report(),
         };
@@ -260,6 +295,7 @@ mod tests {
             &["--trace-out", "t.json"],
             &["--series-out", "s.csv"],
             &["--sample-every", "64"],
+            &["--profile"],
         ] {
             let argv: Vec<String> = bad.iter().map(ToString::to_string).collect();
             assert!(Harness::parse(&argv).is_err(), "{bad:?} must not run");

@@ -19,17 +19,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Renders a panic payload as a one-line reason.
-pub fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 /// Runs `f` over `jobs`, using up to `threads` worker threads, and
 /// returns the results in submission order.
 ///
@@ -168,7 +157,10 @@ mod tests {
             })
         }));
         let payload = result.expect_err("panic propagates");
-        assert_eq!(panic_reason(payload.as_ref()), "job 1 exploded");
+        assert_eq!(
+            rcc_common::unwind::panic_reason(payload.as_ref()),
+            "job 1 exploded"
+        );
         assert_eq!(ran.load(Ordering::SeqCst), 15);
     }
 }

@@ -23,6 +23,17 @@ fn a_run_flag_a_figure_binary_cannot_honour_exits_2_before_any_run() {
             &["--quick", "--series-out", "s.csv"],
             "--series-out",
         ),
+        // Only perfsmoke prints the self-profile.
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--quick", "--profile"],
+            "--profile",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablate"),
+            &["--quick", "--profile"],
+            "--profile",
+        ),
         // These binaries build their own runs, outside `Harness::run`,
         // which is what names each run's files.
         (

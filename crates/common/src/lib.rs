@@ -27,7 +27,7 @@ pub mod rng;
 pub mod snap;
 pub mod stats;
 pub mod time;
-pub mod trace;
+pub mod unwind;
 
 pub use addr::{Addr, LineAddr, WordAddr};
 pub use config::GpuConfig;

@@ -13,6 +13,7 @@
 //! overhead RCC attacks. It is a performance idealization, not a real
 //! protocol — the consistency scoreboard is not applied to it.
 
+use crate::bank::{self, Route};
 use crate::kind::ProtocolKind;
 use crate::msg::{
     Access, AccessKind, AccessOutcome, Completion, CompletionKind, RejectReason, ReqId, ReqMsg,
@@ -367,14 +368,11 @@ pub struct IdealL2 {
 impl IdealL2 {
     /// Creates the controller for `partition`.
     pub fn new(partition: PartitionId, cfg: &GpuConfig) -> Self {
+        let (tags, mshrs) = bank::arrays(cfg);
         IdealL2 {
             partition,
-            tags: TagArray::with_stride(
-                cfg.l2.partition.num_sets(),
-                cfg.l2.partition.ways,
-                cfg.l2.num_partitions as u64,
-            ),
-            mshrs: MshrFile::new(cfg.l2.partition.mshrs, cfg.l2.partition.mshr_merge),
+            tags,
+            mshrs,
             seq: 0,
             stats: L2Stats::default(),
         }
@@ -421,10 +419,58 @@ impl IdealL2 {
                         .push((CoreId(i), ev.line.addr, MagicAction::Invalidate));
                 }
             }
-            if ev.line.dirty {
-                self.stats.writebacks += 1;
-                out.dram_writeback.push((ev.line.addr, ev.line.data));
+            bank::write_back(&mut self.stats, out, ev.line);
+        }
+    }
+
+    /// Serves a request at a resident line.
+    fn serve_hit(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) {
+        let line = req.line;
+        match req.payload {
+            ReqPayload::Gets { .. } => {
+                let l = self.tags.access(line).expect("hit requires residency");
+                l.state |= 1 << req.src.index();
+                out.to_l1.push(RespMsg {
+                    dst: req.src,
+                    line,
+                    id: req.id,
+                    payload: RespPayload::Data {
+                        data: l.data.clone(),
+                        ver: Timestamp(cycle.raw()),
+                        exp: Timestamp(u64::MAX),
+                        seq: 0,
+                    },
+                });
             }
+            ReqPayload::Write { word, value, .. } => {
+                let l = self.tags.access(line).expect("hit requires residency");
+                l.data.set_word(word, value);
+                l.dirty = true;
+                self.magic_update_others(line, Some(req.src), word, value, out);
+            }
+            ReqPayload::Atomic { word, op, .. } => {
+                self.seq += 1;
+                let seq = self.seq;
+                let l = self.tags.access(line).expect("hit requires residency");
+                let old = l.data.word(word);
+                if op.mutates(old) {
+                    let new = op.apply(old);
+                    l.data.set_word(word, new);
+                    l.dirty = true;
+                    self.magic_update_others(line, Some(req.src), word, new, out);
+                }
+                out.to_l1.push(RespMsg {
+                    dst: req.src,
+                    line,
+                    id: req.id,
+                    payload: RespPayload::AtomicResp {
+                        value: old,
+                        ver: Timestamp(cycle.raw()),
+                        seq,
+                    },
+                });
+            }
+            other => unreachable!("serve_hit on {other:?}"),
         }
     }
 }
@@ -432,119 +478,21 @@ impl IdealL2 {
 impl L2Bank for IdealL2 {
     fn handle_req(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) -> Result<(), ReqMsg> {
         let line = req.line;
-        match &req.payload {
-            ReqPayload::Gets { .. } => {
-                self.stats.gets += 1;
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .readers
-                        .push((req.src, req.id));
-                } else if self.tags.probe(line).is_some() {
-                    let l = self.tags.access(line).expect("checked");
-                    l.state |= 1 << req.src.index();
-                    out.to_l1.push(RespMsg {
-                        dst: req.src,
-                        line,
-                        id: req.id,
-                        payload: RespPayload::Data {
-                            data: l.data.clone(),
-                            ver: Timestamp(cycle.raw()),
-                            exp: Timestamp(u64::MAX),
-                            seq: 0,
-                        },
-                    });
-                } else {
-                    if self.mshrs.is_full() {
-                        self.stats.gets -= 1;
-                        return Err(req);
-                    }
-                    let entry = IdealL2Entry {
-                        readers: vec![(req.src, req.id)],
-                        ..IdealL2Entry::default()
-                    };
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
-                }
-            }
-            ReqPayload::Write { word, value, .. } => {
-                self.stats.writes += 1;
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .merged_writes
-                        .push((*word, *value));
-                } else if self.tags.probe(line).is_some() {
-                    let l = self.tags.access(line).expect("checked");
-                    l.data.set_word(*word, *value);
-                    l.dirty = true;
-                    self.magic_update_others(line, Some(req.src), *word, *value, out);
-                } else {
-                    if self.mshrs.is_full() {
-                        return Err(req);
-                    }
-                    let mut entry = IdealL2Entry::default();
-                    entry.merged_writes.push((*word, *value));
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
-                }
-            }
-            ReqPayload::Atomic { word, op, .. } => {
-                self.stats.atomics += 1;
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .pending_atomics
-                        .push_back(req);
-                } else if self.tags.probe(line).is_some() {
-                    let seq = {
-                        self.seq += 1;
-                        self.seq
-                    };
-                    let l = self.tags.access(line).expect("checked");
-                    let old = l.data.word(*word);
-                    if op.mutates(old) {
-                        let new = op.apply(old);
-                        l.data.set_word(*word, new);
-                        l.dirty = true;
-                        self.magic_update_others(line, Some(req.src), *word, new, out);
-                    }
-                    out.to_l1.push(RespMsg {
-                        dst: req.src,
-                        line,
-                        id: req.id,
-                        payload: RespPayload::AtomicResp {
-                            value: old,
-                            ver: Timestamp(cycle.raw()),
-                            seq,
-                        },
-                    });
-                } else {
-                    if self.mshrs.is_full() {
-                        return Err(req);
-                    }
-                    let mut entry = IdealL2Entry::default();
-                    entry.pending_atomics.push_back(req);
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
-                }
-            }
-            ReqPayload::InvAck
-            | ReqPayload::FlushAck
-            | ReqPayload::GetX { .. }
-            | ReqPayload::WbData { .. } => {}
+        if !matches!(
+            req.payload,
+            ReqPayload::Gets { .. } | ReqPayload::Write { .. } | ReqPayload::Atomic { .. }
+        ) {
+            return Ok(());
+        }
+        bank::count(&mut self.stats, &req.payload);
+        match bank::route(&self.tags, &mut self.mshrs, &mut self.stats, out, line) {
+            Route::Mshr(entry) => match req.payload {
+                ReqPayload::Gets { .. } => entry.readers.push((req.src, req.id)),
+                ReqPayload::Write { word, value, .. } => entry.merged_writes.push((word, value)),
+                _ => entry.pending_atomics.push_back(req),
+            },
+            Route::Hit => self.serve_hit(cycle, req, out),
+            Route::Full => return bank::refuse(&mut self.stats, req),
         }
         Ok(())
     }
@@ -583,10 +531,12 @@ impl L2Bank for IdealL2 {
                 l.state |= 1 << dst.index();
             }
         }
-        // Replay queued atomics against the now-resident line.
+        // Replay queued atomics against the now-resident line. Each is
+        // counted again, as on arrival: `l2.atomics` is in the metrics
+        // digest, so that count is part of the pinned results.
         for req in entry.pending_atomics {
-            self.handle_req(cycle, req, out)
-                .expect("resident line cannot reject");
+            self.stats.atomics += 1;
+            self.serve_hit(cycle, req, out);
         }
     }
 

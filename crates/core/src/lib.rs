@@ -31,6 +31,7 @@
 //! # let _ = l1;
 //! ```
 
+mod bank;
 pub mod census;
 pub mod ideal;
 pub mod kind;

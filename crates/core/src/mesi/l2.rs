@@ -2,6 +2,7 @@
 //! stores into invalidate-collect-apply sequences, and recalls sharers on
 //! evictions.
 
+use crate::bank::{self, Deferral, Route};
 use crate::msg::{ReqId, ReqMsg, ReqPayload, RespMsg, RespPayload};
 use crate::protocol::{L2Bank, L2Outbox, L2Stats};
 use rcc_common::addr::LineAddr;
@@ -91,14 +92,11 @@ pub struct MesiL2 {
 impl MesiL2 {
     /// Creates the controller for `partition`.
     pub fn new(partition: PartitionId, cfg: &GpuConfig) -> Self {
+        let (tags, mshrs) = bank::arrays(cfg);
         MesiL2 {
             partition,
-            tags: TagArray::with_stride(
-                cfg.l2.partition.num_sets(),
-                cfg.l2.partition.ways,
-                cfg.l2.num_partitions as u64,
-            ),
-            mshrs: MshrFile::new(cfg.l2.partition.mshrs, cfg.l2.partition.mshr_merge),
+            tags,
+            mshrs,
             pending_inv: FxHashMap::default(),
             recalls: FxHashMap::default(),
             filling: FxHashSet::default(),
@@ -123,12 +121,6 @@ impl MesiL2 {
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
-    }
-
-    fn is_blocked(&self, line: LineAddr) -> bool {
-        self.pending_inv.contains_key(&line)
-            || self.recalls.contains_key(&line)
-            || self.filling.contains(&line)
     }
 
     fn serve_gets_hit(&mut self, cycle: Cycle, req: &ReqMsg, out: &mut L2Outbox) {
@@ -225,8 +217,17 @@ impl MesiL2 {
         );
     }
 
+    fn serve_hit(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) {
+        match &req.payload {
+            ReqPayload::Gets { .. } => self.serve_gets_hit(cycle, &req, out),
+            _ => self.serve_write_hit(cycle, req, out),
+        }
+    }
+
     /// Replays requests that queued behind a fetch, in arrival order; a
-    /// write needing invalidations blocks the line and defers the rest.
+    /// write needing invalidations blocks the line and defers the rest,
+    /// behind any requests deferred earlier (MESI-WB replays ahead of
+    /// them; both orders are kept bit for bit).
     fn replay_queued(
         &mut self,
         cycle: Cycle,
@@ -235,14 +236,10 @@ impl MesiL2 {
         out: &mut L2Outbox,
     ) {
         for req in queued {
-            if self.is_blocked(line) || self.deferred.contains_key(&line) {
-                self.deferred_count += 1;
-                self.deferred.entry(line).or_default().push_back(req);
-                continue;
-            }
-            match &req.payload {
-                ReqPayload::Gets { .. } => self.serve_gets_hit(cycle, &req, out),
-                _ => self.serve_write_hit(cycle, req, out),
+            if self.must_defer(line) {
+                self.defer(req);
+            } else {
+                self.serve_hit(cycle, req, out);
             }
         }
         self.redispatch_deferred(cycle, line, out);
@@ -275,10 +272,7 @@ impl MesiL2 {
             Ok(evicted) => {
                 if let Some(ev) = evicted {
                     debug_assert_eq!(ev.line.state.sharers, 0);
-                    if ev.line.dirty {
-                        self.stats.writebacks += 1;
-                        out.dram_writeback.push((ev.line.addr, ev.line.data));
-                    }
+                    bank::write_back(&mut self.stats, out, ev.line);
                 }
                 self.replay_queued(cycle, line, queued, out);
             }
@@ -317,26 +311,6 @@ impl MesiL2 {
         }
     }
 
-    fn redispatch_deferred(&mut self, cycle: Cycle, line: LineAddr, out: &mut L2Outbox) {
-        if self.is_blocked(line) {
-            return;
-        }
-        let Some(mut queue) = self.deferred.remove(&line) else {
-            return;
-        };
-        while let Some(req) = queue.pop_front() {
-            self.deferred_count -= 1;
-            self.handle_req(cycle, req, out)
-                .expect("re-dispatched request cannot be rejected");
-            if self.is_blocked(line) {
-                while let Some(rest) = queue.pop_back() {
-                    self.deferred.entry(line).or_default().push_front(rest);
-                }
-                return;
-            }
-        }
-    }
-
     fn handle_inv_ack(&mut self, cycle: Cycle, line: LineAddr, out: &mut L2Outbox) {
         if let Some(p) = self.pending_inv.get_mut(&line) {
             p.needed -= 1;
@@ -356,10 +330,7 @@ impl MesiL2 {
                     .tags
                     .invalidate(line)
                     .expect("recalled victim stays resident until acked");
-                if victim.dirty {
-                    self.stats.writebacks += 1;
-                    out.dram_writeback.push((line, victim.data));
-                }
+                bank::write_back(&mut self.stats, out, victim);
                 if let Some(pf) = r.pending_fill {
                     self.filling.remove(&pf.line);
                     // A way is now free; this fill cannot evict.
@@ -388,61 +359,17 @@ impl L2Bank for MesiL2 {
         if matches!(req.payload, ReqPayload::FlushAck) {
             return Ok(());
         }
-        if self.is_blocked(line) || self.deferred.contains_key(&line) {
-            self.deferred_count += 1;
-            self.deferred.entry(line).or_default().push_back(req);
+        if self.must_defer(line) {
+            self.defer(req);
             return Ok(());
         }
         match &req.payload {
-            ReqPayload::Gets { .. } => {
-                self.stats.gets += 1;
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .queued
-                        .push_back(req);
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_gets_hit(cycle, &req, out);
-                } else {
-                    if self.mshrs.is_full() {
-                        self.stats.gets -= 1;
-                        return Err(req);
-                    }
-                    let mut entry = MesiEntry::default();
-                    entry.queued.push_back(req);
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
-                }
-            }
-            ReqPayload::Write { .. } | ReqPayload::Atomic { .. } => {
-                if matches!(req.payload, ReqPayload::Write { .. }) {
-                    self.stats.writes += 1;
-                } else {
-                    self.stats.atomics += 1;
-                }
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .queued
-                        .push_back(req);
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_write_hit(cycle, req, out);
-                } else {
-                    if self.mshrs.is_full() {
-                        return Err(req);
-                    }
-                    let mut entry = MesiEntry::default();
-                    entry.queued.push_back(req);
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
+            ReqPayload::Gets { .. } | ReqPayload::Write { .. } | ReqPayload::Atomic { .. } => {
+                bank::count(&mut self.stats, &req.payload);
+                match bank::route(&self.tags, &mut self.mshrs, &mut self.stats, out, line) {
+                    Route::Mshr(entry) => entry.queued.push_back(req),
+                    Route::Hit => self.serve_hit(cycle, req, out),
+                    Route::Full => return bank::refuse(&mut self.stats, req),
                 }
             }
             ReqPayload::InvAck | ReqPayload::FlushAck => unreachable!("handled above"),
@@ -459,6 +386,7 @@ impl L2Bank for MesiL2 {
             .release(line)
             .expect("DRAM fill without an MSHR entry");
         self.try_fill_or_recall(cycle, line, data, entry.queued, out);
+        self.retry_mshr_waiters(cycle, out);
     }
 
     fn tick(&mut self, cycle: Cycle, out: &mut L2Outbox) {
@@ -490,5 +418,21 @@ impl L2Bank for MesiL2 {
 
     fn stats(&self) -> &L2Stats {
         &self.stats
+    }
+}
+
+impl Deferral for MesiL2 {
+    fn is_blocked(&self, line: LineAddr) -> bool {
+        self.pending_inv.contains_key(&line)
+            || self.recalls.contains_key(&line)
+            || self.filling.contains(&line)
+    }
+
+    fn deferred(&self) -> &FxHashMap<LineAddr, VecDeque<ReqMsg>> {
+        &self.deferred
+    }
+
+    fn deferred_mut(&mut self) -> (&mut FxHashMap<LineAddr, VecDeque<ReqMsg>>, &mut usize) {
+        (&mut self.deferred, &mut self.deferred_count)
     }
 }

@@ -3,7 +3,7 @@
 
 use super::MesiProtocol;
 use crate::msg::{Access, AccessKind, AccessOutcome, AtomicOp, CompletionKind};
-use crate::protocol::{L1Cache, L2Bank};
+use crate::protocol::{L1Cache, L2Bank, Protocol};
 use crate::testrig::Rig;
 use rcc_common::addr::{LineAddr, WordAddr};
 use rcc_common::config::GpuConfig;
@@ -299,6 +299,60 @@ fn spurious_inv_after_silent_l1_eviction_is_acked() {
     r.sb.assert_sc();
 }
 
+/// A store deferred behind the recall of its line: the recall evicts the
+/// line, so the re-dispatched store misses while the only MSHR is held
+/// by another line's fetch. It must wait for that fill to free the
+/// entry, not be lost or crash the bank.
+fn deferred_store_waits_for_an_mshr<P: Protocol>(make: impl Fn(&GpuConfig) -> P) {
+    let mut cfg = GpuConfig::small();
+    cfg.l2.partition.ways = 1;
+    cfg.l2.partition.mshrs = 1;
+    let mut r = Rig::new(&make(&cfg), &cfg, 4);
+    r.auto_dram = false;
+    let set = (cfg.l2.partition.num_sets() * cfg.l2.num_partitions) as u64;
+    let (a, b, c) = (word(0, 0), word(set, 0), word(2 * set, 0));
+    let access = |addr, kind| Access {
+        warp: WarpId(0),
+        addr,
+        kind,
+    };
+    let fill_next = |r: &mut Rig<P>| {
+        let line = r.pending_fetches.pop_front().expect("a fetch is due");
+        r.fill_one(line);
+    };
+    // 1. Core 2 shares A; B's fill (one way) recalls A. Core 2's ack
+    //    stays staged until the next pump.
+    r.issue(2, access(a, AccessKind::Load));
+    r.pump();
+    fill_next(&mut r);
+    r.pump();
+    r.issue(3, access(b, AccessKind::Load));
+    r.pump();
+    fill_next(&mut r);
+    // 2. A store to A defers behind the recall, 3. a miss on C takes the
+    // only MSHR, 4. the ack arrives (the rig pumps cores in index order).
+    r.issue(0, access(a, AccessKind::Store { value: 7 }));
+    r.issue(1, access(c, AccessKind::Load));
+    r.pump();
+    assert_eq!(r.pending_fetches, [c.line()], "C holds the only MSHR");
+    assert!(r.completions.iter().all(|(core, _)| *core != 0));
+    while !r.pending_fetches.is_empty() {
+        fill_next(&mut r);
+        r.pump();
+    }
+    let done = |core| r.completions.iter().position(|(c, _)| *c == core);
+    let (load_c, store_a) = (done(1).expect("C's load"), done(0).expect("the store"));
+    assert!(load_c < store_a, "the store waited for C's fill");
+    assert_eq!(r.l2.pending(), 0, "nothing left waiting");
+    assert_eq!(r.load_value(2, a), 7);
+    r.sb.assert_sc();
+}
+
+#[test]
+fn a_deferred_store_whose_line_was_recalled_waits_for_an_mshr() {
+    deferred_store_waits_for_an_mshr(MesiProtocol::new);
+}
+
 mod wb {
     use super::super::wb::MesiWbProtocol;
     use crate::msg::{Access, AccessKind, AccessOutcome, AtomicOp, CompletionKind};
@@ -315,6 +369,11 @@ mod wb {
 
     fn word(line: u64, idx: usize) -> WordAddr {
         LineAddr(line).word(idx)
+    }
+
+    #[test]
+    fn a_deferred_getx_whose_line_was_recalled_waits_for_an_mshr() {
+        super::deferred_store_waits_for_an_mshr(MesiWbProtocol::new);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! past it — every post-recall service of the word then orders strictly
 //! after the local stores.
 
+use crate::bank::{self, Deferral, Route};
 use crate::kind::ProtocolKind;
 use crate::msg::{
     Access, AccessKind, AccessOutcome, Completion, CompletionKind, RejectReason, ReqId, ReqMsg,
@@ -575,14 +576,11 @@ pub struct MesiWbL2 {
 impl MesiWbL2 {
     /// Creates the directory for `partition`.
     pub fn new(partition: PartitionId, cfg: &GpuConfig) -> Self {
+        let (tags, mshrs) = bank::arrays(cfg);
         MesiWbL2 {
             partition,
-            tags: TagArray::with_stride(
-                cfg.l2.partition.num_sets(),
-                cfg.l2.partition.ways,
-                cfg.l2.num_partitions as u64,
-            ),
-            mshrs: MshrFile::new(cfg.l2.partition.mshrs, cfg.l2.partition.mshr_merge),
+            tags,
+            mshrs,
             txns: FxHashMap::default(),
             filling: FxHashSet::default(),
             stalled_fills: Vec::new(),
@@ -611,10 +609,6 @@ impl MesiWbL2 {
         self.seq
     }
 
-    fn is_blocked(&self, line: LineAddr) -> bool {
-        self.txns.contains_key(&line) || self.filling.contains(&line)
-    }
-
     /// Whether `tick` retries the parked fills: some fill found every
     /// way transiently busy and no eviction recall is pending (a recall
     /// legitimately holds them until its InvAck or WbData arrives).
@@ -631,6 +625,13 @@ impl MesiWbL2 {
             .filter(|i| mask & (1 << i) != 0)
             .map(CoreId)
             .collect()
+    }
+
+    fn serve_hit(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) {
+        match &req.payload {
+            ReqPayload::Gets { .. } => self.serve_gets(cycle, &req, out),
+            _ => self.serve_excl_op(cycle, req, out),
+        }
     }
 
     fn serve_gets(&mut self, cycle: Cycle, req: &ReqMsg, out: &mut L2Outbox) {
@@ -804,32 +805,9 @@ impl MesiWbL2 {
                 self.deferred.insert(line, queued);
                 return;
             }
-            match &req.payload {
-                ReqPayload::Gets { .. } => self.serve_gets(cycle, &req, out),
-                _ => self.serve_excl_op(cycle, req, out),
-            }
+            self.serve_hit(cycle, req, out);
         }
         self.redispatch_deferred(cycle, line, out);
-    }
-
-    fn redispatch_deferred(&mut self, cycle: Cycle, line: LineAddr, out: &mut L2Outbox) {
-        if self.is_blocked(line) {
-            return;
-        }
-        let Some(mut queue) = self.deferred.remove(&line) else {
-            return;
-        };
-        while let Some(req) = queue.pop_front() {
-            self.deferred_count -= 1;
-            self.handle_req(cycle, req, out)
-                .expect("re-dispatched request cannot be rejected");
-            if self.is_blocked(line) {
-                while let Some(rest) = queue.pop_back() {
-                    self.deferred.entry(line).or_default().push_front(rest);
-                }
-                return;
-            }
-        }
     }
 
     fn try_fill_or_recall(
@@ -854,10 +832,7 @@ impl MesiWbL2 {
         match attempt {
             Ok(evicted) => {
                 if let Some(ev) = evicted {
-                    if ev.line.dirty {
-                        self.stats.writebacks += 1;
-                        out.dram_writeback.push((ev.line.addr, ev.line.data));
-                    }
+                    bank::write_back(&mut self.stats, out, ev.line);
                 }
                 self.replay_queued(cycle, line, queued, out);
             }
@@ -933,10 +908,7 @@ impl MesiWbL2 {
 
     fn complete_victim_eviction(&mut self, victim: LineAddr, out: &mut L2Outbox) {
         if let Some(v) = self.tags.invalidate(victim) {
-            if v.dirty {
-                self.stats.writebacks += 1;
-                out.dram_writeback.push((victim, v.data));
-            }
+            bank::write_back(&mut self.stats, out, v);
         }
     }
 
@@ -1002,10 +974,7 @@ impl MesiWbL2 {
                     l.state.state = DirState::Shared(0);
                 }
                 if let Some(req) = op {
-                    match &req.payload {
-                        ReqPayload::Gets { .. } => self.serve_gets(cycle, &req, out),
-                        _ => self.serve_excl_op(cycle, req, out),
-                    }
+                    self.serve_hit(cycle, req, out);
                 }
                 if let Some(pf) = pending_fill {
                     self.complete_victim_eviction(line, out);
@@ -1049,61 +1018,17 @@ impl L2Bank for MesiWbL2 {
             ReqPayload::FlushAck => return Ok(()),
             _ => {}
         }
-        if self.is_blocked(line) || self.deferred.contains_key(&line) {
-            self.deferred_count += 1;
-            self.deferred.entry(line).or_default().push_back(req);
+        if self.must_defer(line) {
+            self.defer(req);
             return Ok(());
         }
         match &req.payload {
-            ReqPayload::Gets { .. } => {
-                self.stats.gets += 1;
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .queued
-                        .push_back(req);
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_gets(cycle, &req, out);
-                } else {
-                    if self.mshrs.is_full() {
-                        self.stats.gets -= 1;
-                        return Err(req);
-                    }
-                    let mut entry = WbL2Entry::default();
-                    entry.queued.push_back(req);
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
-                }
-            }
-            ReqPayload::GetX { .. } | ReqPayload::Atomic { .. } => {
-                if matches!(req.payload, ReqPayload::GetX { .. }) {
-                    self.stats.writes += 1;
-                } else {
-                    self.stats.atomics += 1;
-                }
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .queued
-                        .push_back(req);
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_excl_op(cycle, req, out);
-                } else {
-                    if self.mshrs.is_full() {
-                        return Err(req);
-                    }
-                    let mut entry = WbL2Entry::default();
-                    entry.queued.push_back(req);
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
+            ReqPayload::Gets { .. } | ReqPayload::GetX { .. } | ReqPayload::Atomic { .. } => {
+                bank::count(&mut self.stats, &req.payload);
+                match bank::route(&self.tags, &mut self.mshrs, &mut self.stats, out, line) {
+                    Route::Mshr(entry) => entry.queued.push_back(req),
+                    Route::Hit => self.serve_hit(cycle, req, out),
+                    Route::Full => return bank::refuse(&mut self.stats, req),
                 }
             }
             ReqPayload::Write { .. } => {
@@ -1120,6 +1045,7 @@ impl L2Bank for MesiWbL2 {
             .release(line)
             .expect("DRAM fill without an MSHR entry");
         self.try_fill_or_recall(cycle, line, data, entry.queued, out);
+        self.retry_mshr_waiters(cycle, out);
     }
 
     fn tick(&mut self, cycle: Cycle, out: &mut L2Outbox) {
@@ -1146,5 +1072,19 @@ impl L2Bank for MesiWbL2 {
 
     fn stats(&self) -> &L2Stats {
         &self.stats
+    }
+}
+
+impl Deferral for MesiWbL2 {
+    fn is_blocked(&self, line: LineAddr) -> bool {
+        self.txns.contains_key(&line) || self.filling.contains(&line)
+    }
+
+    fn deferred(&self) -> &FxHashMap<LineAddr, VecDeque<ReqMsg>> {
+        &self.deferred
+    }
+
+    fn deferred_mut(&mut self) -> (&mut FxHashMap<LineAddr, VecDeque<ReqMsg>>, &mut usize) {
+        (&mut self.deferred, &mut self.deferred_count)
     }
 }

@@ -324,8 +324,10 @@ pub trait L2Bank: std::fmt::Debug {
     fn tick(&mut self, cycle: Cycle, out: &mut L2Outbox);
 
     /// Installs a chaos perturbation hook (see [`L1Cache::set_chaos`]).
-    /// L2 banks must *not* forward the hook to their MSHR files: deferred
-    /// requests are re-dispatched with "cannot be rejected" invariants.
+    /// L2 banks must *not* forward the hook to their MSHR files: a
+    /// deferred request that finds the file full waits for a DRAM fill to
+    /// free an entry, and a squeeze with no fill outstanding would leave
+    /// it waiting for ever.
     fn set_chaos(&mut self, _hook: Box<dyn rcc_chaos::PerturbPoint>) {}
 
     /// Whether this bank's timestamps are close enough to the rollover

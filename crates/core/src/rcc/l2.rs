@@ -9,6 +9,7 @@
 //! numbers the consistency scoreboard uses to break ties between writes
 //! that share a logical version.
 
+use crate::bank::{self, Deferral, Route};
 use crate::msg::{AtomicOp, ReqId, ReqMsg, ReqPayload, RespMsg, RespPayload};
 use crate::protocol::{L2Bank, L2Outbox, L2Stats};
 use crate::rcc::predictor::LeasePredictor;
@@ -110,16 +111,13 @@ pub struct RccL2 {
 impl RccL2 {
     /// Creates the controller for `partition`.
     pub fn new(partition: PartitionId, cfg: &GpuConfig, params: RccParams) -> Self {
+        let (tags, mshrs) = bank::arrays(cfg);
         RccL2 {
             partition,
             predictor: LeasePredictor::new(&params),
             rollover_threshold: params.rollover_threshold,
-            tags: TagArray::with_stride(
-                cfg.l2.partition.num_sets(),
-                cfg.l2.partition.ways,
-                cfg.l2.num_partitions as u64,
-            ),
-            mshrs: MshrFile::new(cfg.l2.partition.mshrs, cfg.l2.partition.mshr_merge),
+            tags,
+            mshrs,
             deferred: FxHashMap::default(),
             deferred_count: 0,
             mnow: Timestamp::ZERO,
@@ -218,11 +216,6 @@ impl RccL2 {
         }
     }
 
-    fn defer(&mut self, req: ReqMsg) {
-        self.deferred_count += 1;
-        self.deferred.entry(req.line).or_default().push_back(req);
-    }
-
     /// Inserts `line` into the tag array, applying the eviction rule of
     /// Section III-D to any displaced victim: `mnow` absorbs its
     /// timestamps and dirty data is written back.
@@ -239,18 +232,8 @@ impl RccL2 {
             .fill(line, meta, data, dirty, |_, _| true)
             .expect("all resident L2 lines are stable and evictable");
         if let Some(ev) = evicted {
-            rcc_common::trace!(
-                "{} evict {} ver={} exp={} -> mnow",
-                self.partition,
-                ev.line.addr,
-                ev.line.state.ver,
-                ev.line.state.exp
-            );
             self.mnow = self.mnow.join(ev.line.state.exp).join(ev.line.state.ver);
-            if ev.line.dirty {
-                self.stats.writebacks += 1;
-                out.dram_writeback.push((ev.line.addr, ev.line.data));
-            }
+            bank::write_back(&mut self.stats, out, ev.line);
         }
     }
 
@@ -324,11 +307,6 @@ impl RccL2 {
         meta.state.lease = self.predictor.on_write(meta.state.lease);
         meta.data.set_word(word, value);
         meta.dirty = true;
-        rcc_common::trace!(
-            "{} write {} from {src} ver->{new_ver}",
-            self.partition,
-            line
-        );
         let seq = self.next_seq();
         self.mint(new_ver);
         out.to_l1.push(RespMsg {
@@ -383,27 +361,13 @@ impl RccL2 {
             },
         });
     }
-
-    fn redispatch_deferred(&mut self, cycle: Cycle, line: LineAddr, out: &mut L2Outbox) {
-        let Some(queue) = self.deferred.remove(&line) else {
-            return;
-        };
-        for req in queue {
-            self.deferred_count -= 1;
-            // Deferred requests target a line that is now resident, so
-            // they cannot be rejected for MSHR capacity.
-            self.handle_req(cycle, req, out)
-                .expect("re-dispatched request cannot miss");
-        }
-    }
 }
 
 impl L2Bank for RccL2 {
     fn handle_req(&mut self, _cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) -> Result<(), ReqMsg> {
         let line = req.line;
 
-        // A line being filled for an atomic (IAV) stalls everything else.
-        if self.mshrs.get(line).is_some_and(L2Entry::is_iav) || self.deferred.contains_key(&line) {
+        if self.must_defer(line) {
             self.defer(req);
             return Ok(());
         }
@@ -411,84 +375,52 @@ impl L2Bank for RccL2 {
         match req.payload {
             ReqPayload::Gets { now, renew_exp } => {
                 self.stats.gets += 1;
-                if self.mshrs.contains(line) {
-                    // IV: merge the reader (Fig. 5, GETS in IV).
-                    let entry = self.mshrs.get_mut(line).expect("checked");
-                    entry.lastrd = entry.lastrd.join(now);
-                    entry.has_read = true;
-                    entry.readers.push((req.src, req.id));
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_gets_hit(req.src, line, now, renew_exp, out);
-                } else {
-                    // I → IV: fetch from DRAM (Fig. 5, GETS in I).
-                    if self.mshrs.is_full() {
+                match bank::route(&self.tags, &mut self.mshrs, &mut self.stats, out, line) {
+                    // IV: merge the reader (Fig. 5, GETS in IV), or
+                    // I → IV: fetch the line (GETS in I).
+                    Route::Mshr(entry) => {
+                        entry.lastrd = entry.lastrd.join(now);
+                        entry.has_read = true;
+                        entry.readers.push((req.src, req.id));
+                    }
+                    Route::Hit => self.serve_gets_hit(req.src, line, now, renew_exp, out),
+                    Route::Full => {
                         self.stats.gets -= 1;
                         return Err(req);
                     }
-                    let entry = L2Entry {
-                        lastrd: now,
-                        has_read: true,
-                        readers: vec![(req.src, req.id)],
-                        ..L2Entry::default()
-                    };
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
                 }
             }
             ReqPayload::Write { now, word, value } => {
                 let now = self.chaos_bump(now);
                 self.stats.writes += 1;
-                if self.mshrs.contains(line) {
-                    // IV: merge the write; ack immediately with
-                    // ver = max(lastwr, mnow) — the store does not wait
-                    // for DRAM (Section III-D).
-                    let entry = self.mshrs.get_mut(line).expect("checked");
-                    entry.lastwr = entry.lastwr.join(now);
-                    entry.has_write = true;
-                    entry.merged_writes.push((word, value));
-                    // mnow may equal an evicted lease's expiration, at
-                    // which remote copies are still readable — the write
-                    // must land strictly past it (rule 3).
-                    let ver = entry.lastwr.join(self.mnow.succ());
-                    let seq = self.next_seq();
-                    self.mint(ver);
-                    out.to_l1.push(RespMsg {
-                        dst: req.src,
-                        line,
-                        id: req.id,
-                        payload: RespPayload::StoreAck { ver, seq },
-                    });
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_write_hit(req.src, line, req.id, now, word, value, out);
-                } else {
-                    // I → IV with an immediate ack.
-                    if self.mshrs.is_full() {
+                match bank::route(&self.tags, &mut self.mshrs, &mut self.stats, out, line) {
+                    // IV: merge the write, or I → IV: fetch the line. Ack
+                    // at once with ver = max(lastwr, mnow) — the store
+                    // does not wait for DRAM (Section III-D). mnow may
+                    // equal an evicted lease's expiration, at which
+                    // remote copies are still readable — the write must
+                    // land strictly past it (rule 3).
+                    Route::Mshr(entry) => {
+                        entry.lastwr = entry.lastwr.join(now);
+                        entry.has_write = true;
+                        entry.merged_writes.push((word, value));
+                        let ver = entry.lastwr.join(self.mnow.succ());
+                        let seq = self.next_seq();
+                        self.mint(ver);
+                        out.to_l1.push(RespMsg {
+                            dst: req.src,
+                            line,
+                            id: req.id,
+                            payload: RespPayload::StoreAck { ver, seq },
+                        });
+                    }
+                    Route::Hit => {
+                        self.serve_write_hit(req.src, line, req.id, now, word, value, out);
+                    }
+                    Route::Full => {
                         self.stats.writes -= 1;
                         return Err(req);
                     }
-                    let entry = L2Entry {
-                        lastwr: now,
-                        has_write: true,
-                        merged_writes: vec![(word, value)],
-                        ..L2Entry::default()
-                    };
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
-                    let ver = now.join(self.mnow.succ());
-                    let seq = self.next_seq();
-                    self.mint(ver);
-                    out.to_l1.push(RespMsg {
-                        dst: req.src,
-                        line,
-                        id: req.id,
-                        payload: RespPayload::StoreAck { ver, seq },
-                    });
                 }
             }
             ReqPayload::Atomic { now, word, op } => {
@@ -498,31 +430,26 @@ impl L2Bank for RccL2 {
                     // Fig. 5: ATOMIC in IV stalls.
                     self.stats.atomics -= 1;
                     self.defer(req);
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_atomic_hit(req.src, line, req.id, now, word, op, out);
-                } else {
+                    return Ok(());
+                }
+                match bank::route(&self.tags, &mut self.mshrs, &mut self.stats, out, line) {
                     // I → IAV (Fig. 5, ATOMIC in I).
-                    if self.mshrs.is_full() {
-                        self.stats.atomics -= 1;
-                        return Err(req);
-                    }
-                    let entry = L2Entry {
-                        lastwr: now,
-                        has_write: true,
-                        atomic: Some(PendingAtomic {
+                    Route::Mshr(entry) => {
+                        entry.lastwr = now;
+                        entry.has_write = true;
+                        entry.atomic = Some(PendingAtomic {
                             src: req.src,
                             id: req.id,
                             word,
                             op,
                             now,
-                        }),
-                        ..L2Entry::default()
-                    };
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
+                        });
+                    }
+                    Route::Hit => self.serve_atomic_hit(req.src, line, req.id, now, word, op, out),
+                    Route::Full => {
+                        self.stats.atomics -= 1;
+                        return Err(req);
+                    }
                 }
             }
             ReqPayload::InvAck
@@ -624,8 +551,8 @@ impl L2Bank for RccL2 {
     fn tick(&mut self, _cycle: Cycle, _out: &mut L2Outbox) {}
 
     fn set_chaos(&mut self, hook: Box<dyn PerturbPoint>) {
-        // Deliberately NOT forwarded to `self.mshrs`: deferred requests
-        // are re-dispatched under a "cannot be rejected" invariant.
+        // Deliberately NOT forwarded to `self.mshrs` (see
+        // `L2Bank::set_chaos`).
         self.chaos = Some(hook);
     }
 
@@ -661,5 +588,20 @@ impl L2Bank for RccL2 {
 
     fn stats(&self) -> &L2Stats {
         &self.stats
+    }
+}
+
+impl Deferral for RccL2 {
+    /// A line being filled for an atomic (IAV) stalls everything else.
+    fn is_blocked(&self, line: LineAddr) -> bool {
+        self.mshrs.get(line).is_some_and(L2Entry::is_iav)
+    }
+
+    fn deferred(&self) -> &FxHashMap<LineAddr, VecDeque<ReqMsg>> {
+        &self.deferred
+    }
+
+    fn deferred_mut(&mut self) -> (&mut FxHashMap<LineAddr, VecDeque<ReqMsg>>, &mut usize) {
+        (&mut self.deferred, &mut self.deferred_count)
     }
 }

@@ -2,6 +2,7 @@
 //! store disciplines (stall-until-expiry for TC-Strong, eager-with-GWCT
 //! for TC-Weak).
 
+use crate::bank::{self, Deferral, Route};
 use crate::msg::{ReqMsg, ReqPayload, RespMsg, RespPayload};
 use crate::protocol::{L2Bank, L2Outbox, L2Stats};
 use crate::tc::StoreDiscipline;
@@ -75,18 +76,15 @@ impl TcL2 {
         params: TcParams,
         discipline: StoreDiscipline,
     ) -> Self {
+        let (tags, mshrs) = bank::arrays(cfg);
         TcL2 {
             partition,
             lease: params.lease_cycles,
             lease_min: params.lease_min,
             lease_max: params.lease_max,
             discipline,
-            tags: TagArray::with_stride(
-                cfg.l2.partition.num_sets(),
-                cfg.l2.partition.ways,
-                cfg.l2.num_partitions as u64,
-            ),
-            mshrs: MshrFile::new(cfg.l2.partition.mshrs, cfg.l2.partition.mshr_merge),
+            tags,
+            mshrs,
             waiting: BTreeMap::new(),
             deferred: FxHashMap::default(),
             blocked_lines: FxHashMap::default(),
@@ -134,14 +132,18 @@ impl TcL2 {
         match evicted {
             Ok(Some(ev)) => {
                 self.max_evicted_exp = self.max_evicted_exp.join(ev.line.state.exp);
-                if ev.line.dirty {
-                    self.stats.writebacks += 1;
-                    out.dram_writeback.push((ev.line.addr, ev.line.data));
-                }
+                bank::write_back(&mut self.stats, out, ev.line);
                 true
             }
             Ok(None) => true,
             Err(()) => false,
+        }
+    }
+
+    fn serve_hit(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) {
+        match &req.payload {
+            ReqPayload::Gets { .. } => self.serve_gets_hit(cycle, &req, out),
+            _ => self.serve_write_hit(cycle, req, out),
         }
     }
 
@@ -272,89 +274,23 @@ impl TcL2 {
             _ => self.apply_write(cycle, &req, out),
         }
     }
-
-    fn redispatch_deferred(&mut self, cycle: Cycle, line: LineAddr, out: &mut L2Outbox) {
-        if self.blocked_lines.contains_key(&line) {
-            return;
-        }
-        let Some(mut queue) = self.deferred.remove(&line) else {
-            return;
-        };
-        while let Some(req) = queue.pop_front() {
-            self.deferred_count -= 1;
-            self.handle_req(cycle, req, out)
-                .expect("re-dispatched request cannot be rejected");
-            if self.blocked_lines.contains_key(&line) {
-                // The replayed write parked again; keep the rest deferred
-                // (handle_req may already have re-created the queue).
-                while let Some(rest) = queue.pop_back() {
-                    self.deferred.entry(line).or_default().push_front(rest);
-                }
-                return;
-            }
-        }
-    }
 }
 
 impl L2Bank for TcL2 {
     fn handle_req(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) -> Result<(), ReqMsg> {
         let line = req.line;
         // Order behind a parked store or earlier deferred requests.
-        if self.blocked_lines.contains_key(&line) || self.deferred.contains_key(&line) {
-            self.deferred_count += 1;
-            self.deferred.entry(line).or_default().push_back(req);
+        if self.must_defer(line) {
+            self.defer(req);
             return Ok(());
         }
         match &req.payload {
-            ReqPayload::Gets { .. } => {
-                self.stats.gets += 1;
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .queued
-                        .push_back(req);
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_gets_hit(cycle, &req, out);
-                } else {
-                    if self.mshrs.is_full() {
-                        self.stats.gets -= 1;
-                        return Err(req);
-                    }
-                    let mut entry = TcEntry::default();
-                    entry.queued.push_back(req);
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
-                }
-            }
-            ReqPayload::Write { .. } | ReqPayload::Atomic { .. } => {
-                if matches!(req.payload, ReqPayload::Write { .. }) {
-                    self.stats.writes += 1;
-                } else {
-                    self.stats.atomics += 1;
-                }
-                if self.mshrs.contains(line) {
-                    self.mshrs
-                        .get_mut(line)
-                        .expect("checked")
-                        .queued
-                        .push_back(req);
-                } else if self.tags.probe(line).is_some() {
-                    self.serve_write_hit(cycle, req, out);
-                } else {
-                    if self.mshrs.is_full() {
-                        return Err(req);
-                    }
-                    let mut entry = TcEntry::default();
-                    entry.queued.push_back(req);
-                    self.mshrs
-                        .allocate(line, entry)
-                        .expect("capacity checked above");
-                    self.stats.dram_fetches += 1;
-                    out.dram_fetch.push(line);
+            ReqPayload::Gets { .. } | ReqPayload::Write { .. } | ReqPayload::Atomic { .. } => {
+                bank::count(&mut self.stats, &req.payload);
+                match bank::route(&self.tags, &mut self.mshrs, &mut self.stats, out, line) {
+                    Route::Mshr(entry) => entry.queued.push_back(req),
+                    Route::Hit => self.serve_hit(cycle, req, out),
+                    Route::Full => return bank::refuse(&mut self.stats, req),
                 }
             }
             ReqPayload::InvAck
@@ -404,8 +340,8 @@ impl L2Bank for TcL2 {
     }
 
     fn set_chaos(&mut self, hook: Box<dyn PerturbPoint>) {
-        // Deliberately NOT forwarded to `self.mshrs`: deferred requests
-        // are re-dispatched under a "cannot be rejected" invariant.
+        // Deliberately NOT forwarded to `self.mshrs` (see
+        // `L2Bank::set_chaos`).
         self.chaos = Some(hook);
     }
 
@@ -458,16 +394,26 @@ impl TcL2 {
         // reader that arrived after a write observes it. A TCS write may
         // park against the inherited expiration, deferring the remainder.
         for req in queued {
-            if self.blocked_lines.contains_key(&line) {
-                self.deferred_count += 1;
-                self.deferred.entry(line).or_default().push_back(req);
-                continue;
-            }
-            match &req.payload {
-                ReqPayload::Gets { .. } => self.serve_gets_hit(cycle, &req, out),
-                _ => self.serve_write_hit(cycle, req, out),
+            if self.is_blocked(line) {
+                self.defer(req);
+            } else {
+                self.serve_hit(cycle, req, out);
             }
         }
         self.redispatch_deferred(cycle, line, out);
+    }
+}
+
+impl Deferral for TcL2 {
+    fn is_blocked(&self, line: LineAddr) -> bool {
+        self.blocked_lines.contains_key(&line)
+    }
+
+    fn deferred(&self) -> &FxHashMap<LineAddr, VecDeque<ReqMsg>> {
+        &self.deferred
+    }
+
+    fn deferred_mut(&mut self) -> (&mut FxHashMap<LineAddr, VecDeque<ReqMsg>>, &mut usize) {
+        (&mut self.deferred, &mut self.deferred_count)
     }
 }

@@ -57,9 +57,9 @@ impl<E> MshrFile<E> {
 
     /// Installs a perturbation hook (see [`Site::MshrSqueeze`]). Only
     /// safe on files whose callers tolerate rejection on *every*
-    /// allocate/merge path — L1 controllers do; L2 banks re-dispatch
-    /// deferred requests with `expect(no rejection)` and must not be
-    /// squeezed.
+    /// allocate/merge path — L1 controllers do; L2 banks retry a
+    /// deferred request that found the file full only when a DRAM fill
+    /// frees an entry, and must not be squeezed.
     pub fn set_chaos(&mut self, hook: Box<dyn PerturbPoint>) {
         self.chaos = Some(hook);
     }

@@ -635,14 +635,10 @@ fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
         })
     }));
     match res {
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker slice panicked".into());
-            QuantumOutcome::Failed(JobError::internal("panic", msg))
-        }
+        Err(payload) => QuantumOutcome::Failed(JobError::internal(
+            "panic",
+            rcc_common::unwind::panic_reason(payload.as_ref()),
+        )),
         Ok(Err(e)) => QuantumOutcome::Failed(JobError::from_sim(&e)),
         Ok(Ok(outcome)) => outcome,
     }

@@ -1157,7 +1157,6 @@ impl<P: Protocol> System<P> {
                 }
             }
             RolloverState::Draining => {
-                rcc_common::trace!("rollover: system drained at {}, resetting", self.cycle);
                 for (p, l2) in self.l2s.iter_mut().enumerate() {
                     if let Some(obs) = &mut self.obs {
                         if obs.tracing() {

@@ -68,6 +68,21 @@ fn mesi_wb_fill_replay_preserves_arrival_order() {
     }
 }
 
+/// MESI and MESI-WB once panicked on lud (standard scale, 16 cores,
+/// seed 7): a store deferred behind the recall of its line was
+/// re-dispatched after the recall evicted the line, with the L2 MSHR
+/// file full. It now waits for a fill to free an entry.
+#[test]
+fn mesi_deferred_store_on_a_recalled_line_waits_for_an_mshr() {
+    let mut cfg = GpuConfig::small();
+    cfg.num_cores = 16;
+    let wl = Benchmark::Lud.generate(&cfg, &Scale::standard(), 7);
+    for kind in [ProtocolKind::Mesi, ProtocolKind::MesiWb] {
+        let m = simulate(kind, &cfg, &wl, &SimOptions::checked());
+        assert_eq!(m.sc_violations, 0, "{kind:?}");
+    }
+}
+
 /// SC-IDEAL's magic invalidation once missed fetches in flight: the
 /// fill re-installed pre-write data and a later load hit the stale
 /// copy, showing the forbidden mp outcome under a nominally SC
