@@ -83,7 +83,6 @@ fn rcc_protocol_fsm(c: &mut Criterion) {
     use rcc_core::msg::{Access, AccessKind};
     use rcc_core::protocol::{L1Cache, L1Outbox, L2Bank, L2Outbox, Protocol};
     use rcc_core::rcc::RccProtocol;
-    use rcc_mem::LineData;
     let cfg = GpuConfig::small();
     let protocol = RccProtocol::sequential(&cfg);
     let mut group = c.benchmark_group("rcc_fsm");
@@ -116,7 +115,7 @@ fn rcc_protocol_fsm(c: &mut Criterion) {
                     let _ = l2.handle_req(cycle, req, &mut l2out);
                     for line in l2out.dram_fetch {
                         let mut fill = L2Outbox::new();
-                        l2.handle_dram(cycle, line, LineData::zeroed(), &mut fill);
+                        l2.handle_dram(cycle, line, Box::default(), &mut fill);
                         for resp in fill.to_l1 {
                             let mut o = L1Outbox::new();
                             l1.handle_resp(cycle, resp, &mut o);

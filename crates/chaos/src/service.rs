@@ -120,6 +120,10 @@ pub struct ServiceFaultSpec {
     /// Jobs that panic on their **first** attempt only (the retry
     /// succeeds, proving backoff recovery).
     pub transient_panic_jobs: StrideRule,
+    /// Jobs that panic on their first attempt's first slice that goes on
+    /// from a parked boundary: the retry must replay to that boundary
+    /// from the spec, as recovery after a restart does.
+    pub parked_panic_jobs: StrideRule,
     /// Jobs whose slices wedge on every attempt (watchdog → quarantine).
     pub wedge_jobs: StrideRule,
     /// Absolute journal record indices at which the process "dies"
@@ -139,6 +143,7 @@ impl Default for ServiceFaultSpec {
             slice_panic_p: 0.0,
             panic_jobs: StrideRule::OFF,
             transient_panic_jobs: StrideRule::OFF,
+            parked_panic_jobs: StrideRule::OFF,
             wedge_jobs: StrideRule::OFF,
             kill_at: Vec::new(),
         }
@@ -249,8 +254,9 @@ impl ServiceInjector {
     }
 
     /// The worker fault (if any) for a slice of job `id` on 0-based
-    /// retry `attempt`.
-    pub fn worker_fault(&self, id: u64, attempt: u32) -> WorkerFault {
+    /// retry `attempt`; `parked` says whether the job has parked at a
+    /// boundary yet.
+    pub fn worker_fault(&self, id: u64, attempt: u32, parked: bool) -> WorkerFault {
         if self.spec.wedge_jobs.hits(id) {
             return WorkerFault::Wedge;
         }
@@ -258,6 +264,9 @@ impl ServiceInjector {
             return WorkerFault::Panic;
         }
         if attempt == 0 && self.spec.transient_panic_jobs.hits(id) {
+            return WorkerFault::Panic;
+        }
+        if attempt == 0 && parked && self.spec.parked_panic_jobs.hits(id) {
             return WorkerFault::Panic;
         }
         let key = (id << 8) ^ attempt as u64;
@@ -305,13 +314,39 @@ mod tests {
     #[test]
     fn stride_rules_are_deterministic() {
         let inj = ServiceInjector::new(ServiceFaultSpec::flaky_workers(3));
-        assert_eq!(inj.worker_fault(5, 0), WorkerFault::Panic);
-        assert_eq!(inj.worker_fault(5, 3), WorkerFault::Panic, "every attempt");
-        assert_eq!(inj.worker_fault(7, 0), WorkerFault::Panic, "transient");
+        assert_eq!(inj.worker_fault(5, 0, false), WorkerFault::Panic);
+        assert_eq!(
+            inj.worker_fault(5, 3, true),
+            WorkerFault::Panic,
+            "every attempt"
+        );
+        assert_eq!(
+            inj.worker_fault(7, 0, false),
+            WorkerFault::Panic,
+            "transient"
+        );
         // Job 7 (residue 7 mod 23) recovers on retry unless the
         // probabilistic draw also fires; with p=0.02 pick a seed where
         // it does not.
-        assert_eq!(inj.worker_fault(7, 1), WorkerFault::None);
+        assert_eq!(inj.worker_fault(7, 1, false), WorkerFault::None);
+    }
+
+    #[test]
+    fn parked_panics_wait_for_a_boundary_and_fire_once() {
+        let inj = ServiceInjector::new(ServiceFaultSpec {
+            parked_panic_jobs: StrideRule {
+                stride: 1,
+                residue: 0,
+            },
+            ..ServiceFaultSpec::default()
+        });
+        assert_eq!(
+            inj.worker_fault(4, 0, false),
+            WorkerFault::None,
+            "first slice"
+        );
+        assert_eq!(inj.worker_fault(4, 0, true), WorkerFault::Panic);
+        assert_eq!(inj.worker_fault(4, 1, true), WorkerFault::None, "the retry");
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub(crate) fn route<'a, S, E: Default>(
 /// GETS is un-counted, as its retry counts it again; a write or atomic
 /// stays counted once per attempt. `l2.writes` and `l2.atomics` are in
 /// the metrics digest, so that count is part of the pinned results.
-#[allow(clippy::result_large_err)] // the hand-back of `L2Bank::handle_req`
 pub(crate) fn refuse(stats: &mut L2Stats, req: ReqMsg) -> Result<(), ReqMsg> {
     if matches!(req.payload, ReqPayload::Gets { .. }) {
         stats.gets -= 1;

@@ -406,7 +406,7 @@ impl IdealL2 {
         }
     }
 
-    fn fill_line(&mut self, line: LineAddr, data: LineData, dirty: bool, out: &mut L2Outbox) {
+    fn fill_line(&mut self, line: LineAddr, data: Box<LineData>, dirty: bool, out: &mut L2Outbox) {
         let evicted = self
             .tags
             .fill(line, 0, data, dirty, |_, _| true)
@@ -435,7 +435,7 @@ impl IdealL2 {
                     line,
                     id: req.id,
                     payload: RespPayload::Data {
-                        data: l.data.clone(),
+                        data: l.data.boxed(),
                         ver: Timestamp(cycle.raw()),
                         exp: Timestamp(u64::MAX),
                         seq: 0,
@@ -501,7 +501,7 @@ impl L2Bank for IdealL2 {
         &mut self,
         cycle: Cycle,
         line: LineAddr,
-        mut data: LineData,
+        mut data: Box<LineData>,
         out: &mut L2Outbox,
     ) {
         let entry = self

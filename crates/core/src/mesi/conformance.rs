@@ -8,7 +8,6 @@ use rcc_common::addr::LineAddr;
 use rcc_common::config::GpuConfig;
 use rcc_common::ids::{CoreId, PartitionId};
 use rcc_common::time::{Cycle, Timestamp};
-use rcc_mem::LineData;
 
 fn cfg() -> GpuConfig {
     GpuConfig::small()
@@ -59,7 +58,7 @@ fn inv_ack(src: usize) -> ReqMsg {
 fn make_resident(b: &mut MesiL2, readers: &[usize]) {
     let mut out = L2Outbox::new();
     b.handle_req(Cycle(0), gets(readers[0]), &mut out).unwrap();
-    b.handle_dram(Cycle(0), line(), LineData::zeroed(), &mut L2Outbox::new());
+    b.handle_dram(Cycle(0), line(), Box::default(), &mut L2Outbox::new());
     for r in &readers[1..] {
         b.handle_req(Cycle(0), gets(*r), &mut L2Outbox::new())
             .unwrap();

@@ -49,7 +49,7 @@ struct PendingInv {
 #[derive(Debug, Clone)]
 struct PendingFill {
     line: LineAddr,
-    data: LineData,
+    data: Box<LineData>,
     queued: VecDeque<ReqMsg>,
 }
 
@@ -132,7 +132,7 @@ impl MesiL2 {
             line: req.line,
             id: req.id,
             payload: RespPayload::Data {
-                data: line.data.clone(),
+                data: line.data.boxed(),
                 ver: Timestamp(cycle.raw()),
                 exp: Timestamp(u64::MAX),
                 seq,
@@ -251,23 +251,18 @@ impl MesiL2 {
         &mut self,
         cycle: Cycle,
         line: LineAddr,
-        data: LineData,
+        data: Box<LineData>,
         queued: VecDeque<ReqMsg>,
         out: &mut L2Outbox,
     ) {
-        let blocked: Vec<LineAddr> = self
-            .pending_inv
-            .keys()
-            .chain(self.recalls.keys())
-            .copied()
-            .collect();
-        let attempt = self.tags.fill(
-            line,
-            Directory::default(),
-            data.clone(),
-            false,
-            |addr, d| d.sharers == 0 && !blocked.contains(&addr),
-        );
+        let (pending_inv, recalls) = (&self.pending_inv, &self.recalls);
+        let blocked =
+            |addr: LineAddr| pending_inv.contains_key(&addr) || recalls.contains_key(&addr);
+        let attempt = self
+            .tags
+            .fill(line, Directory::default(), data, false, |addr, d| {
+                d.sharers == 0 && !blocked(addr)
+            });
         match attempt {
             Ok(evicted) => {
                 if let Some(ev) = evicted {
@@ -276,13 +271,13 @@ impl MesiL2 {
                 }
                 self.replay_queued(cycle, line, queued, out);
             }
-            Err(()) => {
+            Err(data) => {
                 // Every candidate way holds a shared line: recall the LRU
                 // one. The victim stays resident (busy) and the fill waits
                 // for the acks — the directory-protocol cost RCC avoids.
                 let victim = self
                     .tags
-                    .peek_victim(line, |addr, _| !blocked.contains(&addr))
+                    .peek_victim(line, |addr, _| !blocked(addr))
                     .map(|v| (v.addr, v.state.all()));
                 let Some((victim_addr, targets)) = victim else {
                     // All ways transiently busy; retry next cycle.
@@ -380,7 +375,13 @@ impl L2Bank for MesiL2 {
         Ok(())
     }
 
-    fn handle_dram(&mut self, cycle: Cycle, line: LineAddr, data: LineData, out: &mut L2Outbox) {
+    fn handle_dram(
+        &mut self,
+        cycle: Cycle,
+        line: LineAddr,
+        data: Box<LineData>,
+        out: &mut L2Outbox,
+    ) {
         let entry = self
             .mshrs
             .release(line)

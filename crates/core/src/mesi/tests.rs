@@ -524,7 +524,6 @@ mod wb {
         use rcc_common::config::GpuConfig;
         use rcc_common::ids::{CoreId, PartitionId};
         use rcc_common::time::{Cycle, Timestamp};
-        use rcc_mem::LineData;
 
         fn bank() -> MesiWbL2 {
             let cfg = GpuConfig::small();
@@ -580,7 +579,7 @@ mod wb {
                 b.handle_req(Cycle(0), getx(i % 4, v), &mut out).unwrap();
                 assert_eq!(out.dram_fetch, vec![LineAddr(v)]);
                 let mut out = L2Outbox::new();
-                b.handle_dram(Cycle(0), LineAddr(v), LineData::zeroed(), &mut out);
+                b.handle_dram(Cycle(0), LineAddr(v), Box::default(), &mut out);
                 assert!(
                     out.to_l1
                         .iter()
@@ -597,7 +596,7 @@ mod wb {
             // The fill arrives but every way is a tracked owner: the L2
             // must recall a victim and park the fill.
             let mut out = L2Outbox::new();
-            b.handle_dram(Cycle(2), LineAddr(0), LineData::zeroed(), &mut out);
+            b.handle_dram(Cycle(2), LineAddr(0), Box::default(), &mut out);
             let recall: Vec<&RespMsg> = out
                 .to_l1
                 .iter()
@@ -624,7 +623,7 @@ mod wb {
                     line: recalled_line,
                     id: ReqId(0),
                     payload: ReqPayload::WbData {
-                        data: LineData::zeroed(),
+                        data: Box::default(),
                         last_seq: 0,
                     },
                 },
@@ -671,7 +670,7 @@ mod wb {
             for v in (1..=ways).map(|i| i * sets) {
                 let mut out = L2Outbox::new();
                 b.handle_req(Cycle(0), gets(1, v), &mut out).unwrap();
-                b.handle_dram(Cycle(0), LineAddr(v), LineData::zeroed(), &mut out);
+                b.handle_dram(Cycle(0), LineAddr(v), Box::default(), &mut out);
             }
             let mut out = L2Outbox::new();
             b.handle_req(Cycle(1), gets(0, 0), &mut out).unwrap();
@@ -679,7 +678,7 @@ mod wb {
 
             // The fill must invalidate a victim's sharer first.
             let mut out = L2Outbox::new();
-            b.handle_dram(Cycle(2), LineAddr(0), LineData::zeroed(), &mut out);
+            b.handle_dram(Cycle(2), LineAddr(0), Box::default(), &mut out);
             let invs: Vec<&RespMsg> = out
                 .to_l1
                 .iter()

@@ -125,7 +125,7 @@ impl MesiWbL1 {
         &mut self,
         line: LineAddr,
         meta: WbMeta,
-        data: LineData,
+        data: Box<LineData>,
         dirty: bool,
         out: &mut L1Outbox,
     ) {
@@ -142,7 +142,7 @@ impl MesiWbL1 {
                     line: ev.line.addr,
                     id: ReqId(0),
                     payload: ReqPayload::WbData {
-                        data: ev.line.data,
+                        data: Box::new(ev.line.data),
                         last_seq: ev.line.state.fill_seq,
                     },
                 });
@@ -432,7 +432,7 @@ impl L1Cache for MesiWbL1 {
                             line,
                             id: ReqId(0),
                             payload: ReqPayload::WbData {
-                                data: l.data,
+                                data: Box::new(l.data),
                                 last_seq: l.state.fill_seq,
                             },
                         });
@@ -537,11 +537,10 @@ struct WbL2Entry {
 #[derive(Debug, Clone)]
 struct PendingFill {
     line: LineAddr,
-    data: LineData,
+    data: Box<LineData>,
     queued: VecDeque<ReqMsg>,
 }
 
-#[allow(clippy::large_enum_variant)] // PendingFill carries a line; Txns are few
 #[derive(Debug, Clone)]
 enum Txn {
     /// Invalidating sharers before serving `op` (GETX or atomic).
@@ -647,7 +646,7 @@ impl MesiWbL2 {
                     line: req.line,
                     id: req.id,
                     payload: RespPayload::Data {
-                        data: l.data.clone(),
+                        data: l.data.boxed(),
                         ver: Timestamp(cycle.raw()),
                         exp: Timestamp(u64::MAX),
                         seq,
@@ -684,7 +683,7 @@ impl MesiWbL2 {
             line: req.line,
             id: req.id,
             payload: RespPayload::DataEx {
-                data: l.data.clone(),
+                data: l.data.boxed(),
                 seq,
             },
         });
@@ -814,20 +813,20 @@ impl MesiWbL2 {
         &mut self,
         cycle: Cycle,
         line: LineAddr,
-        data: LineData,
+        data: Box<LineData>,
         queued: VecDeque<ReqMsg>,
         out: &mut L2Outbox,
     ) {
-        let blocked: Vec<LineAddr> = self.txns.keys().copied().collect();
+        let txns = &self.txns;
         // Prefer victims with no tracked copies at all.
         let attempt = self.tags.fill(
             line,
             WbDir {
                 state: DirState::Shared(0),
             },
-            data.clone(),
+            data,
             false,
-            |addr, d| matches!(d.state, DirState::Shared(0)) && !blocked.contains(&addr),
+            |addr, d| matches!(d.state, DirState::Shared(0)) && !txns.contains_key(&addr),
         );
         match attempt {
             Ok(evicted) => {
@@ -836,12 +835,12 @@ impl MesiWbL2 {
                 }
                 self.replay_queued(cycle, line, queued, out);
             }
-            Err(()) => {
+            Err(data) => {
                 // Recall a tracked victim: Shared sharers get Inv (acks
                 // only); a Modified owner must return its data.
                 let victim = self
                     .tags
-                    .peek_victim(line, |addr, _| !blocked.contains(&addr))
+                    .peek_victim(line, |addr, _| !txns.contains_key(&addr))
                     .map(|v| (v.addr, v.state.state));
                 self.filling.insert(line);
                 let Some((victim_addr, state)) = victim else {
@@ -951,7 +950,7 @@ impl MesiWbL2 {
         cycle: Cycle,
         src: CoreId,
         line: LineAddr,
-        data: LineData,
+        data: Box<LineData>,
         out: &mut L2Outbox,
     ) {
         // Always acknowledge so the writer can clear its in-flight set.
@@ -969,7 +968,7 @@ impl MesiWbL2 {
             }) => {
                 self.stats.store_stall_cycles += cycle.raw().saturating_sub(started.raw());
                 if let Some(l) = self.tags.access(line) {
-                    l.data = data;
+                    l.data = *data;
                     l.dirty = true;
                     l.state.state = DirState::Shared(0);
                 }
@@ -990,7 +989,7 @@ impl MesiWbL2 {
             None => {
                 // Voluntary writeback.
                 if let Some(l) = self.tags.access(line) {
-                    l.data = data;
+                    l.data = *data;
                     l.dirty = true;
                     l.state.state = DirState::Shared(0);
                 }
@@ -1002,7 +1001,7 @@ impl MesiWbL2 {
 impl L2Bank for MesiWbL2 {
     fn handle_req(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) -> Result<(), ReqMsg> {
         let line = req.line;
-        match &req.payload {
+        match req.payload {
             ReqPayload::InvAck => {
                 self.handle_inv_ack(cycle, line, out);
                 return Ok(());
@@ -1010,8 +1009,7 @@ impl L2Bank for MesiWbL2 {
             ReqPayload::WbData { data, last_seq } => {
                 // Post-recall services must order after the owner's
                 // local stores.
-                self.seq = self.seq.max(*last_seq);
-                let data = data.clone();
+                self.seq = self.seq.max(last_seq);
                 self.handle_wb_data(cycle, req.src, line, data, out);
                 return Ok(());
             }
@@ -1039,7 +1037,13 @@ impl L2Bank for MesiWbL2 {
         Ok(())
     }
 
-    fn handle_dram(&mut self, cycle: Cycle, line: LineAddr, data: LineData, out: &mut L2Outbox) {
+    fn handle_dram(
+        &mut self,
+        cycle: Cycle,
+        line: LineAddr,
+        data: Box<LineData>,
+        out: &mut L2Outbox,
+    ) {
         let entry = self
             .mshrs
             .release(line)

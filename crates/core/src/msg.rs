@@ -181,10 +181,6 @@ pub struct ReqMsg {
 }
 
 /// Request payloads (Fig. 5 left column plus baseline-protocol messages).
-///
-/// `WbData` carries a full line (like [`RespPayload::Data`]); requests
-/// are moved, not stored in bulk, so the size variance is acceptable.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReqPayload {
     /// Read request. `renew_exp` carries the expiration of an expired lease
@@ -227,8 +223,8 @@ pub enum ReqPayload {
     /// A dirty line written back to the L2 — voluntarily on eviction or
     /// in answer to a [`RespPayload::Recall`] (MESI-WB only).
     WbData {
-        /// The dirty line contents.
-        data: LineData,
+        /// The dirty line contents, boxed so the request stays small.
+        data: Box<LineData>,
         /// The owner's last write slot for this line; the directory
         /// absorbs it into its service counter so post-recall services
         /// order after every local store.
@@ -280,16 +276,14 @@ pub struct RespMsg {
 
 /// Response payloads (Fig. 5 right column plus baseline-protocol messages).
 ///
-/// `Data` dominates the size (a full 128-byte line), mirroring the real
-/// traffic asymmetry; responses are moved, not stored in bulk, so the
-/// variance is acceptable.
-#[allow(clippy::large_enum_variant)]
+/// The line of `Data` and `DataEx` is boxed: the NoC bills it 34 flits,
+/// but the simulator moves only a pointer at each hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RespPayload {
     /// Full line of data with its version and lease expiration.
     Data {
         /// Line contents.
-        data: LineData,
+        data: Box<LineData>,
         /// Last-write logical time (RCC) / bank service time (TC, MESI).
         ver: Timestamp,
         /// Lease expiration granted to this reader.
@@ -329,7 +323,7 @@ pub enum RespPayload {
     /// Exclusive data grant: the line plus write ownership (MESI-WB).
     DataEx {
         /// Line contents.
-        data: LineData,
+        data: Box<LineData>,
         /// Directory service slot (sub-cycle ordering).
         seq: u64,
     },
@@ -461,6 +455,53 @@ mod tests {
         assert_eq!(flits_for(MsgClass::StoreAck, 4, 8), 2);
         assert_eq!(flits_for(MsgClass::AtomicReq, 4, 8), 3);
         assert_eq!(flits_for(MsgClass::Inv, 4, 8), 2);
+    }
+
+    #[test]
+    fn messages_carry_their_line_by_reference() {
+        // A message moves by value through the outbox, the NoC lane, the
+        // delivery buffer and the L2 delay pipe; an inline 256-byte line
+        // made those moves most of the engine's copying.
+        let (req, resp) = (size_of::<ReqMsg>(), size_of::<RespMsg>());
+        assert!(req <= 64, "ReqMsg is {req} bytes; box any line it carries");
+        assert!(
+            resp <= 64,
+            "RespMsg is {resp} bytes; box any line it carries"
+        );
+    }
+
+    #[test]
+    fn boxed_line_payloads_keep_their_debug_text() {
+        // `state_digest` hashes this text, so boxing must not change it.
+        let mut line = LineData::zeroed();
+        line.set_word(3, 7);
+        line.set_word(31, 0xbeef);
+        let data = RespPayload::Data {
+            data: line.boxed(),
+            ver: Timestamp(5),
+            exp: Timestamp(9),
+            seq: 2,
+        };
+        assert_eq!(
+            format!("{data:?}"),
+            "Data { data: {3: 7, 31: 48879}, ver: Timestamp(5), exp: Timestamp(9), seq: 2 }"
+        );
+        let wb = ReqPayload::WbData {
+            data: line.boxed(),
+            last_seq: 4,
+        };
+        assert_eq!(
+            format!("{wb:?}"),
+            "WbData { data: {3: 7, 31: 48879}, last_seq: 4 }"
+        );
+        let ex = RespPayload::DataEx {
+            data: line.boxed(),
+            seq: 6,
+        };
+        assert_eq!(
+            format!("{ex:?}"),
+            "DataEx { data: {3: 7, 31: 48879}, seq: 6 }"
+        );
     }
 
     #[test]

@@ -311,13 +311,17 @@ pub trait L2Bank: std::fmt::Debug {
     /// the bank cannot accept it this cycle (MSHR full / no victim way);
     /// the simulator re-queues the returned message and retries it,
     /// preserving per-source order without ever cloning the payload.
-    /// The `Err` carries the full message by design — boxing it would
-    /// reintroduce a per-reject allocation on the hot path.
-    #[allow(clippy::result_large_err)]
     fn handle_req(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) -> Result<(), ReqMsg>;
 
-    /// Delivers a DRAM fill for `line`.
-    fn handle_dram(&mut self, cycle: Cycle, line: LineAddr, data: LineData, out: &mut L2Outbox);
+    /// Delivers a DRAM fill for `line`: a boxed snapshot of backing
+    /// memory, which the bank moves into its tag array.
+    fn handle_dram(
+        &mut self,
+        cycle: Cycle,
+        line: LineAddr,
+        data: Box<LineData>,
+        out: &mut L2Outbox,
+    );
 
     /// Advances per-cycle state (TC-Strong releases stores whose leases
     /// have expired). Called once per core cycle.

@@ -72,7 +72,7 @@ fn data_resp(ver: u64, exp: u64) -> RespMsg {
         line: line(),
         id: ReqId(0),
         payload: RespPayload::Data {
-            data: LineData::zeroed(),
+            data: Box::default(),
             ver: Timestamp(ver),
             exp: Timestamp(exp),
             seq: 1,
@@ -521,7 +521,7 @@ mod l2_table {
         assert!(matches!(out.to_l1[0].payload, RespPayload::StoreAck { .. }));
         // The fill must apply the merged write and serve the reader.
         let mut out = L2Outbox::new();
-        b.handle_dram(Cycle(0), line(), LineData::zeroed(), &mut out);
+        b.handle_dram(Cycle(0), line(), Box::default(), &mut out);
         match &out.to_l1[0].payload {
             RespPayload::Data { data, ver, .. } => {
                 assert_eq!(data.word(0), 5, "merged write visible to the reader");
@@ -545,7 +545,7 @@ mod l2_table {
         assert!(out.to_l1.is_empty() && out.dram_fetch.is_empty());
         // The fill answers the atomic first, then the deferred GETS.
         let mut out = L2Outbox::new();
-        b.handle_dram(Cycle(0), line(), LineData::zeroed(), &mut out);
+        b.handle_dram(Cycle(0), line(), Box::default(), &mut out);
         assert!(matches!(
             out.to_l1[0].payload,
             RespPayload::AtomicResp { .. }

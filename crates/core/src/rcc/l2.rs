@@ -223,7 +223,7 @@ impl RccL2 {
         &mut self,
         line: LineAddr,
         meta: L2Meta,
-        data: LineData,
+        data: Box<LineData>,
         dirty: bool,
         out: &mut L2Outbox,
     ) {
@@ -268,7 +268,7 @@ impl RccL2 {
                 payload: RespPayload::Renew { exp: new_exp },
             });
         } else {
-            let data = meta.data.clone();
+            let data = meta.data.boxed();
             // The service slot orders this read against same-version
             // writes at this bank (footnote 2's physical-arrival order).
             let seq = self.next_seq();
@@ -467,7 +467,7 @@ impl L2Bank for RccL2 {
         &mut self,
         cycle: Cycle,
         line: LineAddr,
-        mut data: LineData,
+        mut data: Box<LineData>,
         out: &mut L2Outbox,
     ) {
         let entry = self

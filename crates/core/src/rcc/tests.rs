@@ -164,7 +164,7 @@ impl Rig {
 
     /// Completes one held-back DRAM fill.
     fn fill_one(&mut self, line: LineAddr) {
-        let data = self.dram.get(&line).cloned().unwrap_or_default();
+        let data = Box::new(self.dram.get(&line).cloned().unwrap_or_default());
         let mut l2out = L2Outbox::new();
         self.l2.handle_dram(self.cycle, line, data, &mut l2out);
         self.route_l2out(l2out);

@@ -11,7 +11,6 @@ use rcc_common::addr::LineAddr;
 use rcc_common::config::GpuConfig;
 use rcc_common::ids::{CoreId, PartitionId, WarpId};
 use rcc_common::time::{Cycle, Timestamp};
-use rcc_mem::LineData;
 
 fn cfg() -> GpuConfig {
     GpuConfig::small() // tc.lease_cycles = 200
@@ -66,7 +65,7 @@ fn make_resident(bank: &mut TcL2, cycle: u64) -> L2Outbox {
         .unwrap();
     assert_eq!(out.dram_fetch.len(), 1);
     let mut fill = L2Outbox::new();
-    bank.handle_dram(Cycle(cycle), line(), LineData::zeroed(), &mut fill);
+    bank.handle_dram(Cycle(cycle), line(), Box::default(), &mut fill);
     fill
 }
 
@@ -153,7 +152,7 @@ fn l1_self_invalidates_at_expiry_without_traffic() {
         bank.handle_req(Cycle(0), req, &mut l2out).unwrap();
     }
     let mut fill = L2Outbox::new();
-    bank.handle_dram(Cycle(0), line(), LineData::zeroed(), &mut fill);
+    bank.handle_dram(Cycle(0), line(), Box::default(), &mut fill);
     let mut out = L1Outbox::new();
     for resp in fill.to_l1 {
         c.handle_resp(Cycle(0), resp, &mut out);
@@ -219,7 +218,7 @@ fn refetched_lines_inherit_the_evicted_lease_bound() {
             &mut out,
         )
         .unwrap();
-        bank.handle_dram(Cycle(6), other, LineData::zeroed(), &mut L2Outbox::new());
+        bank.handle_dram(Cycle(6), other, Box::default(), &mut L2Outbox::new());
     }
     assert!(bank.line_exp(line()).is_none(), "evicted");
     // Refetch: inherited exp ≥ the evicted lease.

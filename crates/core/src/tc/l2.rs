@@ -56,7 +56,7 @@ pub struct TcL2 {
     blocked_lines: FxHashMap<LineAddr, usize>,
     /// Fills whose every candidate way held a line with parked stores;
     /// retried each tick.
-    stalled_fills: Vec<(LineAddr, LineData, VecDeque<ReqMsg>)>,
+    stalled_fills: Vec<(LineAddr, Box<LineData>, VecDeque<ReqMsg>)>,
     deferred_count: usize,
     /// Maximum expiration among evicted lines (the physical-time analogue
     /// of RCC's `mnow`; see module docs in [`crate::tc`]).
@@ -114,30 +114,25 @@ impl TcL2 {
 
     /// Fills `line`, never evicting a line with parked stores.
     ///
-    /// Returns false (and leaves nothing changed) when every candidate
-    /// way is pinned by a parked store; the caller retries later.
-    #[must_use]
+    /// Hands the line back (having changed nothing but the LRU clock)
+    /// when every candidate way is pinned by a parked store; the caller
+    /// retries later.
     fn fill_line(
         &mut self,
         line: LineAddr,
         meta: TcMeta,
-        data: LineData,
-        dirty: bool,
+        data: Box<LineData>,
         out: &mut L2Outbox,
-    ) -> bool {
+    ) -> Result<(), Box<LineData>> {
         let blocked = &self.blocked_lines;
-        let evicted = self.tags.fill(line, meta, data, dirty, |addr, _| {
+        let evicted = self.tags.fill(line, meta, data, false, |addr, _| {
             !blocked.contains_key(&addr)
-        });
-        match evicted {
-            Ok(Some(ev)) => {
-                self.max_evicted_exp = self.max_evicted_exp.join(ev.line.state.exp);
-                bank::write_back(&mut self.stats, out, ev.line);
-                true
-            }
-            Ok(None) => true,
-            Err(()) => false,
+        })?;
+        if let Some(ev) = evicted {
+            self.max_evicted_exp = self.max_evicted_exp.join(ev.line.state.exp);
+            bank::write_back(&mut self.stats, out, ev.line);
         }
+        Ok(())
     }
 
     fn serve_hit(&mut self, cycle: Cycle, req: ReqMsg, out: &mut L2Outbox) {
@@ -171,7 +166,7 @@ impl TcL2 {
             line: req.line,
             id: req.id,
             payload: RespPayload::Data {
-                data: meta.data.clone(),
+                data: meta.data.boxed(),
                 ver: Timestamp(cycle.raw()),
                 exp,
                 seq,
@@ -301,7 +296,13 @@ impl L2Bank for TcL2 {
         Ok(())
     }
 
-    fn handle_dram(&mut self, cycle: Cycle, line: LineAddr, data: LineData, out: &mut L2Outbox) {
+    fn handle_dram(
+        &mut self,
+        cycle: Cycle,
+        line: LineAddr,
+        data: Box<LineData>,
+        out: &mut L2Outbox,
+    ) {
         let entry = self
             .mshrs
             .release(line)
@@ -376,7 +377,7 @@ impl TcL2 {
         &mut self,
         cycle: Cycle,
         line: LineAddr,
-        data: LineData,
+        data: Box<LineData>,
         queued: VecDeque<ReqMsg>,
         out: &mut L2Outbox,
     ) {
@@ -386,7 +387,7 @@ impl TcL2 {
             exp: self.max_evicted_exp,
             lease: self.lease,
         };
-        if !self.fill_line(line, meta, data.clone(), false, out) {
+        if let Err(data) = self.fill_line(line, meta, data, out) {
             self.stalled_fills.push((line, data, queued));
             return;
         }

@@ -23,6 +23,11 @@ impl LineData {
         }
     }
 
+    /// A boxed snapshot of this line, for a message or fill to carry.
+    pub fn boxed(&self) -> Box<LineData> {
+        Box::new(self.clone())
+    }
+
     /// Reads the word at `idx`.
     ///
     /// # Panics
@@ -77,6 +82,15 @@ impl LineData {
 impl Default for LineData {
     fn default() -> Self {
         Self::zeroed()
+    }
+}
+
+/// Unboxes a line carried by a message, so [`crate::TagArray::fill`]
+/// takes an in-flight boxed line and a resident inline one alike.
+impl From<Box<LineData>> for LineData {
+    #[inline]
+    fn from(line: Box<LineData>) -> Self {
+        *line
     }
 }
 

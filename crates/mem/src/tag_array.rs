@@ -127,64 +127,54 @@ impl<S> TagArray<S> {
     ///
     /// Victim preference: an empty way, then the LRU line among those for
     /// which `replaceable(addr, &state)` is true. Returns the displaced
-    /// line, or
-    /// `Err(())` if every candidate way holds a non-replaceable line (the
-    /// caller must stall the fill; this models lines pinned by transient
-    /// coherence states).
+    /// line, or hands `data` back in `Err` if every candidate way holds a
+    /// non-replaceable line (the caller must stall the fill; this models
+    /// lines pinned by transient coherence states). A stalled fill thus
+    /// costs no copy of the line, and a boxed line from a message is
+    /// unboxed only when it lands. The LRU clock advances either way.
     ///
     /// If `addr` is already resident its slot is overwritten in place.
-    #[allow(clippy::result_unit_err)]
-    pub fn fill(
+    // Inlined: a caller that drops the evicted line then skips copying
+    // it out of the slot.
+    #[inline]
+    pub fn fill<D: Into<LineData>>(
         &mut self,
         addr: LineAddr,
         state: S,
-        data: LineData,
+        data: D,
         dirty: bool,
         replaceable: impl Fn(LineAddr, &S) -> bool,
-    ) -> Result<Option<Evicted<S>>, ()> {
+    ) -> Result<Option<Evicted<S>>, D> {
         self.tick += 1;
-        let tick = self.tick;
+        let last_use = self.tick;
         let range = self.set_range(addr);
-        let new_line = Line {
+        let slots = &mut self.slots[range];
+        // Already resident (replaced in place, no eviction), else an
+        // empty way, else the LRU line among the replaceable ones.
+        let way = slots
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|l| l.addr == addr))
+            .or_else(|| slots.iter().position(Option::is_none))
+            .or_else(|| {
+                slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| s.as_ref().map(|l| (i, l)))
+                    .filter(|(_, l)| replaceable(l.addr, &l.state))
+                    .min_by_key(|(_, l)| l.last_use)
+                    .map(|(i, _)| i)
+            });
+        let Some(way) = way else {
+            return Err(data);
+        };
+        let old = slots[way].replace(Line {
             addr,
             state,
-            data,
+            data: data.into(),
             dirty,
-            last_use: tick,
-        };
-
-        // Already resident: replace in place (no eviction).
-        if let Some(slot) = self.slots[range.clone()]
-            .iter_mut()
-            .find(|s| s.as_ref().is_some_and(|l| l.addr == addr))
-        {
-            let old = slot.replace(new_line).expect("slot checked non-empty");
-            return Ok(Some(Evicted { line: old }));
-        }
-
-        // Empty way.
-        if let Some(slot) = self.slots[range.clone()].iter_mut().find(|s| s.is_none()) {
-            *slot = Some(new_line);
-            return Ok(None);
-        }
-
-        // LRU among replaceable lines.
-        let victim_idx = self.slots[range.clone()]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|l| (i, l)))
-            .filter(|(_, l)| replaceable(l.addr, &l.state))
-            .min_by_key(|(_, l)| l.last_use)
-            .map(|(i, _)| i);
-
-        match victim_idx {
-            Some(i) => {
-                let slot = &mut self.slots[range][i];
-                let old = slot.replace(new_line).expect("victim slot non-empty");
-                Ok(Some(Evicted { line: old }))
-            }
-            None => Err(()),
-        }
+            last_use,
+        });
+        Ok(old.map(|line| Evicted { line }))
     }
 
     /// Returns the line that [`Self::fill`] would evict for `addr` among
@@ -333,6 +323,23 @@ mod tests {
     }
 
     #[test]
+    fn failed_fill_hands_the_line_back_and_still_ticks() {
+        let mut a = arr();
+        fill_ok(&mut a, 0, 1);
+        fill_ok(&mut a, 2, 2);
+        let mut line = LineData::zeroed();
+        line.set_word(5, 11);
+        let before = format!("{a:?}");
+        let r = a.fill(LineAddr(4), 3, line.clone(), false, |_, _| false);
+        assert_eq!(r.err(), Some(line));
+        // The LRU clock is part of the hashed state: a stalled fill
+        // advances it exactly as it always has.
+        assert_ne!(format!("{a:?}"), before);
+        assert_eq!(a.tick, 3);
+        assert!(a.probe(LineAddr(4)).is_none());
+    }
+
+    #[test]
     fn invalidate_removes() {
         let mut a = arr();
         fill_ok(&mut a, 0, 5);
@@ -463,8 +470,8 @@ mod tests {
                 prop_assert_eq!(ev.line.addr, LineAddr(lru));
             }
 
-            /// A fill whose set has no replaceable line stalls with
-            /// `Err(())` and modifies nothing.
+            /// A fill whose set has no replaceable line stalls, hands its
+            /// line back in `Err`, and modifies nothing else.
             #[test]
             fn pinned_set_stalls_fills(ways in 1usize..5) {
                 let mut a: TagArray<()> = TagArray::new(1, ways);
@@ -472,8 +479,10 @@ mod tests {
                     a.fill(LineAddr(i), (), LineData::zeroed(), false, |_, _| true)
                         .unwrap();
                 }
-                let r = a.fill(LineAddr(99), (), LineData::zeroed(), false, |_, _| false);
-                prop_assert!(r.is_err());
+                let mut line = LineData::zeroed();
+                line.set_word(3, 7);
+                let r = a.fill(LineAddr(99), (), Box::new(line.clone()), false, |_, _| false);
+                prop_assert_eq!(r.err().map(|b| *b), Some(line));
                 prop_assert_eq!(a.len(), ways);
                 prop_assert!(a.probe(LineAddr(99)).is_none());
             }

@@ -572,7 +572,7 @@ fn job_inputs(
 fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
     if let Some(inj) = &inner.injector {
         if matches!(
-            inj.worker_fault(task.id as u64, task.attempt),
+            inj.worker_fault(task.id as u64, task.attempt, task.parked.is_some()),
             WorkerFault::Wedge
         ) {
             // Injected hang: burn wall-clock until the watchdog (or
@@ -591,7 +591,7 @@ fn run_quantum(inner: &Inner, task: &mut Task) -> QuantumOutcome {
     let res = catch_unwind(AssertUnwindSafe(|| -> Result<QuantumOutcome, SimError> {
         if let Some(inj) = &inner.injector {
             if matches!(
-                inj.worker_fault(task.id as u64, task.attempt),
+                inj.worker_fault(task.id as u64, task.attempt, task.parked.is_some()),
                 WorkerFault::Panic
             ) {
                 panic!(

@@ -1,10 +1,12 @@
 //! Worker supervision under injected faults: crash-looping jobs are
 //! quarantined typed, transient panics recover on a retry with a
-//! byte-identical result, wedged workers are abandoned by the wall-clock
+//! byte-identical result (also after a park, by replaying the journaled
+//! boundary), wedged workers are abandoned by the wall-clock
 //! watchdog and replaced, and a full queue answers with typed overload
 //! and priority-shedding replies instead of blocking or dropping work.
 
 use rcc_chaos::service::{ServiceFaultSpec, StrideRule};
+use rcc_serve::journal::{replay_bytes, Record};
 use rcc_serve::spec::JobSpec;
 use rcc_serve::store::{JobError, JobState, ResultSummary};
 use rcc_serve::{Server, ServerConfig, Submission};
@@ -119,6 +121,74 @@ fn transient_panic_recovers_on_retry_byte_identical() {
     }
     assert_eq!(server.counts().quarantined, 0);
     server.shutdown().expect("clean shutdown");
+}
+
+/// A crash after a park: the job's first attempt parks, then panics on
+/// the slice that goes on from its boundary, which drops the live
+/// machine. The crash is journaled `Retried`, the retry rebuilds the
+/// journaled boundary from the spec and replays to it, and the result
+/// equals a direct run.
+#[test]
+fn a_crash_after_a_park_resumes_from_the_journaled_boundary() {
+    let dir = std::env::temp_dir().join(format!("rcc-supervise-parked-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("parked.rccj");
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        quantum: 2_000,
+        max_attempts: 3,
+        backoff_ms: 1,
+        journal: Some(journal.clone()),
+        faults: Some(ServiceFaultSpec {
+            seed: 4,
+            parked_panic_jobs: StrideRule {
+                stride: 1,
+                residue: 0,
+            },
+            ..ServiceFaultSpec::default()
+        }),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let id = submit(
+        &server,
+        r#"{"version": 1, "protocol": "rcc", "workload": {"kind": "bench", "name": "dlb", "scale": "quick", "seed": 3}}"#,
+    );
+    let rec = server.wait(id).expect("job exists");
+    assert_eq!(rec.state, JobState::Done, "error: {:?}", rec.error);
+    assert_eq!(rec.attempts, 1, "one crash, one retry");
+    let got = rec.summary.expect("done has summary").to_json();
+    let twin = direct_twin(&rec.spec_json).expect("twin runs clean");
+    assert_eq!(got, twin);
+    server.shutdown().expect("clean shutdown");
+
+    let bytes = std::fs::read(&journal).expect("journal");
+    let records = replay_bytes(&bytes).expect("journal replays").records;
+    let parked_at = |r: &Record| match r {
+        Record::Parked { cycle, .. } => Some(*cycle),
+        _ => None,
+    };
+    let crash = records
+        .iter()
+        .position(|r| matches!(r, Record::Retried { attempts: 1, .. }))
+        .expect("the crash is journaled");
+    let before = records[..crash]
+        .iter()
+        .rev()
+        .find_map(parked_at)
+        .expect("the job parked before it crashed");
+    let after = records[crash..]
+        .iter()
+        .find_map(parked_at)
+        .expect("the retry parks again");
+    // A retry that started over would park first at the boundary the
+    // job had already reached.
+    assert!(
+        after > before,
+        "the retry went on from cycle {before}, so its next boundary is past it, got {after}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A wedged slice trips the wall-clock watchdog: the worker is

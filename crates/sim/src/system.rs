@@ -1367,7 +1367,9 @@ impl<P: Protocol> System<P> {
             let lines = self.drams[p].tick(cycle);
             let touched = !lines.is_empty();
             for line in lines {
-                let data = self.memory.get(&line).cloned().unwrap_or_default();
+                // The fill is a snapshot of backing memory; the bank
+                // moves it into its tag array.
+                let data = Box::new(self.memory.get(&line).cloned().unwrap_or_default());
                 let mut out = std::mem::take(&mut self.scratch_l2);
                 self.l2s[p].handle_dram(cycle, line, data, &mut out);
                 self.process_l2_out(p, &mut out, n + 1);

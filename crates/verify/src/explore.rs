@@ -633,7 +633,7 @@ where
                     return Ok(false);
                 }
                 let line = self.dram_q.remove(i);
-                let data = self.dram.get(&line).cloned().unwrap_or_default();
+                let data = Box::new(self.dram.get(&line).cloned().unwrap_or_default());
                 let mut out = L2Outbox::new();
                 self.l2.handle_dram(self.cycle, line, data, &mut out);
                 self.drain_l2(&mut out, spec, hooks)?;
