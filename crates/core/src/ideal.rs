@@ -15,9 +15,10 @@
 
 use crate::bank::{self, Route};
 use crate::kind::ProtocolKind;
+use crate::l1;
 use crate::msg::{
-    Access, AccessKind, AccessOutcome, Completion, CompletionKind, RejectReason, ReqId, ReqMsg,
-    ReqPayload, RespMsg, RespPayload,
+    Access, AccessKind, AccessOutcome, Completion, CompletionKind, ReqId, ReqMsg, ReqPayload,
+    RespMsg, RespPayload,
 };
 use crate::protocol::{
     L1Cache, L1Outbox, L1Stats, L2Bank, L2Outbox, L2Stats, MagicAction, Protocol,
@@ -83,10 +84,11 @@ pub struct IdealL1 {
 impl IdealL1 {
     /// Creates the controller for `core`.
     pub fn new(core: CoreId, cfg: &GpuConfig) -> Self {
+        let (tags, mshrs) = l1::arrays(cfg);
         IdealL1 {
             core,
-            tags: TagArray::new(cfg.l1.num_sets(), cfg.l1.ways),
-            mshrs: MshrFile::new(cfg.l1.mshrs, cfg.l1.mshr_merge),
+            tags,
+            mshrs,
             next_req: 1,
             stats: L1Stats::default(),
         }
@@ -96,77 +98,31 @@ impl IdealL1 {
     pub fn is_resident(&self, line: LineAddr) -> bool {
         self.tags.probe(line).is_some()
     }
+
+    fn start_load(&mut self, ts: Timestamp, access: Access, out: &mut L1Outbox) -> AccessOutcome {
+        let line = access.addr.line();
+        if self.tags.probe(line).is_some() {
+            return AccessOutcome::Done(l1::hit(&mut self.tags, &access, ts, |_| 0));
+        }
+        let waiting = (access.warp, access.addr);
+        if let Err(reason) = l1::admit(&mut self.mshrs, line, |e| e.waiting_loads.push(waiting)) {
+            return AccessOutcome::Reject(reason);
+        }
+        // The entry may have been created by an atomic, which fetches no
+        // shareable data — make sure a GETS is out.
+        let entry = self.mshrs.get_mut(line).expect("just admitted");
+        l1::send_gets(&mut entry.gets_outstanding, self.core, line, ts, None, out);
+        AccessOutcome::Pending
+    }
 }
 
 impl L1Cache for IdealL1 {
     fn access(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
         let line = access.addr.line();
         let ts = Timestamp(cycle.raw());
-        match access.kind {
-            AccessKind::Load => {
-                self.stats.loads += 1;
-                if let Some(l) = self.tags.access(line) {
-                    self.stats.load_hits += 1;
-                    return AccessOutcome::Done(Completion {
-                        warp: access.warp,
-                        addr: access.addr,
-                        kind: CompletionKind::LoadDone {
-                            value: l.data.word_at(access.addr),
-                        },
-                        ts,
-                        seq: 0,
-                    });
-                }
-                if self.mshrs.contains(line) {
-                    if self
-                        .mshrs
-                        .merge(line, |e| e.waiting_loads.push((access.warp, access.addr)))
-                        .is_err()
-                    {
-                        self.stats.rejects += 1;
-                        self.stats.loads -= 1; // retried later
-                        return AccessOutcome::Reject(RejectReason::MergeFull);
-                    }
-                    // The entry may have been created by an atomic, which
-                    // fetches no shareable data — make sure a GETS is out.
-                    let entry = self.mshrs.get_mut(line).expect("just merged");
-                    if !entry.gets_outstanding {
-                        entry.gets_outstanding = true;
-                        out.to_l2.push(ReqMsg {
-                            src: self.core,
-                            line,
-                            id: ReqId(0),
-                            payload: ReqPayload::Gets {
-                                now: ts,
-                                renew_exp: None,
-                            },
-                        });
-                    }
-                } else {
-                    let entry = IdealEntry {
-                        waiting_loads: vec![(access.warp, access.addr)],
-                        gets_outstanding: true,
-                        ..IdealEntry::default()
-                    };
-                    if self.mshrs.allocate(line, entry).is_err() {
-                        self.stats.rejects += 1;
-                        self.stats.loads -= 1; // retried later
-                        return AccessOutcome::Reject(RejectReason::MshrFull);
-                    }
-                    out.to_l2.push(ReqMsg {
-                        src: self.core,
-                        line,
-                        id: ReqId(0),
-                        payload: ReqPayload::Gets {
-                            now: ts,
-                            renew_exp: None,
-                        },
-                    });
-                }
-                AccessOutcome::Pending
-            }
+        let outcome = match access.kind {
+            AccessKind::Load => self.start_load(ts, access, out),
             AccessKind::Store { value } => {
-                self.stats.stores += 1;
                 // Instant write permission: complete at issue; the
                 // write-through proceeds in the background (fire and
                 // forget — the L2 sends no ack for ideal stores).
@@ -191,41 +147,18 @@ impl L1Cache for IdealL1 {
                     seq: 0,
                 })
             }
-            AccessKind::Atomic { op } => {
-                self.stats.atomics += 1;
-                // Atomics still need the round trip for the old value.
-                // Peek the next id; minted only if the MSHR accepts
-                // (the `replay_rejected_access` contract).
-                let id = ReqId(self.next_req);
-                let pending = (id, access.warp, access.addr);
-                let ok = if self.mshrs.contains(line) {
-                    self.mshrs
-                        .merge(line, |e| e.pending_atomics.push_back(pending))
-                        .is_ok()
-                } else {
-                    let mut entry = IdealEntry::default();
-                    entry.pending_atomics.push_back(pending);
-                    self.mshrs.allocate(line, entry).is_ok()
-                };
-                if !ok {
-                    self.stats.rejects += 1;
-                    self.stats.atomics -= 1; // retried later
-                    return AccessOutcome::Reject(RejectReason::MshrFull);
-                }
-                self.next_req += 1;
-                out.to_l2.push(ReqMsg {
-                    src: self.core,
-                    line,
-                    id,
-                    payload: ReqPayload::Atomic {
-                        now: ts,
-                        word: access.addr.line_word_index(),
-                        op,
-                    },
-                });
-                AccessOutcome::Pending
-            }
-        }
+            // Atomics still need the round trip for the old value.
+            AccessKind::Atomic { .. } => l1::send_write(
+                self.core,
+                &mut self.next_req,
+                &mut self.mshrs,
+                access,
+                ts,
+                |e, w| e.pending_atomics.push_back((w.id, w.warp, w.addr)),
+                out,
+            ),
+        };
+        l1::count(&mut self.stats, access.kind, outcome)
     }
 
     fn handle_resp(&mut self, _cycle: Cycle, resp: RespMsg, out: &mut L1Outbox) {
@@ -339,12 +272,12 @@ impl L1Cache for IdealL1 {
         self.mshrs.len()
     }
 
-    fn replay_rejected_access(&mut self, delta: &L1Stats, times: u64) {
-        self.stats.add_scaled(delta, times);
-    }
-
     fn stats(&self) -> &L1Stats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut L1Stats {
+        &mut self.stats
     }
 }
 
@@ -559,7 +492,7 @@ impl L2Bank for IdealL2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::AtomicOp;
+    use crate::msg::{AtomicOp, RejectReason};
     use crate::testrig::Rig;
     use rcc_common::addr::{LineAddr, WordAddr};
 
@@ -648,6 +581,34 @@ mod tests {
         let c = r.atomic(1, w, AtomicOp::Add(5));
         assert_eq!(c.kind, CompletionKind::AtomicDone { old: 2 });
         assert_eq!(r.load_value(0, w), 7);
+    }
+
+    #[test]
+    fn an_atomic_refused_by_a_full_merge_list_says_so() {
+        let mut cfg = GpuConfig::small();
+        cfg.l1.mshr_merge = 1;
+        let mut l1 = IdealL1::new(CoreId(0), &cfg);
+        let mut out = L1Outbox::new();
+        let (warp, addr) = (WarpId(0), word(6, 0));
+        let load = Access {
+            warp,
+            addr,
+            kind: AccessKind::Load,
+        };
+        assert_eq!(l1.access(Cycle(0), load, &mut out), AccessOutcome::Pending);
+        let atomic = Access {
+            warp,
+            addr,
+            kind: AccessKind::Atomic {
+                op: AtomicOp::Add(1),
+            },
+        };
+        assert_eq!(
+            l1.access(Cycle(0), atomic, &mut out),
+            AccessOutcome::Reject(RejectReason::MergeFull),
+            "the line's entry is there; its merge list is full"
+        );
+        assert_eq!((l1.stats().atomics, l1.stats().rejects), (0, 1));
     }
 
     #[test]

@@ -35,6 +35,7 @@ mod bank;
 pub mod census;
 pub mod ideal;
 pub mod kind;
+mod l1;
 pub mod mesi;
 pub mod msg;
 pub mod protocol;

@@ -1,6 +1,7 @@
 //! MESI L1 controller: Shared-state write-through cache with external
 //! invalidations.
 
+use crate::l1::{self, PendingWrite};
 use crate::msg::{
     Access, AccessKind, AccessOutcome, Completion, CompletionKind, RejectReason, ReqId, ReqMsg,
     ReqPayload, RespMsg, RespPayload,
@@ -10,16 +11,8 @@ use rcc_common::addr::{LineAddr, WordAddr};
 use rcc_common::config::GpuConfig;
 use rcc_common::ids::{CoreId, WarpId};
 use rcc_common::time::{Cycle, Timestamp};
-use rcc_mem::{MshrFile, MshrRejection, TagArray};
+use rcc_mem::{MshrFile, TagArray};
 use std::collections::VecDeque;
-
-#[derive(Debug, Clone, Copy)]
-struct PendingWrite {
-    id: ReqId,
-    warp: WarpId,
-    addr: WordAddr,
-    atomic: bool,
-}
 
 #[derive(Debug, Clone, Default)]
 struct MesiEntry {
@@ -55,10 +48,11 @@ pub struct MesiL1 {
 impl MesiL1 {
     /// Creates the controller for `core`.
     pub fn new(core: CoreId, cfg: &GpuConfig) -> Self {
+        let (tags, mshrs) = l1::arrays(cfg);
         MesiL1 {
             core,
-            tags: TagArray::new(cfg.l1.num_sets(), cfg.l1.ways),
-            mshrs: MshrFile::new(cfg.l1.mshrs, cfg.l1.mshr_merge),
+            tags,
+            mshrs,
             next_req: 1,
             stats: L1Stats::default(),
         }
@@ -69,174 +63,73 @@ impl MesiL1 {
         self.tags.probe(line).is_some()
     }
 
-    fn hit_completion(&mut self, cycle: Cycle, warp: WarpId, addr: WordAddr) -> Completion {
-        let line = self
-            .tags
-            .access(addr.line())
-            .expect("hit path requires resident line");
-        Completion {
-            warp,
-            addr,
-            kind: CompletionKind::LoadDone {
-                value: line.data.word_at(addr),
-            },
-            ts: Timestamp(cycle.raw()),
-            // Positioned at the fill's directory slot within the cycle:
-            // before any same-cycle write this copy cannot have seen.
-            seq: line.state.fill_seq,
-        }
-    }
-
     fn start_load(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
         let line = access.addr.line();
-        if self.tags.probe(line).is_some() {
-            self.stats.load_hits += 1;
-            return AccessOutcome::Done(self.hit_completion(cycle, access.warp, access.addr));
-        }
-        if self.mshrs.contains(line) {
-            if self.mshrs.get(line).expect("checked").poisoned {
-                self.stats.rejects += 1;
-                return AccessOutcome::Reject(RejectReason::TransientState);
-            }
-            if self
-                .mshrs
-                .merge(line, |e| {
-                    e.waiting_loads
-                        .push((access.warp, access.addr, cycle.raw()))
-                })
-                .is_err()
-            {
-                self.stats.rejects += 1;
-                return AccessOutcome::Reject(RejectReason::MergeFull);
-            }
-            self.send_gets(cycle, line, out);
-            return AccessOutcome::Pending;
-        }
-        let entry = MesiEntry {
-            waiting_loads: vec![(access.warp, access.addr, cycle.raw())],
-            ..MesiEntry::default()
-        };
-        if self.mshrs.allocate(line, entry).is_err() {
-            self.stats.rejects += 1;
-            return AccessOutcome::Reject(RejectReason::MshrFull);
-        }
-        self.send_gets(cycle, line, out);
-        AccessOutcome::Pending
-    }
-
-    fn send_gets(&mut self, cycle: Cycle, line: LineAddr, out: &mut L1Outbox) {
-        let entry = self.mshrs.get_mut(line).expect("entry exists");
-        if entry.gets_outstanding {
-            return;
-        }
-        entry.gets_outstanding = true;
-        out.to_l2.push(ReqMsg {
-            src: self.core,
-            line,
-            id: ReqId(0),
-            payload: ReqPayload::Gets {
-                now: Timestamp(cycle.raw()),
-                renew_exp: None,
-            },
-        });
-    }
-
-    fn start_write(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
-        let line = access.addr.line();
-        // Peek the next id; it is minted only if the MSHR accepts the
-        // write. A rejected access must leave nothing behind but
-        // counters (the `replay_rejected_access` contract).
-        let id = ReqId(self.next_req);
-        let atomic = matches!(access.kind, AccessKind::Atomic { .. });
-        let pending = PendingWrite {
-            id,
-            warp: access.warp,
-            addr: access.addr,
-            atomic,
-        };
-        let alloc = if self.mshrs.contains(line) {
-            self.mshrs
-                .merge(line, |e| e.pending_writes.push_back(pending))
-        } else {
-            let mut entry = MesiEntry::default();
-            entry.pending_writes.push_back(pending);
-            self.mshrs.allocate(line, entry)
-        };
-        if let Err(e) = alloc {
-            self.stats.rejects += 1;
-            return AccessOutcome::Reject(match e {
-                MshrRejection::Full => RejectReason::MshrFull,
-                MshrRejection::MergeListFull => RejectReason::MergeFull,
-            });
-        }
-        self.next_req += 1;
-        // Write-through-invalidate: drop the local copy at issue so no
-        // warp on this core can read the pre-store value after the store
-        // is globally ordered.
-        if self.tags.invalidate(line).is_some() {
-            self.stats.self_invalidations += 1;
-        }
-        let word = access.addr.line_word_index();
         let now = Timestamp(cycle.raw());
-        let payload = match access.kind {
-            AccessKind::Store { value } => ReqPayload::Write { now, word, value },
-            AccessKind::Atomic { op } => ReqPayload::Atomic { now, word, op },
-            AccessKind::Load => unreachable!("start_write is for writes"),
-        };
-        out.to_l2.push(ReqMsg {
-            src: self.core,
-            line,
-            id,
-            payload,
-        });
+        if self.tags.probe(line).is_some() {
+            // Positioned at the fill's directory slot within the cycle:
+            // before any same-cycle write this copy cannot have seen.
+            return AccessOutcome::Done(l1::hit(&mut self.tags, &access, now, |m| m.fill_seq));
+        }
+        if self.mshrs.get(line).is_some_and(|e| e.poisoned) {
+            return AccessOutcome::Reject(RejectReason::TransientState);
+        }
+        let waiting = (access.warp, access.addr, cycle.raw());
+        if let Err(reason) = l1::admit(&mut self.mshrs, line, |e| e.waiting_loads.push(waiting)) {
+            return AccessOutcome::Reject(reason);
+        }
+        let entry = self.mshrs.get_mut(line).expect("just admitted");
+        l1::send_gets(&mut entry.gets_outstanding, self.core, line, now, None, out);
         AccessOutcome::Pending
     }
 
-    fn maybe_release_after_write(&mut self, line: LineAddr) {
-        let entry = self.mshrs.get(line).expect("entry exists");
+    /// Completes the write `id` the L2 acknowledged at (`ts`, `seq`),
+    /// and releases the MSHR entry if nothing remains outstanding.
+    fn complete_write(
+        &mut self,
+        line: LineAddr,
+        id: ReqId,
+        kind: CompletionKind,
+        ts: Timestamp,
+        seq: u64,
+        out: &mut L1Outbox,
+    ) {
+        let entry = self.mshrs.get_mut(line).expect("ack without entry");
+        out.completions
+            .push(l1::ack(&mut entry.pending_writes, id, kind, ts, seq));
         if entry.pending_writes.is_empty() && !entry.gets_outstanding {
             debug_assert!(entry.waiting_loads.is_empty());
             self.mshrs.release(line);
         }
-    }
-
-    fn take_pending_write(&mut self, line: LineAddr, id: ReqId) -> PendingWrite {
-        let entry = self.mshrs.get_mut(line).expect("entry exists");
-        let pos = entry
-            .pending_writes
-            .iter()
-            .position(|w| w.id == id)
-            .unwrap_or_else(|| panic!("no pending write {id:?} for {line}"));
-        entry.pending_writes.remove(pos).expect("position valid")
     }
 }
 
 impl L1Cache for MesiL1 {
     fn access(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
         let outcome = match access.kind {
-            AccessKind::Load => {
-                self.stats.loads += 1;
-                self.start_load(cycle, access, out)
-            }
-            AccessKind::Store { .. } => {
-                self.stats.stores += 1;
-                self.start_write(cycle, access, out)
-            }
-            AccessKind::Atomic { .. } => {
-                self.stats.atomics += 1;
-                self.start_write(cycle, access, out)
+            AccessKind::Load => self.start_load(cycle, access, out),
+            AccessKind::Store { .. } | AccessKind::Atomic { .. } => {
+                let outcome = l1::send_write(
+                    self.core,
+                    &mut self.next_req,
+                    &mut self.mshrs,
+                    access,
+                    Timestamp(cycle.raw()),
+                    |e, w| e.pending_writes.push_back(w),
+                    out,
+                );
+                // Write-through-invalidate: drop the local copy at issue
+                // so no warp on this core can read the pre-store value
+                // after the store is globally ordered.
+                if outcome == AccessOutcome::Pending
+                    && self.tags.invalidate(access.addr.line()).is_some()
+                {
+                    self.stats.self_invalidations += 1;
+                }
+                outcome
             }
         };
-        if matches!(outcome, AccessOutcome::Reject(_)) {
-            // Rejected accesses retry later; count them once when they
-            // are finally accepted (`rejects` tracks the retries).
-            match access.kind {
-                AccessKind::Load => self.stats.loads -= 1,
-                AccessKind::Store { .. } => self.stats.stores -= 1,
-                AccessKind::Atomic { .. } => self.stats.atomics -= 1,
-            }
-        }
-        outcome
+        l1::count(&mut self.stats, access.kind, outcome)
     }
 
     fn handle_resp(&mut self, _cycle: Cycle, resp: RespMsg, out: &mut L1Outbox) {
@@ -283,28 +176,11 @@ impl L1Cache for MesiL1 {
                 }
             }
             RespPayload::StoreAck { ver, seq } => {
-                let w = self.take_pending_write(line, resp.id);
-                debug_assert!(!w.atomic);
-                out.completions.push(Completion {
-                    warp: w.warp,
-                    addr: w.addr,
-                    kind: CompletionKind::StoreDone,
-                    ts: ver,
-                    seq,
-                });
-                self.maybe_release_after_write(line);
+                self.complete_write(line, resp.id, CompletionKind::StoreDone, ver, seq, out);
             }
             RespPayload::AtomicResp { value, ver, seq } => {
-                let w = self.take_pending_write(line, resp.id);
-                debug_assert!(w.atomic);
-                out.completions.push(Completion {
-                    warp: w.warp,
-                    addr: w.addr,
-                    kind: CompletionKind::AtomicDone { old: value },
-                    ts: ver,
-                    seq,
-                });
-                self.maybe_release_after_write(line);
+                let kind = CompletionKind::AtomicDone { old: value };
+                self.complete_write(line, resp.id, kind, ver, seq, out);
             }
             RespPayload::Inv => {
                 self.stats.invs_received += 1;
@@ -347,11 +223,11 @@ impl L1Cache for MesiL1 {
         self.mshrs.len()
     }
 
-    fn replay_rejected_access(&mut self, delta: &L1Stats, times: u64) {
-        self.stats.add_scaled(delta, times);
-    }
-
     fn stats(&self) -> &L1Stats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut L1Stats {
+        &mut self.stats
     }
 }

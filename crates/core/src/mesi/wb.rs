@@ -19,6 +19,7 @@
 
 use crate::bank::{self, Deferral, Route};
 use crate::kind::ProtocolKind;
+use crate::l1;
 use crate::msg::{
     Access, AccessKind, AccessOutcome, Completion, CompletionKind, RejectReason, ReqId, ReqMsg,
     ReqPayload, RespMsg, RespPayload,
@@ -29,7 +30,7 @@ use rcc_common::config::GpuConfig;
 use rcc_common::ids::{CoreId, PartitionId, WarpId};
 use rcc_common::time::{Cycle, Timestamp};
 use rcc_common::{FxHashMap, FxHashSet};
-use rcc_mem::{LineData, MshrFile, MshrRejection, TagArray};
+use rcc_mem::{LineData, MshrFile, TagArray};
 use std::collections::VecDeque;
 
 /// Factory for the MESI-WB controllers.
@@ -100,10 +101,11 @@ pub struct MesiWbL1 {
 impl MesiWbL1 {
     /// Creates the controller for `core`.
     pub fn new(core: CoreId, cfg: &GpuConfig) -> Self {
+        let (tags, mshrs) = l1::arrays(cfg);
         MesiWbL1 {
             core,
-            tags: TagArray::new(cfg.l1.num_sets(), cfg.l1.ways),
-            mshrs: MshrFile::new(cfg.l1.mshrs, cfg.l1.mshr_merge),
+            tags,
+            mshrs,
             wb_pending: FxHashSet::default(),
             next_req: 1,
             stats: L1Stats::default(),
@@ -152,21 +154,61 @@ impl MesiWbL1 {
         }
     }
 
-    fn send_gets(&mut self, cycle: Cycle, line: LineAddr, out: &mut L1Outbox) {
-        let entry = self.mshrs.get_mut(line).expect("entry exists");
-        if entry.gets_outstanding || entry.getx_outstanding {
-            return; // GETX replies with data too
+    fn start_load(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
+        let line = access.addr.line();
+        let now = Timestamp(cycle.raw());
+        if self.tags.probe(line).is_some() {
+            return AccessOutcome::Done(l1::hit(&mut self.tags, &access, now, |m| m.fill_seq));
         }
-        entry.gets_outstanding = true;
-        out.to_l2.push(ReqMsg {
-            src: self.core,
-            line,
-            id: ReqId(0),
-            payload: ReqPayload::Gets {
-                now: Timestamp(cycle.raw()),
-                renew_exp: None,
-            },
+        if self.mshrs.get(line).is_some_and(|e| e.poisoned) {
+            return AccessOutcome::Reject(RejectReason::TransientState);
+        }
+        let waiting = (access.warp, access.addr, cycle.raw());
+        if let Err(reason) = l1::admit(&mut self.mshrs, line, |e| e.waiting_loads.push(waiting)) {
+            return AccessOutcome::Reject(reason);
+        }
+        let entry = self.mshrs.get_mut(line).expect("just admitted");
+        if !entry.getx_outstanding {
+            // A GETX replies with data too.
+            l1::send_gets(&mut entry.gets_outstanding, self.core, line, now, None, out);
+        }
+        AccessOutcome::Pending
+    }
+
+    fn start_store(
+        &mut self,
+        cycle: Cycle,
+        access: Access,
+        value: u64,
+        out: &mut L1Outbox,
+    ) -> AccessOutcome {
+        let line = access.addr.line();
+        // The write-back fast path: a Modified line absorbs the store
+        // with zero coherence traffic.
+        if self.is_modified(line) {
+            let l = self.tags.access(line).expect("checked");
+            l.data.set_word_at(access.addr, value);
+            l.dirty = true;
+            // The store takes the line's next slot; future hits on this
+            // copy are positioned strictly after it.
+            let seq = l.state.fill_seq;
+            l.state.fill_seq = seq + 1;
+            return AccessOutcome::Done(Completion {
+                warp: access.warp,
+                addr: access.addr,
+                kind: CompletionKind::StoreDone,
+                ts: Timestamp(cycle.raw()),
+                seq,
+            });
+        }
+        let admitted = l1::admit_write(&mut self.next_req, &mut self.mshrs, &access, |e, w| {
+            e.pending_stores.push((w.id, w.warp, w.addr, value))
         });
+        if let Err(reason) = admitted {
+            return AccessOutcome::Reject(reason);
+        }
+        self.send_getx(cycle, line, out);
+        AccessOutcome::Pending
     }
 
     fn send_getx(&mut self, cycle: Cycle, line: LineAddr, out: &mut L1Outbox) {
@@ -200,132 +242,22 @@ impl MesiWbL1 {
 
 impl L1Cache for MesiWbL1 {
     fn access(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
-        let line = access.addr.line();
-        match access.kind {
-            AccessKind::Load => {
-                self.stats.loads += 1;
-                if let Some(l) = self.tags.access(line) {
-                    self.stats.load_hits += 1;
-                    let seq = l.state.fill_seq;
-                    return AccessOutcome::Done(Completion {
-                        warp: access.warp,
-                        addr: access.addr,
-                        kind: CompletionKind::LoadDone {
-                            value: l.data.word_at(access.addr),
-                        },
-                        ts: Timestamp(cycle.raw()),
-                        seq,
-                    });
-                }
-                let waiting = (access.warp, access.addr, cycle.raw());
-                if self.mshrs.contains(line) {
-                    if self.mshrs.get(line).expect("checked").poisoned {
-                        self.stats.rejects += 1;
-                        self.stats.loads -= 1;
-                        return AccessOutcome::Reject(RejectReason::TransientState);
-                    }
-                    if self
-                        .mshrs
-                        .merge(line, |e| e.waiting_loads.push(waiting))
-                        .is_err()
-                    {
-                        self.stats.rejects += 1;
-                        self.stats.loads -= 1;
-                        return AccessOutcome::Reject(RejectReason::MergeFull);
-                    }
-                } else {
-                    let entry = WbEntry {
-                        waiting_loads: vec![waiting],
-                        ..WbEntry::default()
-                    };
-                    if self.mshrs.allocate(line, entry).is_err() {
-                        self.stats.rejects += 1;
-                        self.stats.loads -= 1;
-                        return AccessOutcome::Reject(RejectReason::MshrFull);
-                    }
-                }
-                self.send_gets(cycle, line, out);
-                AccessOutcome::Pending
-            }
-            AccessKind::Store { value } => {
-                self.stats.stores += 1;
-                // The write-back fast path: a Modified line absorbs the
-                // store with zero coherence traffic.
-                if self.is_modified(line) {
-                    let l = self.tags.access(line).expect("checked");
-                    l.data.set_word_at(access.addr, value);
-                    l.dirty = true;
-                    // The store takes the line's next slot; future hits
-                    // on this copy are positioned strictly after it.
-                    let seq = l.state.fill_seq;
-                    l.state.fill_seq = seq + 1;
-                    return AccessOutcome::Done(Completion {
-                        warp: access.warp,
-                        addr: access.addr,
-                        kind: CompletionKind::StoreDone,
-                        ts: Timestamp(cycle.raw()),
-                        seq,
-                    });
-                }
-                // Peek the next id; minted only if the MSHR accepts
-                // (the `replay_rejected_access` contract).
-                let id = ReqId(self.next_req);
-                let pending = (id, access.warp, access.addr, value);
-                let alloc = if self.mshrs.contains(line) {
-                    self.mshrs.merge(line, |e| e.pending_stores.push(pending))
-                } else {
-                    let mut entry = WbEntry::default();
-                    entry.pending_stores.push(pending);
-                    self.mshrs.allocate(line, entry)
-                };
-                if let Err(e) = alloc {
-                    self.stats.rejects += 1;
-                    self.stats.stores -= 1;
-                    return AccessOutcome::Reject(match e {
-                        MshrRejection::Full => RejectReason::MshrFull,
-                        MshrRejection::MergeListFull => RejectReason::MergeFull,
-                    });
-                }
-                self.next_req += 1;
-                self.send_getx(cycle, line, out);
-                AccessOutcome::Pending
-            }
-            AccessKind::Atomic { op } => {
-                self.stats.atomics += 1;
-                // Atomics are serviced at the directory; if we own the
-                // line, the directory will recall it from us first.
-                let id = ReqId(self.next_req);
-                let pending = (id, access.warp, access.addr);
-                let alloc = if self.mshrs.contains(line) {
-                    self.mshrs
-                        .merge(line, |e| e.pending_atomics.push_back(pending))
-                } else {
-                    let mut entry = WbEntry::default();
-                    entry.pending_atomics.push_back(pending);
-                    self.mshrs.allocate(line, entry)
-                };
-                if let Err(e) = alloc {
-                    self.stats.rejects += 1;
-                    self.stats.atomics -= 1;
-                    return AccessOutcome::Reject(match e {
-                        MshrRejection::Full => RejectReason::MshrFull,
-                        MshrRejection::MergeListFull => RejectReason::MergeFull,
-                    });
-                }
-                self.next_req += 1;
-                out.to_l2.push(ReqMsg {
-                    src: self.core,
-                    line,
-                    id,
-                    payload: ReqPayload::Atomic {
-                        now: Timestamp(cycle.raw()),
-                        word: access.addr.line_word_index(),
-                        op,
-                    },
-                });
-                AccessOutcome::Pending
-            }
-        }
+        let outcome = match access.kind {
+            AccessKind::Load => self.start_load(cycle, access, out),
+            AccessKind::Store { value } => self.start_store(cycle, access, value, out),
+            // Atomics are serviced at the directory; if we own the line,
+            // the directory will recall it from us first.
+            AccessKind::Atomic { .. } => l1::send_write(
+                self.core,
+                &mut self.next_req,
+                &mut self.mshrs,
+                access,
+                Timestamp(cycle.raw()),
+                |e, w| e.pending_atomics.push_back((w.id, w.warp, w.addr)),
+                out,
+            ),
+        };
+        l1::count(&mut self.stats, access.kind, outcome)
     }
 
     fn handle_resp(&mut self, cycle: Cycle, resp: RespMsg, out: &mut L1Outbox) {
@@ -503,12 +435,12 @@ impl L1Cache for MesiWbL1 {
         self.mshrs.len() + self.wb_pending.len()
     }
 
-    fn replay_rejected_access(&mut self, delta: &L1Stats, times: u64) {
-        self.stats.add_scaled(delta, times);
-    }
-
     fn stats(&self) -> &L1Stats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut L1Stats {
+        &mut self.stats
     }
 }
 

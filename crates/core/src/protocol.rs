@@ -256,7 +256,9 @@ pub trait L1Cache: std::fmt::Debug {
     /// Valid because a rejected access changes *only* counters — every
     /// in-repo controller satisfies that (tag probes on the reject path
     /// are read-only and failed MSHR allocations do not mutate).
-    fn replay_rejected_access(&mut self, delta: &L1Stats, times: u64);
+    fn replay_rejected_access(&mut self, delta: &L1Stats, times: u64) {
+        self.stats_mut().add_scaled(delta, times);
+    }
 
     /// Installs a chaos perturbation hook. Default: ignore (no injection
     /// points). Controllers that opt in forward the hook — or forks of
@@ -296,6 +298,10 @@ pub trait L1Cache: std::fmt::Debug {
 
     /// Statistics.
     fn stats(&self) -> &L1Stats;
+
+    /// Statistics, for the bookkeeping this trait provides
+    /// ([`L1Cache::replay_rejected_access`]).
+    fn stats_mut(&mut self) -> &mut L1Stats;
 }
 
 /// One bank/partition of the shared L2 cache.

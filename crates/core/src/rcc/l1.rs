@@ -15,9 +15,10 @@
 //! data-structure updates, and [`RccL1::derived_state`] recovers the
 //! paper's state names for tests and debugging.
 
+use crate::l1::{self, PendingWrite};
 use crate::msg::{
-    Access, AccessKind, AccessOutcome, Completion, CompletionKind, RejectReason, ReqId, ReqMsg,
-    ReqPayload, RespMsg, RespPayload,
+    Access, AccessKind, AccessOutcome, Completion, CompletionKind, ReqId, ReqMsg, ReqPayload,
+    RespMsg, RespPayload,
 };
 use crate::protocol::{L1Cache, L1Outbox, L1Stats};
 use rcc_chaos::{PerturbPoint, Site};
@@ -25,7 +26,7 @@ use rcc_common::addr::{LineAddr, WordAddr};
 use rcc_common::config::{GpuConfig, RccParams};
 use rcc_common::ids::{CoreId, WarpId};
 use rcc_common::time::{Cycle, Timestamp};
-use rcc_mem::{LineData, MshrFile, MshrRejection, TagArray};
+use rcc_mem::{LineData, MshrFile, TagArray};
 use std::collections::VecDeque;
 
 /// Whether the core keeps one logical view (SC) or split read/write views
@@ -64,15 +65,6 @@ pub enum L1State {
 struct L1Meta {
     exp: Timestamp,
     fill_seq: u64,
-}
-
-/// A store or atomic awaiting its ack from the L2.
-#[derive(Debug, Clone, Copy)]
-struct PendingWrite {
-    id: ReqId,
-    warp: WarpId,
-    addr: WordAddr,
-    atomic: bool,
 }
 
 /// A load merged into an MSHR entry. `issue_now` is the core's read view
@@ -148,14 +140,15 @@ impl std::fmt::Debug for RccL1 {
 impl RccL1 {
     /// Creates the controller for `core` from the machine configuration.
     pub fn new(core: CoreId, cfg: &GpuConfig, params: RccParams, mode: ViewMode) -> Self {
+        let (tags, mshrs) = l1::arrays(cfg);
         RccL1 {
             core,
             mode,
             params,
             read_now: Timestamp::ZERO,
             write_now: Timestamp::ZERO,
-            tags: TagArray::new(cfg.l1.num_sets(), cfg.l1.ways),
-            mshrs: MshrFile::new(cfg.l1.mshrs, cfg.l1.mshr_merge),
+            tags,
+            mshrs,
             next_req: 1,
             stats: L1Stats::default(),
             chaos: None,
@@ -248,184 +241,81 @@ impl RccL1 {
         }
     }
 
-    fn hit_completion(&mut self, warp: WarpId, addr: WordAddr) -> Completion {
-        let line = self
-            .tags
-            .access(addr.line())
-            .expect("hit path requires resident line");
-        Completion {
-            warp,
-            addr,
-            kind: CompletionKind::LoadDone {
-                value: line.data.word_at(addr),
-            },
-            ts: self.read_now,
-            // Same-version ties resolve by bank order: this copy knows
-            // exactly the writes serviced before its fill.
-            seq: line.state.fill_seq,
-        }
+    /// Sends a GETS for `line` if none is outstanding, carrying an
+    /// expired lease's `exp` when its stale data is still resident (the
+    /// RENEW hint of Section III-E).
+    fn send_gets(&mut self, line: LineAddr, renew_exp: Option<Timestamp>, out: &mut L1Outbox) {
+        let renew = renew_exp.filter(|_| self.params.renew_enabled);
+        let now = self.read_now;
+        let entry = self.mshrs.get_mut(line).expect("entry exists");
+        l1::send_gets(
+            &mut entry.gets_outstanding,
+            self.core,
+            line,
+            now,
+            renew,
+            out,
+        );
     }
 
-    /// Sends a GETS for `line` if none is outstanding, carrying the
-    /// expired lease's `exp` when the stale data is still resident (the
-    /// RENEW hint of Section III-E).
-    fn send_gets(&mut self, line: LineAddr, out: &mut L1Outbox) {
-        let entry = self.mshrs.get_mut(line).expect("entry exists");
-        if entry.gets_outstanding {
-            return;
+    /// Canary (deliberately unsound; fires only under the chaos `canary`
+    /// profile): serve a load from a resident line whose lease has
+    /// expired, as if a lease extension the L1 never received had been
+    /// granted. The runtime SC sanitizer must flag the resulting stale
+    /// read.
+    fn canary_fires(&mut self, line: LineAddr) -> bool {
+        match &mut self.chaos {
+            Some(c) if self.tags.probe(line).is_some() => c.fires(Site::CanaryStaleHit),
+            _ => false,
         }
-        entry.gets_outstanding = true;
-        let renew_exp = if self.params.renew_enabled {
-            self.tags.probe(line).map(|l| l.state.exp)
-        } else {
-            None
-        };
-        out.to_l2.push(ReqMsg {
-            src: self.core,
-            line,
-            id: ReqId(0),
-            payload: ReqPayload::Gets {
-                now: self.read_now,
-                renew_exp,
-            },
-        });
     }
 
     fn start_load(&mut self, access: Access, out: &mut L1Outbox) -> AccessOutcome {
         let line = access.addr.line();
-        // Canary (deliberately unsound; fires only under the chaos
-        // `canary` profile): serve the load from a resident line whose
-        // lease has expired, as if a lease extension the L1 never
-        // received had been granted. The runtime SC sanitizer must
-        // flag the resulting stale read.
-        if self.chaos.is_some() && self.tags.probe(line).is_some() && !self.is_readable(line) {
-            let fired = match &mut self.chaos {
-                Some(c) => c.fires(Site::CanaryStaleHit),
-                None => false,
-            };
-            if fired {
-                self.stats.load_hits += 1;
-                return AccessOutcome::Done(self.hit_completion(access.warp, access.addr));
-            }
+        // A readable block hits even while writes to it are outstanding
+        // (derived VI) — important because round trips to L2 take
+        // hundreds of cycles (Section III-C).
+        if self.is_readable(line) || self.canary_fires(line) {
+            // Same-version ties resolve by bank order: this copy knows
+            // exactly the writes serviced before its fill.
+            let ts = self.read_now;
+            return AccessOutcome::Done(l1::hit(&mut self.tags, &access, ts, |m| m.fill_seq));
+        }
+        let stale = self.tags.probe(line).map(|l| l.state.exp);
+        if stale.is_some() {
+            // V-but-expired: the numerator of Fig. 6 (left). The stale
+            // data stays resident so a RENEW can revalidate it without a
+            // data transfer.
+            self.stats.expired_loads += 1;
         }
         let waiting = WaitingLoad {
             warp: access.warp,
             addr: access.addr,
             issue_now: self.read_now,
         };
-        if self.mshrs.contains(line) {
-            if self.is_readable(line) {
-                // Derived VI: the block is still readable while writes are
-                // outstanding — important because round trips to L2 take
-                // hundreds of cycles (Section III-C).
-                self.stats.load_hits += 1;
-                return AccessOutcome::Done(self.hit_completion(access.warp, access.addr));
-            }
-            if self.tags.probe(line).is_some() {
-                // The stale copy is resident but expired: this load also
-                // "finds data in V state but expired" (Fig. 6 left).
-                self.stats.expired_loads += 1;
-            }
-            if self
-                .mshrs
-                .merge(line, |e| e.waiting_loads.push(waiting))
-                .is_err()
-            {
-                self.stats.rejects += 1;
-                return AccessOutcome::Reject(RejectReason::MergeFull);
-            }
-            self.send_gets(line, out);
-            return AccessOutcome::Pending;
+        if let Err(reason) = l1::admit(&mut self.mshrs, line, |e| e.waiting_loads.push(waiting)) {
+            return AccessOutcome::Reject(reason);
         }
-
-        match self.tags.probe(line) {
-            Some(_) if self.is_readable(line) => {
-                self.stats.load_hits += 1;
-                AccessOutcome::Done(self.hit_completion(access.warp, access.addr))
-            }
-            resident => {
-                if resident.is_some() {
-                    // V-but-expired: the numerator of Fig. 6 (left). The
-                    // stale data stays resident so a RENEW can revalidate
-                    // it without a data transfer.
-                    self.stats.expired_loads += 1;
-                }
-                let entry = L1Entry {
-                    waiting_loads: vec![waiting],
-                    ..L1Entry::default()
-                };
-                if self.mshrs.allocate(line, entry).is_err() {
-                    self.stats.rejects += 1;
-                    return AccessOutcome::Reject(RejectReason::MshrFull);
-                }
-                self.send_gets(line, out);
-                AccessOutcome::Pending
-            }
-        }
-    }
-
-    fn start_write(&mut self, access: Access, out: &mut L1Outbox) -> AccessOutcome {
-        let line = access.addr.line();
-        // Peek the next id; it is minted only if the MSHR accepts the
-        // write. A rejected access must leave nothing behind but
-        // counters (the `replay_rejected_access` contract).
-        let id = ReqId(self.next_req);
-        let atomic = matches!(access.kind, AccessKind::Atomic { .. });
-        let pending = PendingWrite {
-            id,
-            warp: access.warp,
-            addr: access.addr,
-            atomic,
-        };
-
-        let alloc = if self.mshrs.contains(line) {
-            self.mshrs
-                .merge(line, |e| e.pending_writes.push_back(pending))
-        } else {
-            let mut entry = L1Entry::default();
-            entry.pending_writes.push_back(pending);
-            self.mshrs.allocate(line, entry)
-        };
-        if let Err(e) = alloc {
-            self.stats.rejects += 1;
-            return AccessOutcome::Reject(match e {
-                MshrRejection::Full => RejectReason::MshrFull,
-                MshrRejection::MergeListFull => RejectReason::MergeFull,
-            });
-        }
-        self.next_req += 1;
-
-        // Write-through: the request goes straight to the L2 (Fig. 5
-        // emits WRITE/ATOMIC from every state). Write permissions need no
-        // round trip — the L2 will grant them by advancing logical time.
-        let word = access.addr.line_word_index();
-        let payload = match access.kind {
-            AccessKind::Store { value } => ReqPayload::Write {
-                now: self.write_now,
-                word,
-                value,
-            },
-            AccessKind::Atomic { op } => ReqPayload::Atomic {
-                now: self.write_now,
-                word,
-                op,
-            },
-            AccessKind::Load => unreachable!("start_write is for writes"),
-        };
-        out.to_l2.push(ReqMsg {
-            src: self.core,
-            line,
-            id,
-            payload,
-        });
+        self.send_gets(line, stale, out);
         AccessOutcome::Pending
     }
 
-    /// Releases the MSHR entry if nothing remains outstanding; after the
-    /// final write ack the block transitions to I (Fig. 4: II/VI → I on
-    /// ST/AT reply), modelling write-no-allocate.
-    fn maybe_release_after_write(&mut self, line: LineAddr) {
-        let entry = self.mshrs.get(line).expect("entry exists");
+    /// Completes the write `id` the L2 acknowledged at (`ts`, `seq`),
+    /// and releases the MSHR entry if nothing remains outstanding; after
+    /// the final write ack the block transitions to I (Fig. 4: II/VI → I
+    /// on ST/AT reply), modelling write-no-allocate.
+    fn complete_write(
+        &mut self,
+        line: LineAddr,
+        id: ReqId,
+        kind: CompletionKind,
+        ts: Timestamp,
+        seq: u64,
+        out: &mut L1Outbox,
+    ) {
+        let entry = self.mshrs.get_mut(line).expect("ack without entry");
+        out.completions
+            .push(l1::ack(&mut entry.pending_writes, id, kind, ts, seq));
         if entry.pending_writes.is_empty() && !entry.gets_outstanding {
             debug_assert!(entry.waiting_loads.is_empty());
             self.mshrs.release(line);
@@ -435,15 +325,14 @@ impl RccL1 {
         }
     }
 
-    /// Completes all merged loads against `data`. Each load is positioned
-    /// at `max(its issue-time now, ver)` — within its granted lease, and
-    /// after every write the data incorporates — with the serving bank
-    /// slot `seq` breaking same-version ties.
-    /// Completes merged loads covered by the lease (`issue_now ≤ exp`) —
-    /// rule 3 guarantees any later write's version exceeds `exp`, so the
-    /// data is current at every covered position. Loads that merged past
-    /// the lease window are returned for re-requesting.
-    #[allow(clippy::too_many_arguments)]
+    /// Completes the merged loads the lease covers (`issue_now ≤ exp`)
+    /// against `data`, and returns how many it completed. Rule 3
+    /// guarantees any later write's version exceeds `exp`, so the data is
+    /// current at every covered position: each load is positioned at
+    /// `max(its issue-time now, ver)`, after every write the data
+    /// incorporates, with the serving bank slot `seq` breaking
+    /// same-version ties. Loads that merged past the lease window stay
+    /// in the entry and are re-requested.
     fn complete_waiting_loads(
         &mut self,
         line: LineAddr,
@@ -474,63 +363,35 @@ impl RccL1 {
             });
         }
         if !refetch.is_empty() {
-            let entry = self.mshrs.get_mut(line).expect("entry exists");
-            entry.waiting_loads = refetch;
-            entry.gets_outstanding = true;
-            out.to_l2.push(ReqMsg {
-                src: self.core,
-                line,
-                id: ReqId(0),
-                payload: ReqPayload::Gets {
-                    now: self.read_now,
-                    renew_exp: if self.params.renew_enabled {
-                        Some(exp)
-                    } else {
-                        None
-                    },
-                },
-            });
+            self.mshrs
+                .get_mut(line)
+                .expect("entry exists")
+                .waiting_loads = refetch;
+            self.send_gets(line, Some(exp), out);
         }
         n
-    }
-
-    fn take_pending_write(&mut self, line: LineAddr, id: ReqId) -> PendingWrite {
-        let entry = self.mshrs.get_mut(line).expect("entry exists");
-        let pos = entry
-            .pending_writes
-            .iter()
-            .position(|w| w.id == id)
-            .unwrap_or_else(|| panic!("no pending write {id:?} for {line}"));
-        entry.pending_writes.remove(pos).expect("position valid")
     }
 }
 
 impl L1Cache for RccL1 {
     fn access(&mut self, _cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
         let outcome = match access.kind {
-            AccessKind::Load => {
-                self.stats.loads += 1;
-                self.start_load(access, out)
-            }
-            AccessKind::Store { .. } => {
-                self.stats.stores += 1;
-                self.start_write(access, out)
-            }
-            AccessKind::Atomic { .. } => {
-                self.stats.atomics += 1;
-                self.start_write(access, out)
-            }
+            AccessKind::Load => self.start_load(access, out),
+            // Write-through: the request goes straight to the L2 (Fig. 5
+            // emits WRITE/ATOMIC from every state). Write permissions need
+            // no round trip — the L2 will grant them by advancing logical
+            // time.
+            AccessKind::Store { .. } | AccessKind::Atomic { .. } => l1::send_write(
+                self.core,
+                &mut self.next_req,
+                &mut self.mshrs,
+                access,
+                self.write_now,
+                |e, w| e.pending_writes.push_back(w),
+                out,
+            ),
         };
-        if matches!(outcome, AccessOutcome::Reject(_)) {
-            // Rejected accesses retry later; count them once when they
-            // are finally accepted (`rejects` tracks the retries).
-            match access.kind {
-                AccessKind::Load => self.stats.loads -= 1,
-                AccessKind::Store { .. } => self.stats.stores -= 1,
-                AccessKind::Atomic { .. } => self.stats.atomics -= 1,
-            }
-        }
-        outcome
+        l1::count(&mut self.stats, access.kind, outcome)
     }
 
     fn handle_resp(&mut self, _cycle: Cycle, resp: RespMsg, out: &mut L1Outbox) {
@@ -592,31 +453,14 @@ impl L1Cache for RccL1 {
                 // version, and the core joins it (Fig. 5: L1.now =
                 // max(L1.now, M.ver)).
                 self.advance_write(ver);
-                let w = self.take_pending_write(line, resp.id);
-                debug_assert!(!w.atomic, "store ack for an atomic");
-                out.completions.push(Completion {
-                    warp: w.warp,
-                    addr: w.addr,
-                    kind: CompletionKind::StoreDone,
-                    ts: ver,
-                    seq,
-                });
-                self.maybe_release_after_write(line);
+                self.complete_write(line, resp.id, CompletionKind::StoreDone, ver, seq, out);
             }
             RespPayload::AtomicResp { value, ver, seq } => {
                 // An atomic both reads and writes: join both views.
                 self.advance_read(ver);
                 self.advance_write(ver);
-                let w = self.take_pending_write(line, resp.id);
-                debug_assert!(w.atomic, "atomic resp for a plain store");
-                out.completions.push(Completion {
-                    warp: w.warp,
-                    addr: w.addr,
-                    kind: CompletionKind::AtomicDone { old: value },
-                    ts: ver,
-                    seq,
-                });
-                self.maybe_release_after_write(line);
+                let kind = CompletionKind::AtomicDone { old: value };
+                self.complete_write(line, resp.id, kind, ver, seq, out);
             }
             RespPayload::Inv
             | RespPayload::DataEx { .. }
@@ -680,11 +524,11 @@ impl L1Cache for RccL1 {
         self.mshrs.len()
     }
 
-    fn replay_rejected_access(&mut self, delta: &L1Stats, times: u64) {
-        self.stats.add_scaled(delta, times);
-    }
-
     fn stats(&self) -> &L1Stats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut L1Stats {
+        &mut self.stats
     }
 }

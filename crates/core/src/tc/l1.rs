@@ -2,16 +2,16 @@
 //! invalidation traffic. Shared by TC-Strong and TC-Weak — the store
 //! discipline lives entirely in the L2.
 
+use crate::l1::{self, PendingWrite};
 use crate::msg::{
-    Access, AccessKind, AccessOutcome, Completion, CompletionKind, RejectReason, ReqId, ReqMsg,
-    ReqPayload, RespMsg, RespPayload,
+    Access, AccessKind, AccessOutcome, Completion, CompletionKind, ReqId, RespMsg, RespPayload,
 };
 use crate::protocol::{L1Cache, L1Outbox, L1Stats};
 use rcc_common::addr::{LineAddr, WordAddr};
 use rcc_common::config::GpuConfig;
 use rcc_common::ids::{CoreId, WarpId};
 use rcc_common::time::{Cycle, Timestamp};
-use rcc_mem::{MshrFile, MshrRejection, TagArray};
+use rcc_mem::{MshrFile, TagArray};
 use std::collections::VecDeque;
 
 /// Per-line metadata: physical lease expiration (exclusive — the copy is
@@ -21,14 +21,6 @@ use std::collections::VecDeque;
 struct TcMeta {
     exp: Timestamp,
     fill_seq: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PendingWrite {
-    id: ReqId,
-    warp: WarpId,
-    addr: WordAddr,
-    atomic: bool,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -54,10 +46,11 @@ pub struct TcL1 {
 impl TcL1 {
     /// Creates the controller for `core`.
     pub fn new(core: CoreId, cfg: &GpuConfig) -> Self {
+        let (tags, mshrs) = l1::arrays(cfg);
         TcL1 {
             core,
-            tags: TagArray::new(cfg.l1.num_sets(), cfg.l1.ways),
-            mshrs: MshrFile::new(cfg.l1.mshrs, cfg.l1.mshr_merge),
+            tags,
+            mshrs,
             next_req: 1,
             stats: L1Stats::default(),
         }
@@ -74,136 +67,44 @@ impl TcL1 {
             .is_some_and(|l| Timestamp(cycle.raw()) < l.state.exp)
     }
 
-    fn hit_completion(&mut self, cycle: Cycle, warp: WarpId, addr: WordAddr) -> Completion {
-        let line = self
-            .tags
-            .access(addr.line())
-            .expect("hit path requires resident line");
-        Completion {
-            warp,
-            addr,
-            kind: CompletionKind::LoadDone {
-                value: line.data.word_at(addr),
-            },
-            ts: Timestamp(cycle.raw()),
-            // Hits are positioned at their fill's bank slot within the
-            // cycle: before any same-cycle write they cannot have seen.
-            seq: line.state.fill_seq,
-        }
-    }
-
-    fn send_gets(&mut self, cycle: Cycle, line: LineAddr, out: &mut L1Outbox) {
-        let entry = self.mshrs.get_mut(line).expect("entry exists");
-        if entry.gets_outstanding {
-            return;
-        }
-        entry.gets_outstanding = true;
-        out.to_l2.push(ReqMsg {
-            src: self.core,
-            line,
-            id: ReqId(0),
-            payload: ReqPayload::Gets {
-                now: Timestamp(cycle.raw()),
-                renew_exp: None,
-            },
-        });
-    }
-
     fn start_load(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
         let line = access.addr.line();
-        if self.mshrs.contains(line) {
-            if self.is_readable(cycle, line) {
-                self.stats.load_hits += 1;
-                return AccessOutcome::Done(self.hit_completion(cycle, access.warp, access.addr));
-            }
-            if self
-                .mshrs
-                .merge(line, |e| {
-                    e.waiting_loads
-                        .push((access.warp, access.addr, cycle.raw()))
-                })
-                .is_err()
-            {
-                self.stats.rejects += 1;
-                return AccessOutcome::Reject(RejectReason::MergeFull);
-            }
-            self.send_gets(cycle, line, out);
-            return AccessOutcome::Pending;
-        }
-        match self.tags.probe(line) {
-            Some(l) if Timestamp(cycle.raw()) < l.state.exp => {
-                self.stats.load_hits += 1;
-                AccessOutcome::Done(self.hit_completion(cycle, access.warp, access.addr))
-            }
-            resident => {
-                if resident.is_some() {
-                    // Physically expired copy: self-invalidate (no renew
-                    // mechanism in TC — drop the stale data).
-                    self.stats.expired_loads += 1;
-                    self.stats.self_invalidations += 1;
-                    self.tags.invalidate(line);
-                }
-                let entry = TcEntry {
-                    waiting_loads: vec![(access.warp, access.addr, cycle.raw())],
-                    ..TcEntry::default()
-                };
-                if self.mshrs.allocate(line, entry).is_err() {
-                    self.stats.rejects += 1;
-                    return AccessOutcome::Reject(RejectReason::MshrFull);
-                }
-                self.send_gets(cycle, line, out);
-                AccessOutcome::Pending
-            }
-        }
-    }
-
-    fn start_write(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
-        let line = access.addr.line();
-        // Peek the next id; it is minted only if the MSHR accepts the
-        // write. A rejected access must leave nothing behind but
-        // counters (the `replay_rejected_access` contract).
-        let id = ReqId(self.next_req);
-        let atomic = matches!(access.kind, AccessKind::Atomic { .. });
-        let pending = PendingWrite {
-            id,
-            warp: access.warp,
-            addr: access.addr,
-            atomic,
-        };
-        let alloc = if self.mshrs.contains(line) {
-            self.mshrs
-                .merge(line, |e| e.pending_writes.push_back(pending))
-        } else {
-            let mut entry = TcEntry::default();
-            entry.pending_writes.push_back(pending);
-            self.mshrs.allocate(line, entry)
-        };
-        if let Err(e) = alloc {
-            self.stats.rejects += 1;
-            return AccessOutcome::Reject(match e {
-                MshrRejection::Full => RejectReason::MshrFull,
-                MshrRejection::MergeListFull => RejectReason::MergeFull,
-            });
-        }
-        self.next_req += 1;
-        let word = access.addr.line_word_index();
         let now = Timestamp(cycle.raw());
-        let payload = match access.kind {
-            AccessKind::Store { value } => ReqPayload::Write { now, word, value },
-            AccessKind::Atomic { op } => ReqPayload::Atomic { now, word, op },
-            AccessKind::Load => unreachable!("start_write is for writes"),
-        };
-        out.to_l2.push(ReqMsg {
-            src: self.core,
-            line,
-            id,
-            payload,
-        });
+        if self.is_readable(cycle, line) {
+            // Hits are positioned at their fill's bank slot within the
+            // cycle: before any same-cycle write they cannot have seen.
+            return AccessOutcome::Done(l1::hit(&mut self.tags, &access, now, |m| m.fill_seq));
+        }
+        if !self.mshrs.contains(line) && self.tags.invalidate(line).is_some() {
+            // Physically expired copy: self-invalidate (no renew
+            // mechanism in TC — drop the stale data).
+            self.stats.expired_loads += 1;
+            self.stats.self_invalidations += 1;
+        }
+        let waiting = (access.warp, access.addr, cycle.raw());
+        if let Err(reason) = l1::admit(&mut self.mshrs, line, |e| e.waiting_loads.push(waiting)) {
+            return AccessOutcome::Reject(reason);
+        }
+        let entry = self.mshrs.get_mut(line).expect("just admitted");
+        l1::send_gets(&mut entry.gets_outstanding, self.core, line, now, None, out);
         AccessOutcome::Pending
     }
 
-    fn maybe_release_after_write(&mut self, line: LineAddr) {
-        let entry = self.mshrs.get(line).expect("entry exists");
+    /// Completes the write `id` the L2 acknowledged at (`ts`, `seq`),
+    /// and releases the MSHR entry and the (write-no-allocate) line if
+    /// nothing remains outstanding.
+    fn complete_write(
+        &mut self,
+        line: LineAddr,
+        id: ReqId,
+        kind: CompletionKind,
+        ts: Timestamp,
+        seq: u64,
+        out: &mut L1Outbox,
+    ) {
+        let entry = self.mshrs.get_mut(line).expect("ack without entry");
+        out.completions
+            .push(l1::ack(&mut entry.pending_writes, id, kind, ts, seq));
         if entry.pending_writes.is_empty() && !entry.gets_outstanding {
             debug_assert!(entry.waiting_loads.is_empty());
             self.mshrs.release(line);
@@ -212,44 +113,23 @@ impl TcL1 {
             }
         }
     }
-
-    fn take_pending_write(&mut self, line: LineAddr, id: ReqId) -> PendingWrite {
-        let entry = self.mshrs.get_mut(line).expect("entry exists");
-        let pos = entry
-            .pending_writes
-            .iter()
-            .position(|w| w.id == id)
-            .unwrap_or_else(|| panic!("no pending write {id:?} for {line}"));
-        entry.pending_writes.remove(pos).expect("position valid")
-    }
 }
 
 impl L1Cache for TcL1 {
     fn access(&mut self, cycle: Cycle, access: Access, out: &mut L1Outbox) -> AccessOutcome {
         let outcome = match access.kind {
-            AccessKind::Load => {
-                self.stats.loads += 1;
-                self.start_load(cycle, access, out)
-            }
-            AccessKind::Store { .. } => {
-                self.stats.stores += 1;
-                self.start_write(cycle, access, out)
-            }
-            AccessKind::Atomic { .. } => {
-                self.stats.atomics += 1;
-                self.start_write(cycle, access, out)
-            }
+            AccessKind::Load => self.start_load(cycle, access, out),
+            AccessKind::Store { .. } | AccessKind::Atomic { .. } => l1::send_write(
+                self.core,
+                &mut self.next_req,
+                &mut self.mshrs,
+                access,
+                Timestamp(cycle.raw()),
+                |e, w| e.pending_writes.push_back(w),
+                out,
+            ),
         };
-        if matches!(outcome, AccessOutcome::Reject(_)) {
-            // Rejected accesses retry later; count them once when they
-            // are finally accepted (`rejects` tracks the retries).
-            match access.kind {
-                AccessKind::Load => self.stats.loads -= 1,
-                AccessKind::Store { .. } => self.stats.stores -= 1,
-                AccessKind::Atomic { .. } => self.stats.atomics -= 1,
-            }
-        }
-        outcome
+        l1::count(&mut self.stats, access.kind, outcome)
     }
 
     fn handle_resp(&mut self, _cycle: Cycle, resp: RespMsg, out: &mut L1Outbox) {
@@ -301,43 +181,18 @@ impl L1Cache for TcL1 {
                 } else {
                     let entry = self.mshrs.get_mut(line).expect("entry exists");
                     entry.waiting_loads = refetch;
-                    entry.gets_outstanding = true;
-                    out.to_l2.push(ReqMsg {
-                        src: self.core,
-                        line,
-                        id: ReqId(0),
-                        payload: ReqPayload::Gets {
-                            now: exp, // the fresh grant will exceed this
-                            renew_exp: None,
-                        },
-                    });
+                    // The fresh grant will exceed `exp`.
+                    l1::send_gets(&mut entry.gets_outstanding, self.core, line, exp, None, out);
                 }
             }
             RespPayload::StoreAck { ver, seq } => {
-                let w = self.take_pending_write(line, resp.id);
-                debug_assert!(!w.atomic);
-                out.completions.push(Completion {
-                    warp: w.warp,
-                    addr: w.addr,
-                    kind: CompletionKind::StoreDone,
-                    // TCS: the apply time. TCW: the GWCT the LSU's fences
-                    // will wait on.
-                    ts: ver,
-                    seq,
-                });
-                self.maybe_release_after_write(line);
+                // TCS: the apply time. TCW: the GWCT the LSU's fences will
+                // wait on.
+                self.complete_write(line, resp.id, CompletionKind::StoreDone, ver, seq, out);
             }
             RespPayload::AtomicResp { value, ver, seq } => {
-                let w = self.take_pending_write(line, resp.id);
-                debug_assert!(w.atomic);
-                out.completions.push(Completion {
-                    warp: w.warp,
-                    addr: w.addr,
-                    kind: CompletionKind::AtomicDone { old: value },
-                    ts: ver,
-                    seq,
-                });
-                self.maybe_release_after_write(line);
+                let kind = CompletionKind::AtomicDone { old: value };
+                self.complete_write(line, resp.id, kind, ver, seq, out);
             }
             RespPayload::Renew { .. }
             | RespPayload::Inv
@@ -366,11 +221,11 @@ impl L1Cache for TcL1 {
         self.mshrs.len()
     }
 
-    fn replay_rejected_access(&mut self, delta: &L1Stats, times: u64) {
-        self.stats.add_scaled(delta, times);
-    }
-
     fn stats(&self) -> &L1Stats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut L1Stats {
+        &mut self.stats
     }
 }

@@ -89,3 +89,64 @@ fn malformed_coverage_is_rejected() {
     let err = lint("coverage", Some("malformed.tsv")).expect_err("must reject");
     assert!(err.contains("count"), "unexpected error: {err}");
 }
+
+/// The workspace's controller transition tables, one line per
+/// controller's states and one per (enum, variant) arm, without source
+/// lines: an edit that moves code but changes no transition leaves this
+/// text as it was.
+fn workspace_transitions() -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = run(&LintConfig {
+        root,
+        coverage: None,
+    })
+    .expect("workspace lints");
+    let mut s = String::new();
+    for ct in &out.controllers {
+        let (p, c) = (&ct.protocol, &ct.controller);
+        s.push_str(&format!("{p} {c} states [{}]\n", ct.states.join(", ")));
+        for (ename, t) in &ct.tables {
+            for (variant, (status, _line)) in &t.variants {
+                s.push_str(&format!(
+                    "{p} {c} {ename} wildcard={} {variant} {}\n",
+                    t.wildcard,
+                    status.as_str()
+                ));
+            }
+        }
+    }
+    s
+}
+
+/// Pins the extracted transition tables of every controller. A change
+/// that alters a transition regenerates the snapshot with
+/// `UPDATE_GOLDEN=1 cargo test -p rcc-lint --test table` and shows the
+/// diff in review.
+#[test]
+fn workspace_transition_tables_are_pinned() {
+    let snapshot = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/transitions.txt");
+    let got = workspace_transitions();
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::create_dir_all(snapshot.parent().expect("has a parent")).expect("mkdir");
+        std::fs::write(&snapshot, &got).expect("write snapshot");
+        return;
+    }
+    let want = std::fs::read_to_string(&snapshot).expect("read tests/snapshots/transitions.txt");
+    if got != want {
+        let diff: Vec<String> = want
+            .lines()
+            .filter(|l| !got.lines().any(|g| g == *l))
+            .map(|l| format!("- {l}"))
+            .chain(
+                got.lines()
+                    .filter(|l| !want.lines().any(|w| w == *l))
+                    .map(|l| format!("+ {l}")),
+            )
+            .collect();
+        panic!(
+            "controller transition tables changed — if intentional, regenerate with \
+             `UPDATE_GOLDEN=1 cargo test -p rcc-lint --test table`:\n{}",
+            diff.join("\n")
+        );
+    }
+}
