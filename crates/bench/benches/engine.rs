@@ -9,13 +9,13 @@
 //! firing). Plus a microbench of the queue's own post/cancel/pop ops,
 //! and the cost of quantum boundaries: the same run whole, and as a
 //! parked `SliceRun` chain that checkpoints and verifies every boundary
-//! the way rcc-serve does.
+//! the way rcc-serve does, and the state digest one boundary costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcc_common::GpuConfig;
-use rcc_core::ProtocolKind;
+use rcc_core::{with_protocol, ProtocolKind};
 use rcc_sim::runner::{simulate, SimOptions};
-use rcc_sim::{EventQueue, SliceOutcome, SliceRun};
+use rcc_sim::{EventQueue, SliceOutcome, SliceRun, System};
 use rcc_workloads::{Benchmark, Scale};
 
 fn engine_fast_forward(c: &mut Criterion) {
@@ -148,10 +148,32 @@ fn slice_boundary(c: &mut Criterion) {
     group.finish();
 }
 
+// One `System::state_digest` of that machine parked at its first
+// 30k-cycle boundary, the hash rcc-serve pays at every boundary of a
+// serve-preempt-shaped job. The warm-up call hashes each warp program
+// once; the timed ones fold the kept program hashes.
+fn state_digest(c: &mut Criterion) {
+    let cfg = GpuConfig {
+        num_cores: 8,
+        ..GpuConfig::small()
+    };
+    let wl = Benchmark::Dlb.generate(&cfg, &Scale::standard(), 7);
+    let mut group = c.benchmark_group("engine/state_digest");
+    group.sample_size(10);
+    with_protocol!(ProtocolKind::RccSc, &cfg, |p| {
+        let mut sys = System::new(&p, &cfg, &wl, false);
+        sys.run_until(30_000).expect("runs to the boundary");
+        assert!(!sys.done(), "the boundary must be mid-run");
+        group.bench_function("dlb-standard-8c/q30k", |b| b.iter(|| sys.state_digest()));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     engine_fast_forward,
     event_queue_ops,
-    slice_boundary
+    slice_boundary,
+    state_digest
 );
 criterion_main!(benches);

@@ -211,7 +211,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// (controllers, MSHR files, PRNG streams) in one line. `Debug` output is
 /// stable for a given binary, and the in-repo hash maps iterate in
 /// insertion order under deterministic replay, so equal histories imply
-/// equal digests.
+/// equal digests. A digest costs the bytes it is fed, so input that never
+/// changes during a run is fed as a kept hash of itself rather than
+/// rendered again at every digest (a core's warp programs enter as one
+/// `u64` each; see `rcc_gpu::core::Core::digest_state`).
 #[must_use = "a digest is only useful compared against another"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateDigest {

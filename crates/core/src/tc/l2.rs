@@ -55,7 +55,8 @@ pub struct TcL2 {
     deferred: FxHashMap<LineAddr, VecDeque<ReqMsg>>,
     blocked_lines: FxHashMap<LineAddr, usize>,
     /// Fills whose every candidate way held a line with parked stores;
-    /// retried each tick.
+    /// retried at every tick, and due the cycle after a release frees a
+    /// way.
     stalled_fills: Vec<(LineAddr, Box<LineData>, VecDeque<ReqMsg>)>,
     deferred_count: usize,
     /// Maximum expiration among evicted lines (the physical-time analogue
@@ -347,9 +348,16 @@ impl L2Bank for TcL2 {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // Stalled fills retry every cycle; parked stores wake when the
-        // earliest blocking lease expires (first key of the ordered map).
-        if !self.stalled_fills.is_empty() {
+        // A stalled fill waits for a way whose parked stores released,
+        // and a failed retry changes nothing, so the bank wakes the cycle
+        // after a release frees one (`tick` retries fills before it
+        // releases stores). Parked stores wake when the earliest blocking
+        // lease expires (first key of the ordered map).
+        let blocked = &self.blocked_lines;
+        if self.stalled_fills.iter().any(|(line, ..)| {
+            self.tags
+                .can_fill(*line, |addr, _| !blocked.contains_key(&addr))
+        }) {
             return Some(now + 1);
         }
         self.waiting

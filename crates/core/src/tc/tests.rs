@@ -231,6 +231,43 @@ fn write_to_missing_line_waits_for_fill() {
 }
 
 #[test]
+fn a_stalled_fill_wakes_the_bank_the_cycle_after_a_release_frees_its_way() {
+    let mut cfg = cfg_with_lease(100);
+    // One set of one way: every line competes for the same slot.
+    cfg.l2.partition.ways = 1;
+    cfg.l2.partition.size_bytes = cfg.l2.partition.line_bytes;
+    let mut rig = Rig::new(&TcProtocol::strong(&cfg), &cfg, 2);
+    let access = |warp, addr, kind| Access {
+        warp: WarpId(warp),
+        addr,
+        kind,
+    };
+    rig.load(0, word(2, 0)); // core 0 leases line 2, in the only way
+    rig.issue(1, access(0, word(2, 0), AccessKind::Store { value: 9 }));
+    rig.pump(); // the store parks until the lease runs out
+    let release = rig.l2.next_event(rig.cycle).expect("a parked store");
+    rig.issue(1, access(1, word(3, 0), AccessKind::Load));
+    rig.pump();
+    assert!(
+        rig.l2.line_exp(LineAddr(3)).is_none(),
+        "line 3's fill stalls"
+    );
+    // No way can free before the release, so the bank sleeps until then
+    // instead of retrying the fill every cycle.
+    assert_eq!(rig.l2.next_event(rig.cycle), Some(release));
+    rig.step(release.raw() - rig.cycle.raw());
+    assert!(
+        rig.l2.line_exp(LineAddr(3)).is_none(),
+        "retried before the release"
+    );
+    assert_eq!(rig.l2.next_event(rig.cycle), Some(rig.cycle + 1));
+    rig.step(1);
+    assert!(rig.l2.line_exp(LineAddr(3)).is_some(), "the fill lands");
+    rig.step(10);
+    rig.sb.assert_sc();
+}
+
+#[test]
 fn deferred_requests_preserve_order_behind_parked_store() {
     let (mut rig, _) = strong(3, 80);
     let w = word(7, 0);

@@ -4,12 +4,15 @@
 use crate::op::{MemOp, WarpProgram};
 use crate::stats::{CoreStats, PrevOpKind};
 use rcc_common::addr::WordAddr;
+use rcc_common::hash::FxHasher;
 use rcc_common::ids::{CoreId, WarpId};
+use rcc_common::snap::SnapWriter;
 use rcc_common::time::Cycle;
 use rcc_core::msg::{Access, AccessKind, AccessOutcome, AtomicOp, Completion, CompletionKind};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::Hasher;
+use std::sync::{Arc, OnceLock};
 
 /// Warp contexts one core supports: [`Core::tick`] keeps one bit per
 /// warp in a `u64` (Table III has 48, the small machine 8).
@@ -149,6 +152,8 @@ enum Micro {
 
 struct Warp {
     program: Arc<Vec<MemOp>>,
+    /// Cache: [`Warp::program_digest`], filled by the first state digest.
+    program_digest: OnceLock<u64>,
     pc: usize,
     wg_index: usize,
     micro: Micro,
@@ -170,6 +175,22 @@ struct Warp {
 impl Warp {
     fn current_op(&self) -> Option<MemOp> {
         self.program.get(self.pc).copied()
+    }
+
+    /// The program as the state digest sees it: one hash of its length
+    /// and its ops' [`MemOp::snap`] encoding. A program never changes,
+    /// so it is hashed once, on the first digest that reaches this warp.
+    fn program_digest(&self) -> u64 {
+        *self.program_digest.get_or_init(|| {
+            let mut w = SnapWriter::new();
+            for op in self.program.iter() {
+                op.snap(&mut w);
+            }
+            let mut h = FxHasher::default();
+            h.write_usize(self.program.len());
+            h.write(&w.into_bytes());
+            h.finish()
+        })
     }
 
     /// The cycle an idle warp's busy, backoff or `WaitUntil` timer runs
@@ -194,7 +215,9 @@ impl Warp {
 
 /// A warp's `Debug` text with `wait_for_issue` settled: the fields, names
 /// and order a derived `Debug` on [`Warp`] would print without its
-/// caches, which `Core::digest_state` hashes.
+/// caches, which `Core::digest_state` hashes. `program` prints as its
+/// [`Warp::program_digest`], not as the ops, so a digest costs the
+/// warp's state, not the length of its program.
 struct SettledWarp<'a> {
     warp: &'a Warp,
     wait_for_issue: u64,
@@ -204,7 +227,7 @@ impl fmt::Debug for SettledWarp<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let w = self.warp;
         f.debug_struct("Warp")
-            .field("program", &w.program)
+            .field("program", &w.program_digest())
             .field("pc", &w.pc)
             .field("wg_index", &w.wg_index)
             .field("micro", &w.micro)
@@ -319,9 +342,10 @@ pub struct Core {
 
 impl fmt::Debug for Core {
     /// The fields, names and order a derived `Debug` would print without
-    /// the class masks, with every warp's `wait_for_issue` settled:
-    /// `digest_state` hashes this text, so it must not depend on when
-    /// the masks were last brought up to date.
+    /// the class masks, with every warp's `wait_for_issue` settled and
+    /// its program as one hash (see [`SettledWarp`]): `digest_state`
+    /// hashes this text, so it must not depend on when the masks were
+    /// last brought up to date.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let warps: Vec<SettledWarp> = (0..self.warps.len())
             .map(|i| SettledWarp {
@@ -369,6 +393,7 @@ impl Core {
                 let done = program.is_empty();
                 Warp {
                     program,
+                    program_digest: OnceLock::new(),
                     pc: 0,
                     wg_index: i / wpw,
                     micro: Micro::Fresh,
@@ -433,9 +458,11 @@ impl Core {
     }
 
     /// Folds this core's full architectural state — every warp context
-    /// (pc, micro-state, timers, in-flight accesses), the scheduler
-    /// pointer, workgroup epochs, and statistics — into a
-    /// cross-component state digest.
+    /// (program hash, pc, micro-state, timers, in-flight accesses), the
+    /// scheduler pointer, workgroup epochs, and statistics — into a
+    /// cross-component state digest. Each warp's program enters as one
+    /// `u64`, hashed on the first digest and kept, so a run that never
+    /// takes a digest never hashes a program.
     pub fn digest_state(&self, d: &mut rcc_common::snap::StateDigest) {
         d.write_debug(self);
     }

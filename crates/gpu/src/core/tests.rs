@@ -113,6 +113,71 @@ fn sc_core(programs: Vec<WarpProgram>) -> Core {
     Core::new(CoreId(0), CoreParams::sequential(8, 4), programs)
 }
 
+/// What `core` folds into the state digest.
+fn core_digest(core: &Core) -> u64 {
+    let mut d = rcc_common::snap::StateDigest::new();
+    core.digest_state(&mut d);
+    d.finish()
+}
+
+#[test]
+fn the_state_digest_attests_ops_past_the_pc_but_not_the_allocation() {
+    // One warp whose last op, a store of `value`, is still ahead of the
+    // pc at cycle 5: the second load waits there behind the first.
+    let at_cycle_5 = |value: u64| {
+        let ops = vec![
+            MemOp::Load(w(0)),
+            MemOp::Compute(3),
+            MemOp::Load(w(2)),
+            MemOp::Store(w(1), value),
+        ];
+        let mut core = sc_core(vec![WarpProgram::new(WorkgroupId(0), ops)]);
+        let mem = FakeMem::new(10);
+        for c in 0..5 {
+            core.tick(Cycle(c), |access| {
+                let completion = mem.borrow_mut().serve(access, c);
+                mem.borrow_mut().post(c + 10, completion);
+                AccessOutcome::Pending
+            });
+        }
+        assert_eq!(core.warps[0].pc, 2, "the store is still ahead of the pc");
+        core
+    };
+    let (a, b, other) = (at_cycle_5(9), at_cycle_5(9), at_cycle_5(8));
+    assert!(!Arc::ptr_eq(&a.warps[0].program, &b.warps[0].program));
+    assert_eq!(
+        core_digest(&a),
+        core_digest(&b),
+        "equal programs, equal digests"
+    );
+    assert_ne!(
+        core_digest(&a),
+        core_digest(&other),
+        "the unrun store is attested"
+    );
+}
+
+#[test]
+fn a_program_is_hashed_only_when_a_digest_is_taken() {
+    let p = WarpProgram::new(
+        WorkgroupId(0),
+        vec![MemOp::Load(w(0)), MemOp::Store(w(1), 9)],
+    );
+    let mem = FakeMem::new(10);
+    let mut core = sc_core(vec![p.clone(), p]);
+    drive(&mut core, &mem, 10_000);
+    let hashed = |core: &Core| {
+        core.warps
+            .iter()
+            .filter(|w| w.program_digest.get().is_some())
+            .count()
+    };
+    assert_eq!(hashed(&core), 0, "a run without a digest hashes no program");
+    let first = core_digest(&core);
+    assert_eq!(hashed(&core), core.warps.len());
+    assert_eq!(core_digest(&core), first, "the kept hash is the hash");
+}
+
 #[test]
 fn empty_core_is_done_immediately() {
     let core = sc_core(vec![]);

@@ -131,7 +131,9 @@ impl<S> TagArray<S> {
     /// non-replaceable line (the caller must stall the fill; this models
     /// lines pinned by transient coherence states). A stalled fill thus
     /// costs no copy of the line, and a boxed line from a message is
-    /// unboxed only when it lands. The LRU clock advances either way.
+    /// unboxed only when it lands. A failed fill leaves the array
+    /// untouched, LRU clock included, so a caller may retry it every
+    /// cycle or only once a way can have freed, with the same state.
     ///
     /// If `addr` is already resident its slot is overwritten in place.
     // Inlined: a caller that drops the evicted line then skips copying
@@ -145,12 +147,38 @@ impl<S> TagArray<S> {
         dirty: bool,
         replaceable: impl Fn(LineAddr, &S) -> bool,
     ) -> Result<Option<Evicted<S>>, D> {
+        let Some(slot) = self.fill_slot(addr, replaceable) else {
+            return Err(data);
+        };
         self.tick += 1;
-        let last_use = self.tick;
+        let old = self.slots[slot].replace(Line {
+            addr,
+            state,
+            data: data.into(),
+            dirty,
+            last_use: self.tick,
+        });
+        Ok(old.map(|line| Evicted { line }))
+    }
+
+    /// Whether a [`Self::fill`] of `addr` would land now rather than hand
+    /// its line back, without modifying anything.
+    pub fn can_fill(&self, addr: LineAddr, replaceable: impl Fn(LineAddr, &S) -> bool) -> bool {
+        self.fill_slot(addr, replaceable).is_some()
+    }
+
+    /// The slot [`Self::fill`] puts `addr` in: its own if resident
+    /// (replaced in place, no eviction), else an empty way, else the LRU
+    /// line among the replaceable ones. `None` if every way holds a
+    /// non-replaceable line.
+    #[inline]
+    fn fill_slot(
+        &self,
+        addr: LineAddr,
+        replaceable: impl Fn(LineAddr, &S) -> bool,
+    ) -> Option<usize> {
         let range = self.set_range(addr);
-        let slots = &mut self.slots[range];
-        // Already resident (replaced in place, no eviction), else an
-        // empty way, else the LRU line among the replaceable ones.
+        let slots = &self.slots[range.clone()];
         let way = slots
             .iter()
             .position(|s| s.as_ref().is_some_and(|l| l.addr == addr))
@@ -163,18 +191,8 @@ impl<S> TagArray<S> {
                     .filter(|(_, l)| replaceable(l.addr, &l.state))
                     .min_by_key(|(_, l)| l.last_use)
                     .map(|(i, _)| i)
-            });
-        let Some(way) = way else {
-            return Err(data);
-        };
-        let old = slots[way].replace(Line {
-            addr,
-            state,
-            data: data.into(),
-            dirty,
-            last_use,
-        });
-        Ok(old.map(|line| Evicted { line }))
+            })?;
+        Some(range.start + way)
     }
 
     /// Returns the line that [`Self::fill`] would evict for `addr` among
@@ -323,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_fill_hands_the_line_back_and_still_ticks() {
+    fn failed_fill_hands_the_line_back_and_leaves_the_clock() {
         let mut a = arr();
         fill_ok(&mut a, 0, 1);
         fill_ok(&mut a, 2, 2);
@@ -333,10 +351,12 @@ mod tests {
         let r = a.fill(LineAddr(4), 3, line.clone(), false, |_, _| false);
         assert_eq!(r.err(), Some(line));
         // The LRU clock is part of the hashed state: a stalled fill
-        // advances it exactly as it always has.
-        assert_ne!(format!("{a:?}"), before);
-        assert_eq!(a.tick, 3);
+        // leaves it, so retrying one changes nothing until it lands.
+        assert_eq!(format!("{a:?}"), before);
+        assert_eq!(a.tick, 2);
         assert!(a.probe(LineAddr(4)).is_none());
+        assert!(!a.can_fill(LineAddr(4), |_, _| false));
+        assert!(a.can_fill(LineAddr(4), |_, _| true));
     }
 
     #[test]

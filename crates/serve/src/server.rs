@@ -43,7 +43,10 @@
 //! the in-flight quantum and recovered results are bit-identical to an
 //! uninterrupted run. Journals that embed full `RCCK` checkpoints
 //! (`Preempted`, written by earlier builds) still replay: the record
-//! stands for its boundary's cycle and digest.
+//! stands for its boundary's cycle and digest. A boundary parked by a
+//! build whose `state_digest` differs from this one's fails its job
+//! once, with a typed `checkpoint` error naming both digests, and no
+//! retry: drain a service before such an upgrade.
 //!
 //! ## Supervision
 //!

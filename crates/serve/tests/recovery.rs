@@ -480,3 +480,102 @@ fn legacy_and_by_reference_journals_both_replay_to_the_twin() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The upgrade contract. A build whose `state_digest` differs from the
+/// one that wrote a journal produces none of its parked digests, so to
+/// it every `Parked` boundary looks like this test's: the right cycle
+/// with a digest it does not produce there. On restart that job fails
+/// once, with a typed `checkpoint` error that names both digests. It is
+/// not retried or quarantined and consumes no attempt, because replaying
+/// the same inputs reproduces the same mismatch. The journal's other
+/// jobs finish. A service is therefore drained before such an upgrade.
+#[test]
+fn a_parked_digest_from_another_build_fails_its_job_once_as_checkpoint() {
+    const QUANTUM: u64 = 2_000;
+    let dir = temp_dir("upgrade");
+    let spec_json = r#"{"version": 1, "protocol": "rcc", "workload": {"kind": "bench", "name": "dlb", "scale": "quick", "seed": 3}}"#;
+    let spec = JobSpec::parse(spec_json).expect("valid spec");
+    let (kind, gpu, wl, mut opts) = spec.inputs();
+    opts.quantum = QUANTUM;
+    let mut run = SliceRun::start(kind, &gpu, wl, &opts);
+    let Ok(SliceOutcome::Preempted { ck, .. }) = run.next_slice() else {
+        panic!("the quantum must preempt");
+    };
+    let (cycle, ours) = (ck.cycle, ck.state_digest);
+    let theirs = ours ^ 0x0123_4567_89ab_cdef;
+
+    let killed = Arc::new(AtomicBool::new(false));
+    let path = dir.join("upgrade.rccj");
+    let (mut journal, _) = Journal::open(&path, false, None, killed).unwrap();
+    // Job 0 parked by the other build, job 1 parked by this one, job 2
+    // only admitted.
+    for (id, parked) in [(0, Some(theirs)), (1, Some(ours)), (2, None)] {
+        journal
+            .append(&Record::Submitted {
+                id,
+                priority: spec.priority,
+                spec_json: spec.to_canonical_json(),
+                dedup_key: None,
+            })
+            .unwrap();
+        if let Some(state_digest) = parked {
+            journal.append(&Record::Started { id, attempt: 0 }).unwrap();
+            journal
+                .append(&Record::Parked {
+                    id,
+                    slices: 1,
+                    preemptions: 1,
+                    cycle,
+                    state_digest,
+                })
+                .unwrap();
+        }
+    }
+    drop(journal);
+
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        quantum: QUANTUM,
+        journal: Some(path.clone()),
+        fsync: false,
+        ..ServerConfig::default()
+    })
+    .expect("recovery from the journal");
+    let [failed, resumed, fresh] = [0, 1, 2].map(|id| server.wait(id).expect("job recovered"));
+    server.shutdown().expect("drain");
+
+    assert_eq!(failed.state, JobState::Failed);
+    let error = failed.error.expect("a typed error");
+    assert_eq!(error.kind, "checkpoint", "{}", error.detail);
+    for digest in [ours, theirs] {
+        let hex = format!("{digest:016x}");
+        assert!(
+            error.detail.contains(&hex),
+            "{hex} unnamed: {}",
+            error.detail
+        );
+    }
+    assert_eq!(failed.attempts, 0, "a mismatch consumes no attempt");
+    let twin = direct_twin(&failed.spec_json);
+    for rec in [&resumed, &fresh] {
+        assert_eq!(rec.state, JobState::Done, "{:?}", rec.error);
+        let summary = rec.summary.as_ref().expect("summary").to_json();
+        assert_eq!(Ok(summary), twin);
+    }
+    let records = replay_bytes(&std::fs::read(&path).unwrap())
+        .unwrap()
+        .records;
+    let of_job_0: Vec<&Record> = records.iter().filter(|r| r.job_id() == Some(0)).collect();
+    assert!(
+        !of_job_0
+            .iter()
+            .any(|r| matches!(r, Record::Retried { .. } | Record::Quarantined { .. })),
+        "no retry, no quarantine: {of_job_0:?}"
+    );
+    let terminal = of_job_0
+        .iter()
+        .filter(|r| matches!(r, Record::Failed { .. }))
+        .count();
+    assert_eq!(terminal, 1, "fails exactly once: {of_job_0:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

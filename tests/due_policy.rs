@@ -8,7 +8,13 @@
 //! at one boundary per protocol on each and at one inside a rollover
 //! drain, so a change that alters the digested state — and would stop
 //! journals and checkpoints written by an earlier build from recovering
-//! — fails here.
+//! — fails here. The pins live in the generated
+//! `tests/snapshots/state_digests.rs`; a change that moves them on
+//! purpose regenerates it with
+//!
+//! ```bash
+//! UPDATE_GOLDEN=1 cargo test --test due_policy
+//! ```
 //! A seconds-scale guard; the full lockstep matrix lives in the rcc-sim
 //! `determinism` suite.
 
@@ -16,6 +22,7 @@ use rcc_repro::coherence::{with_protocol, ProtocolKind};
 use rcc_repro::common::GpuConfig;
 use rcc_repro::sim::System;
 use rcc_repro::workloads::{Benchmark, Scale, Workload};
+use std::sync::Once;
 
 const SEED: u64 = 7;
 
@@ -37,10 +44,10 @@ fn stn() -> (GpuConfig, Workload) {
     quick(Benchmark::Stn)
 }
 
-/// Runs `wl` under both due policies on every protocol, comparing
+/// Runs `wl` under both due policies on each of `kinds`, comparing
 /// `state_digest` every `step` cycles and the final metrics.
-fn assert_due_policies_agree(cfg: &GpuConfig, wl: &Workload, step: u64) {
-    for kind in ProtocolKind::ALL {
+fn assert_due_policies_agree(cfg: &GpuConfig, wl: &Workload, step: u64, kinds: &[ProtocolKind]) {
+    for &kind in kinds {
         with_protocol!(kind, cfg, |p| {
             let mut every = System::new(&p, cfg, wl, false);
             every.set_fast_forward(false);
@@ -70,13 +77,27 @@ fn assert_due_policies_agree(cfg: &GpuConfig, wl: &Workload, step: u64) {
 #[test]
 fn event_driven_matches_every_cycle_policy_on_every_protocol() {
     let (cfg, wl) = dlb();
-    assert_due_policies_agree(&cfg, &wl, 1_500);
+    assert_due_policies_agree(&cfg, &wl, 1_500, &ProtocolKind::ALL);
 }
 
 #[test]
 fn due_policies_agree_through_barriers_and_local_waits() {
     let (cfg, wl) = stn();
-    assert_due_policies_agree(&cfg, &wl, 500);
+    assert_due_policies_agree(&cfg, &wl, 500, &ProtocolKind::ALL);
+}
+
+/// TC-Strong on a one-way L2, where a fill often finds its only way
+/// pinned by a parked store and stalls: the event-driven policy sleeps
+/// until a release can free the way, the every-cycle one retries the
+/// fill each cycle, and both must reach the same state.
+#[test]
+fn due_policies_agree_through_stalled_tc_fills() {
+    let mut cfg = GpuConfig::small();
+    cfg.l2.partition.ways = 1;
+    for bench in [Benchmark::Bfs, Benchmark::Vpr] {
+        let wl = bench.generate(&cfg, &Scale::quick(), 1);
+        assert_due_policies_agree(&cfg, &wl, 500, &[ProtocolKind::TcStrong]);
+    }
 }
 
 /// `state_digest()` at `cycle` (the run must still be going), one per
@@ -92,39 +113,97 @@ fn digests_at(cfg: &GpuConfig, wl: &Workload, cycle: u64) -> [u64; 7] {
     })
 }
 
-/// `state_digest()` of [`dlb`] at cycle 5,000 (every run is still
-/// going), one per protocol in `ProtocolKind::ALL` order.
-const PINNED_DIGESTS: [u64; 7] = [
-    0xfd720dd0da9e11ff, // MESI
-    0xd5884346f09f7176, // MESI-WB
-    0x3322c11c0db71053, // TCS
-    0xc1bc0918e4f201b2, // TCW
-    0xcb92cec7539813fe, // RCC-SC
-    0xe80183c980958393, // RCC-WO
-    0x6e8cac58f622f140, // SC-IDEAL
-];
+/// The cycle the [`dlb`] and [`stn`] pins are taken at: every run is
+/// still going.
+const PIN_CYCLE: u64 = 5_000;
+
+/// The boundary of [`vpr_with_rollover`]'s pin: RCC-WO's rollover
+/// coordinator is draining the machine there.
+const DRAIN_BOUNDARY: u64 = 17_500;
+
+// `PINNED_DIGESTS`, `PINNED_STN_DIGESTS` and `PINNED_DRAIN`.
+include!("snapshots/state_digests.rs");
+
+/// Renders `snapshots/state_digests.rs` from fresh runs of every pin.
+fn render_snapshot() -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from(
+        "// @generated by `UPDATE_GOLDEN=1 cargo test --test due_policy`.\n\
+         // Do not edit by hand; regenerate and commit this file together with\n\
+         // the change that moved the digests.\n",
+    );
+    for (name, what, (cfg, wl)) in [
+        ("PINNED_DIGESTS", "dlb", dlb()),
+        ("PINNED_STN_DIGESTS", "stn", stn()),
+    ] {
+        let _ = write!(
+            out,
+            "\n/// `state_digest()` of [`{what}`] at `PIN_CYCLE`, one per protocol in\n\
+             /// `ProtocolKind::ALL` order.\n\
+             const {name}: [u64; 7] = [\n"
+        );
+        for (kind, digest) in ProtocolKind::ALL
+            .iter()
+            .zip(digests_at(&cfg, &wl, PIN_CYCLE))
+        {
+            let _ = writeln!(out, "    0x{digest:016x}, // {}", kind.label());
+        }
+        out.push_str("];\n");
+    }
+    let (cfg, wl) = vpr_with_rollover();
+    let drain = with_protocol!(ProtocolKind::RccWo, &cfg, |p| {
+        let mut sys = System::new(&p, &cfg, &wl, false);
+        sys.run_until(DRAIN_BOUNDARY).unwrap();
+        sys.state_digest()
+    });
+    let _ = write!(
+        out,
+        "\n/// `state_digest()` of RCC-WO on [`vpr_with_rollover`] at\n\
+         /// `DRAIN_BOUNDARY`.\n\
+         const PINNED_DRAIN: u64 = 0x{drain:016x};\n"
+    );
+    out
+}
+
+/// Whether this run regenerates the pins (`UPDATE_GOLDEN` is set). The
+/// first pin test to ask writes the snapshot; every pin test then skips
+/// its comparison against the committed one.
+fn regenerating() -> bool {
+    static WRITE: Once = Once::new();
+    if std::env::var("UPDATE_GOLDEN").is_err() {
+        return false;
+    }
+    WRITE.call_once(|| {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/snapshots/state_digests.rs"
+        );
+        std::fs::write(path, render_snapshot()).expect("write snapshot file");
+        eprintln!("regenerated {path}");
+    });
+    true
+}
+
+/// The message of a moved pin.
+const REPIN: &str =
+    "if intentional, regenerate with `UPDATE_GOLDEN=1 cargo test --test due_policy`";
 
 #[test]
 fn state_digest_is_pinned_across_builds() {
     let (cfg, wl) = dlb();
-    assert_eq!(digests_at(&cfg, &wl, 5_000), PINNED_DIGESTS);
+    let got = digests_at(&cfg, &wl, PIN_CYCLE);
+    if !regenerating() {
+        assert!(got == PINNED_DIGESTS, "got {got:#018x?}; {REPIN}");
+    }
 }
-
-/// `state_digest()` of [`stn`] at cycle 5,000, as [`PINNED_DIGESTS`].
-const PINNED_STN_DIGESTS: [u64; 7] = [
-    0x0c00744d0325f2e1, // MESI
-    0x723f9d06452f389b, // MESI-WB
-    0x1d3af36ef906aba2, // TCS
-    0x100803cce02cc031, // TCW
-    0x08bcf5ed188e22ec, // RCC-SC
-    0x4ea5d7b743705cc9, // RCC-WO
-    0xa6cf50bb55da0e86, // SC-IDEAL
-];
 
 #[test]
 fn stn_state_digest_is_pinned_across_builds() {
     let (cfg, wl) = stn();
-    assert_eq!(digests_at(&cfg, &wl, 5_000), PINNED_STN_DIGESTS);
+    let got = digests_at(&cfg, &wl, PIN_CYCLE);
+    if !regenerating() {
+        assert!(got == PINNED_STN_DIGESTS, "got {got:#018x?}; {REPIN}");
+    }
 }
 
 /// RCC with a tiny rollover threshold and a fixed lease, so timestamps
@@ -137,10 +216,6 @@ fn vpr_with_rollover() -> (GpuConfig, Workload) {
     let wl = Benchmark::Vpr.generate(&cfg, &Scale::quick(), 23);
     (cfg, wl)
 }
-
-/// `(boundary, state_digest())` of RCC-WO on [`vpr_with_rollover`] at a
-/// boundary where the rollover coordinator is draining the machine.
-const PINNED_DRAIN: (u64, u64) = (17_500, 0x27cd6384f833875b);
 
 #[test]
 fn due_policies_agree_through_a_rollover() {
@@ -168,9 +243,14 @@ fn due_policies_agree_through_a_rollover() {
                 if phase != "Idle" {
                     mid_rollover += 1;
                 }
-                if kind == ProtocolKind::RccWo && boundary == PINNED_DRAIN.0 {
+                if kind == ProtocolKind::RccWo && boundary == DRAIN_BOUNDARY {
                     assert_eq!(phase, "Draining", "the pin must be inside the drain");
-                    assert_eq!(digest, PINNED_DRAIN.1, "{kind}: drain digest moved");
+                    if !regenerating() {
+                        assert!(
+                            digest == PINNED_DRAIN,
+                            "{kind}: drain digest moved to {digest:#018x}; {REPIN}"
+                        );
+                    }
                 }
             }
             let (every, event) = (every.metrics(), event.metrics());
